@@ -11,11 +11,17 @@ import numpy as np
 from minent.barycenter import (
     BarycenterProblem,
     NearSingularError,
+    WeightedConfiguration,
     jacobian_bound_report,
     random_configuration,
 )
-from minent.hyperbolic import boundary_quadrature
-from minent.products import min_entropy_profile
+from minent.hyperbolic import HyperboloidPoint, boundary_quadrature
+from minent.products import ProductPoint, min_entropy_profile
+
+
+def at(r):
+    """The point at signed distance r from the base point along axis 1."""
+    return HyperboloidPoint(np.array([np.cosh(r), np.sinh(r), 0.0, 0.0]))
 
 
 def run_once(profile, quads, n_atoms, spread, seed):
@@ -27,7 +33,7 @@ def run_once(profile, quads, n_atoms, spread, seed):
     print(f"seed {seed}: converged={sol.converged} "
           f"iters={sol.iterations} grad={sol.gradient_norm:.2e} "
           f"trace(H)={pair.trace_h():.12f}")
-    rep = jacobian_bound_report(config, quads, solution=sol)
+    rep = jacobian_bound_report(problem, solution=sol)
     print(f"  jacobian estimate {rep.estimate:.4f}  bound {rep.bound:.4f}  "
           f"largest H eigenvalue {rep.h_eigen_max:.6f}")
     return rep
@@ -50,24 +56,15 @@ def main() -> int:
     # stretch the configuration until the complement form degenerates
     print("degeneration sweep (two antipodal atoms, growing radius):")
     for radius in (2.0, 5.0, 8.0, 9.0):
-        rng = np.random.default_rng(args.seed)
-        config = random_configuration(rng, profile, 2, spread=0.1)
-        from minent.hyperbolic import HyperboloidPoint
-        from minent.products import ProductPoint
-
-        def at(r):
-            c = np.array([np.cosh(r), np.sinh(r), 0.0, 0.0])
-            return HyperboloidPoint(c)
-
         far = (
             ProductPoint((at(radius), at(radius))),
             ProductPoint((at(-radius), at(-radius))),
         )
-        config = type(config)(
+        config = WeightedConfiguration(
             atoms=far, weights=(0.5, 0.5), profile=profile
         )
         try:
-            rep = jacobian_bound_report(config, quads)
+            rep = jacobian_bound_report(BarycenterProblem(config, quads))
             print(f"  radius {radius:4.1f}: estimate {rep.estimate:9.4f} "
                   f"(bound {rep.bound:.4f}), "
                   f"H eigenvalue max {rep.h_eigen_max:.8f}")

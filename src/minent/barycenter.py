@@ -40,9 +40,10 @@ from .hyperbolic import (
     BoundaryQuadrature,
     HyperboloidPoint,
     TangentVector,
-    dist,
     exp_map,
+    minkowski_form,
     parallel_transport,
+    random_point,
     tangent_frame,
     transvection_to,
 )
@@ -58,9 +59,6 @@ __all__ = [
     "BarycenterSolution",
     "BarycenterProblem",
     "NearSingularError",
-    "functional_and_grad",
-    "solve_barycenter",
-    "form_pair_at",
     "BcgResult",
     "bcg_inequality_check",
     "bcg_campaign",
@@ -193,12 +191,15 @@ class BarycenterProblem:
 
     # -- raw per-factor moments ------------------------------------------
 
-    def _moments(self, x: ProductPoint, need_forms: bool):
+    def _moments(self, x: ProductPoint, need_forms: bool, frames=None):
         """Per atom j and factor i: quadrature mass, mean horofunction
         value, mean frame differential, and (optionally) its second
-        moment, at the factor point x_i."""
+        moment, at the factor point x_i.  Differentials are taken in
+        ``frames`` (per-factor orthonormal rows at x), by default the
+        tangent frames at x."""
         prof = self.profile
-        frames = [tangent_frame(xf) for xf in x.factors]
+        if frames is None:
+            frames = [tangent_frame(xf) for xf in x.factors]
         J = self.config.size
         masses = np.zeros((J, len(prof.dims)))
         values = np.zeros((J, len(prof.dims)))
@@ -216,12 +217,15 @@ class BarycenterProblem:
                 values[j, i] = float(wts @ np.log(s))
                 means[i][j] = wts @ b
                 if need_forms:
-                    seconds[i][j] = np.einsum("l,la,lb->ab", wts, b, b)
+                    seconds[i][j] = (b * wts[:, None]).T @ b
         return frames, masses, values, means, seconds
 
     # -- public evaluations ----------------------------------------------
 
     def value_and_grad(self, x: ProductPoint):
+        """Value, gradient, gradient norm and tangent frames at x.  The
+        gradient is per-factor components in the orthonormal frame of
+        the scaled metric (concatenate for the full vector)."""
         prof = self.profile
         rk = np.sqrt(prof.k)
         frames, masses, values, means, _ = self._moments(x, need_forms=False)
@@ -238,10 +242,14 @@ class BarycenterProblem:
     def value_only(self, x: ProductPoint) -> float:
         return self.value_and_grad(x)[0]
 
-    def forms(self, x: ProductPoint) -> FormPair:
+    def forms(self, x: ProductPoint, frames=None) -> FormPair:
+        """H and K at x, expressed in ``frames`` (per-factor orthonormal
+        rows at x; the tangent frames at x by default)."""
         prof = self.profile
         k, rk = prof.k, np.sqrt(prof.k)
-        frames, masses, values, means, seconds = self._moments(x, need_forms=True)
+        frames, masses, values, means, seconds = self._moments(
+            x, need_forms=True, frames=frames
+        )
         n = prof.n
         H = np.zeros((n, n))
         K = np.zeros((n, n))
@@ -281,8 +289,6 @@ class BarycenterProblem:
             acc = np.zeros(self.profile.dims[i] + 1)
             for w, atom in zip(self.w, self.config.atoms):
                 acc += w * atom.factors[i].coords
-            from .hyperbolic import minkowski_form
-
             acc = acc / np.sqrt(-minkowski_form(acc, acc))
             out.append(HyperboloidPoint(acc))
         return ProductPoint(tuple(out))
@@ -338,39 +344,6 @@ class BarycenterProblem:
                 # no progress at the smallest damping: report where we are
                 return BarycenterSolution(x, gnorm, value, it, False)
         return BarycenterSolution(x, gnorm, value, max_iter, gnorm <= tol)
-
-
-# -- functional wrappers ---------------------------------------------------
-
-
-def functional_and_grad(
-    config: WeightedConfiguration,
-    x: ProductPoint,
-    quads,
-):
-    """Value and gradient of the barycenter functional at x.
-
-    The gradient is returned as per-factor components in the
-    orthonormal frame of the scaled metric (concatenate for the full
-    vector; its Euclidean norm is the gradient norm).
-    """
-    problem = BarycenterProblem(config, quads)
-    value, grad, gnorm, _ = problem.value_and_grad(x)
-    return value, grad
-
-
-def solve_barycenter(
-    config: WeightedConfiguration,
-    quads,
-    tol: float = 1e-8,
-    max_iter: int = 100,
-    x0: ProductPoint | None = None,
-) -> BarycenterSolution:
-    return BarycenterProblem(config, quads).solve(tol=tol, max_iter=max_iter, x0=x0)
-
-
-def form_pair_at(config: WeightedConfiguration, x: ProductPoint, quads) -> FormPair:
-    return BarycenterProblem(config, quads).forms(x)
 
 
 # -- determinant inequalities ---------------------------------------------
@@ -461,15 +434,14 @@ class JacobianReport:
 
 
 def jacobian_bound_report(
-    config: WeightedConfiguration,
-    quads,
+    problem: BarycenterProblem,
     solution: BarycenterSolution | None = None,
     tol: float = 1e-8,
 ) -> JacobianReport:
     """Both sides of the volume-distortion bound at the barycenter:
-    estimate 2^n det(H)^{1/2} / det(K) against (4 n / h_min^2)^{n/2}."""
-    problem = BarycenterProblem(config, quads)
-    prof = config.profile
+    estimate 2^n det(H)^{1/2} / det(K) against (4 n / h_min^2)^{n/2}.
+    ``solution`` must come from ``problem``; it is solved here if absent."""
+    prof = problem.profile
     if solution is None:
         solution = problem.solve(tol=tol)
     if not solution.converged:
@@ -558,9 +530,9 @@ def bar_differential_fd(
     if abs(float(u @ f)) > 1e-8:
         u = u - (u @ f) * f
         u = u / np.linalg.norm(u)
-    base = solve_barycenter(config, quads, tol=tol)
+    base = BarycenterProblem(config, quads).solve(tol=tol)
     moved = config.reweighted((f + step * u) ** 2)
-    shifted = solve_barycenter(moved, quads, tol=tol, x0=base.point)
+    shifted = BarycenterProblem(moved, quads).solve(tol=tol, x0=base.point)
     if not (base.converged and shifted.converged):
         raise NearSingularError("barycenter solve did not converge")
     norm = product_dist(base.point, shifted.point, config.profile) / step
@@ -667,22 +639,20 @@ def form_lipschitz_ratio(
     if config_a.profile is not config_b.profile and config_a.profile != config_b.profile:
         raise ValueError("configurations must share a profile")
     prof = config_a.profile
-    sol_a = solve_barycenter(config_a, quads, tol=tol)
-    sol_b = solve_barycenter(config_b, quads, tol=tol, x0=sol_a.point)
-    pair_a = form_pair_at(config_a, sol_a.point, quads)
-    pair_b_frames = []
+    problem_a = BarycenterProblem(config_a, quads)
+    problem_b = BarycenterProblem(config_b, quads)
+    sol_a = problem_a.solve(tol=tol)
+    sol_b = problem_b.solve(tol=tol, x0=sol_a.point)
+    pair_a = problem_a.forms(sol_a.point)
     # Transport the frame at Bar(a) to Bar(b) factor by factor and
     # express H_b in the transported frame.
-    problem_b = BarycenterProblem(config_b, quads)
-    transported = []
-    for i, (fa, xa, xb) in enumerate(
-        zip(pair_a.frames, sol_a.point.factors, sol_b.point.factors)
-    ):
-        rows = np.vstack(
-            [parallel_transport(xa, xb, fa[r]) for r in range(fa.shape[0])]
+    transported = [
+        np.vstack([parallel_transport(xa, xb, row) for row in fa])
+        for fa, xa, xb in zip(
+            pair_a.frames, sol_a.point.factors, sol_b.point.factors
         )
-        transported.append(rows)
-    h_b = _forms_in_frames(problem_b, sol_b.point, transported).H
+    ]
+    h_b = problem_b.forms(sol_b.point, transported).H
     dev = float(np.abs(h_b - pair_a.H).max())
     w_dist = float(
         np.linalg.norm(
@@ -699,55 +669,6 @@ def form_lipschitz_ratio(
     }
 
 
-def _forms_in_frames(problem: BarycenterProblem, x: ProductPoint, frames) -> FormPair:
-    """Forms of the problem at x expressed in externally supplied
-    per-factor orthonormal frames (used for transported comparisons)."""
-    prof = problem.profile
-    k, rk = prof.k, np.sqrt(prof.k)
-    J = problem.config.size
-    n = prof.n
-    offsets = np.concatenate([[0], np.cumsum(prof.dims)])
-    means = [np.zeros((J, m)) for m in prof.dims]
-    seconds = [np.zeros((J, m, m)) for m in prof.dims]
-    masses = np.zeros((J, k))
-    for i, (xf, G) in enumerate(zip(x.factors, problem.metrics)):
-        gx = G @ xf.coords
-        fg = frames[i] @ G
-        wts = problem.quads[i].weights
-        for j in range(J):
-            nodes = problem.nodes[j][i]
-            s = -(nodes @ gx)
-            b = -(nodes @ fg.T) / s[:, None]
-            masses[j, i] = float(wts.sum())
-            means[i][j] = wts @ b
-            seconds[i][j] = np.einsum("l,la,lb->ab", wts, b, b)
-    H = np.zeros((n, n))
-    K = np.zeros((n, n))
-    factor_h = []
-    factor_k = []
-    for i, m in enumerate(prof.dims):
-        sl = slice(offsets[i], offsets[i + 1])
-        S_i = np.einsum("j,jab->ab", problem.w, seconds[i])
-        mass_i = float(problem.w @ masses[:, i])
-        factor_h.append(S_i)
-        factor_k.append(mass_i * np.eye(m) - S_i)
-        H[sl, sl] = S_i / k
-        K[sl, sl] = factor_k[-1] / (prof.alpha[i] * rk)
-        for i2 in range(i + 1, k):
-            sl2 = slice(offsets[i2], offsets[i2 + 1])
-            cross = np.einsum("j,ja,jb->ab", problem.w, means[i], means[i2]) / k
-            H[sl, sl2] = cross
-            H[sl2, sl] = cross.T
-    return FormPair(
-        H=(H + H.T) / 2,
-        K=(K + K.T) / 2,
-        factor_h=tuple(factor_h),
-        factor_k=tuple(factor_k),
-        masses=masses,
-        frames=tuple(frames),
-    )
-
-
 # -- sampling helpers ------------------------------------------------------
 
 
@@ -758,8 +679,6 @@ def random_configuration(
     spread: float = 1.5,
 ) -> WeightedConfiguration:
     """Random atoms within the given radius and Dirichlet weights."""
-    from .hyperbolic import random_point
-
     atoms = []
     for _ in range(n_atoms):
         atoms.append(

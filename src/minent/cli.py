@@ -214,7 +214,12 @@ def _run_barycenter(cfg: RunConfig, doc: ReportDocument) -> int:
     quads = _quads_for(cfg, prof.dims)
     problem = BarycenterProblem(config, quads)
     t0 = time.time()
-    sol = problem.solve(tol=cfg.tol, max_iter=cfg.max_iter)
+    try:
+        sol = problem.solve(tol=cfg.tol, max_iter=cfg.max_iter)
+    except NearSingularError as e:
+        doc.add("solve", "barycenter-fixed-point", {}, {"rejected": str(e)}, False)
+        _say("solve", False)
+        return EXIT_NOCONV
     doc.time("solve", time.time() - t0)
     print(
         f"atoms={cfg.n_atoms} converged={sol.converged} "
@@ -262,7 +267,7 @@ def _run_barycenter(cfg: RunConfig, doc: ReportDocument) -> int:
     _say("trace", ok_tr)
     _say("complement", ok_comp)
     try:
-        rep = jacobian_bound_report(config, quads, solution=sol)
+        rep = jacobian_bound_report(problem, solution=sol)
         ok_j = rep.holds
         doc.add(
             "jacobian",

@@ -12,6 +12,7 @@ the canonical form; request them explicitly for profiling.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -109,7 +110,7 @@ class ReportDocument:
                     "statement": ANCHORS[r.anchor],
                     "inputs": r.inputs,
                     "outputs": r.outputs,
-                    "tolerance": r.tolerance,
+                    "tolerance": _plain(r.tolerance),
                     "passed": r.passed,
                 }
                 for r in self.records
@@ -126,12 +127,14 @@ class ReportDocument:
             sort_keys=True,
             indent=2,
             ensure_ascii=False,
+            allow_nan=False,
         ) + "\n"
 
 
 def _plain(obj):
     """Recursively coerce numpy scalars/arrays and tuples to plain
-    JSON-stable Python values."""
+    JSON-stable Python values; non-finite floats become "nan", "inf"
+    and "-inf"."""
     import numpy as np
 
     if isinstance(obj, dict):
@@ -140,14 +143,14 @@ def _plain(obj):
         return [_plain(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
-    if isinstance(obj, float) and obj != obj:
-        return "nan"
+    if isinstance(obj, (float, np.floating)):
+        obj = float(obj)
+        # strict JSON has no NaN or infinities: repr spells them as strings
+        return obj if math.isfinite(obj) else repr(obj)
     return obj
 
 

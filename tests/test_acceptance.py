@@ -22,7 +22,6 @@ from minent.barycenter import (
     jacobian_bound_report,
     natural_map_energy,
     random_configuration,
-    solve_barycenter,
 )
 from minent.cli import EXIT_OK, main
 from minent.ghkit import (
@@ -138,7 +137,7 @@ def test_criterion_4_barycenter_suite(record_property, profile33, quads33):
     gen = np.random.default_rng(41)
     p = ProductPoint(tuple(random_point(gen, 3, 1.5) for _ in range(2)))
     atom = WeightedConfiguration((p,), (1.0,), profile33)
-    sol = solve_barycenter(atom, quads33, tol=1e-9)
+    sol = BarycenterProblem(atom, quads33).solve(tol=1e-9)
     assert sol.converged
     assert product_dist(sol.point, p, profile33) < 1e-5
 
@@ -178,7 +177,7 @@ def test_criterion_4_barycenter_suite(record_property, profile33, quads33):
         prob = BarycenterProblem(config, quads33)
         sol = prob.solve(tol=1e-8)
         assert sol.converged
-        rep = jacobian_bound_report(config, quads33, solution=sol)
+        rep = jacobian_bound_report(prob, solution=sol)
         assert rep.holds, f"configuration {idx} breaks the bound"
         ratios.append(rep.estimate / rep.bound)
         if idx < 10:
@@ -190,8 +189,10 @@ def test_criterion_4_barycenter_suite(record_property, profile33, quads33):
 
     # the single-atom symmetric configuration attains the bound
     rep = jacobian_bound_report(
-        WeightedConfiguration((ProductPoint((o3, o3)),), (1.0,), profile33),
-        quads33,
+        BarycenterProblem(
+            WeightedConfiguration((ProductPoint((o3, o3)),), (1.0,), profile33),
+            quads33,
+        )
     )
     assert abs(rep.bound - 27.0) <= 1e-9
     assert abs(rep.estimate - rep.bound) <= 0.02 * rep.bound

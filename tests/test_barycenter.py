@@ -18,13 +18,10 @@ from minent.barycenter import (
     bcg_campaign,
     bcg_inequality_check,
     form_lipschitz_ratio,
-    form_pair_at,
-    functional_and_grad,
     jacobian_bound_report,
     natural_map_discrete,
     natural_map_energy,
     random_configuration,
-    solve_barycenter,
 )
 from minent.hyperbolic import (
     HyperboloidPoint,
@@ -75,7 +72,7 @@ def test_weights_must_sum_to_one(profile33):
 def test_value_zero_for_atom_at_base(profile33, quads33):
     config = single_atom(profile33)
     x = ProductPoint((o3, o3))
-    value, grad = functional_and_grad(config, x, quads33)
+    value, grad, _, _ = BarycenterProblem(config, quads33).value_and_grad(x)
     assert abs(value) < 1e-12
     assert max(np.abs(g).max() for g in grad) < 2e-3
 
@@ -106,7 +103,7 @@ def test_functional_dual_quadrature_routes(profile33, quads33):
     config = random_configuration(gen, profile33, 3, spread=1.2)
     x = ProductPoint(tuple(random_point(gen, 3, 0.7) for _ in range(2)))
     problem = BarycenterProblem(config, quads33)
-    value, _ = functional_and_grad(config, x, quads33)
+    value, _, _, _ = problem.value_and_grad(x)
 
     from minent.hyperbolic import busemann
 
@@ -135,7 +132,7 @@ def test_functional_dual_quadrature_routes(profile33, quads33):
 def test_single_atom_fixed_point(profile33, quads33):
     gen = np.random.default_rng(2)
     p = ProductPoint(tuple(random_point(gen, 3, 1.5) for _ in range(2)))
-    sol = solve_barycenter(single_atom(profile33, p), quads33, tol=1e-9)
+    sol = BarycenterProblem(single_atom(profile33, p), quads33).solve(tol=1e-9)
     assert sol.converged
     assert product_dist(sol.point, p, profile33) < 1e-5
 
@@ -146,8 +143,8 @@ def test_midpoint_against_line_search_oracle(profile33, quads33):
     config = WeightedConfiguration(
         atoms=(p, q), weights=(0.5, 0.5), profile=profile33
     )
-    sol = solve_barycenter(config, quads33, tol=1e-10)
     problem = BarycenterProblem(config, quads33)
+    sol = problem.solve(tol=1e-10)
 
     # 1-d oracle: minimize along the connecting geodesic in factor 1
     def along(t):
@@ -167,12 +164,13 @@ def test_midpoint_against_line_search_oracle(profile33, quads33):
 
 def test_solver_start_independence(profile33, quads33, rng):
     config = random_configuration(rng, profile33, 4, spread=1.2)
+    problem = BarycenterProblem(config, quads33)
     tol = 1e-8
     sols = []
     for s in range(3):
         gen = np.random.default_rng(100 + s)
         x0 = ProductPoint(tuple(random_point(gen, 3, 1.0) for _ in range(2)))
-        sols.append(solve_barycenter(config, quads33, tol=tol, x0=x0))
+        sols.append(problem.solve(tol=tol, x0=x0))
     assert all(s.converged for s in sols)
     for s in sols[1:]:
         assert product_dist(s.point, sols[0].point, profile33) <= 10 * tol
@@ -192,8 +190,8 @@ def test_solver_equivariance(profile33, quads33_fine):
         weights=config.weights,
         profile=profile33,
     )
-    sol = solve_barycenter(config, quads33_fine, tol=1e-10)
-    sol_moved = solve_barycenter(moved, quads33_fine, tol=1e-10)
+    sol = BarycenterProblem(config, quads33_fine).solve(tol=1e-10)
+    sol_moved = BarycenterProblem(moved, quads33_fine).solve(tol=1e-10)
     expected = ProductPoint(
         (apply_isometry(L, sol.point.factors[0]), sol.point.factors[1])
     )
@@ -202,7 +200,7 @@ def test_solver_equivariance(profile33, quads33_fine):
 
 def test_solver_non_convergence_reported(profile33, quads33, rng):
     config = random_configuration(rng, profile33, 4, spread=1.2)
-    sol = solve_barycenter(config, quads33, tol=1e-9, max_iter=1)
+    sol = BarycenterProblem(config, quads33).solve(tol=1e-9, max_iter=1)
     assert not sol.converged
     assert sol.iterations == 1
     assert sol.gradient_norm > 1e-9
@@ -211,7 +209,7 @@ def test_solver_non_convergence_reported(profile33, quads33, rng):
 def test_solver_rejects_unresolvable_tolerance(profile33, quads33, rng):
     config = random_configuration(rng, profile33, 2, spread=0.5)
     with pytest.raises(ValueError):
-        solve_barycenter(config, quads33, tol=1e-12)
+        BarycenterProblem(config, quads33).solve(tol=1e-12)
 
 
 # -- derived forms ---------------------------------------------------------
@@ -222,8 +220,9 @@ def test_forms_exact_identities(profile33, quads33, rng):
     complement identities exact to rounding, not just to quadrature
     tolerance."""
     config = random_configuration(rng, profile33, 4, spread=1.2)
-    sol = solve_barycenter(config, quads33, tol=1e-8)
-    pair = form_pair_at(config, sol.point, quads33)
+    problem = BarycenterProblem(config, quads33)
+    sol = problem.solve(tol=1e-8)
+    pair = problem.forms(sol.point)
     assert np.abs(pair.masses - 1.0).max() < 1e-12
     assert pair.trace_h() == pytest.approx(1.0, abs=1e-12)
     for h_i, k_i in zip(pair.factor_h, pair.factor_k):
@@ -237,7 +236,7 @@ def test_forms_trace_property(seed, profile33, quads33):
     gen = np.random.default_rng(seed)
     config = random_configuration(gen, profile33, int(2 + seed % 4), spread=1.0)
     x = ProductPoint(tuple(random_point(gen, 3, 1.0) for _ in range(2)))
-    pair = form_pair_at(config, x, quads33)
+    pair = BarycenterProblem(config, quads33).forms(x)
     assert pair.trace_h() == pytest.approx(1.0, abs=1e-12)
     evals = np.linalg.eigvalsh(pair.H)
     assert evals.min() > -1e-12
@@ -245,9 +244,52 @@ def test_forms_trace_property(seed, profile33, quads33):
 
 def test_single_atom_forms_are_isotropic(profile33, quads33):
     config = single_atom(profile33)
-    pair = form_pair_at(config, ProductPoint((o3, o3)), quads33)
+    pair = BarycenterProblem(config, quads33).forms(ProductPoint((o3, o3)))
     for h_i in pair.factor_h:
         assert np.abs(h_i - np.eye(3) / 3.0).max() < 5e-3
+
+
+def test_second_moments_match_einsum_reference(profile33, quads33, rng):
+    """The per-atom second moment is a weighted matmul; the summation
+    order differs from the explicit three-index sum only by rounding."""
+    config = random_configuration(rng, profile33, 3, spread=1.0)
+    problem = BarycenterProblem(config, quads33)
+    x = ProductPoint(tuple(random_point(rng, 3, 0.8) for _ in range(2)))
+    pair = problem.forms(x)
+    for i, (xf, G) in enumerate(zip(x.factors, problem.metrics)):
+        wts = quads33[i].weights
+        want = np.zeros((3, 3))
+        for w_j, nodes in zip(problem.w, (per[i] for per in problem.nodes)):
+            s = -(nodes @ (G @ xf.coords))
+            b = -(nodes @ (pair.frames[i] @ G).T) / s[:, None]
+            want += w_j * np.einsum("l,la,lb->ab", wts, b, b)
+        assert np.abs(pair.factor_h[i] - want).max() < 1e-14
+
+
+def test_forms_in_default_frames_match_exactly(profile33, quads33, rng):
+    config = random_configuration(rng, profile33, 3, spread=1.0)
+    problem = BarycenterProblem(config, quads33)
+    x = ProductPoint(tuple(random_point(rng, 3, 0.8) for _ in range(2)))
+    own = problem.forms(x)
+    given_frames = problem.forms(x, [tangent_frame(xf) for xf in x.factors])
+    assert np.array_equal(given_frames.H, own.H)
+    assert np.array_equal(given_frames.K, own.K)
+    for a, b in zip(given_frames.factor_h, own.factor_h):
+        assert np.array_equal(a, b)
+
+
+def test_forms_in_rotated_frames_conjugate(profile33, quads33, rng):
+    """Rotating frame F_i to R_i F_i conjugates each factor block by R_i
+    and leaves the trace of H alone."""
+    config = random_configuration(rng, profile33, 3, spread=1.0)
+    problem = BarycenterProblem(config, quads33)
+    x = ProductPoint(tuple(random_point(rng, 3, 0.8) for _ in range(2)))
+    own = problem.forms(x)
+    rots = [np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2)]
+    turned = problem.forms(x, [R @ F for R, F in zip(rots, own.frames)])
+    for R, S, S_rot in zip(rots, own.factor_h, turned.factor_h):
+        assert np.abs(S_rot - R @ S @ R.T).max() < 1e-13
+    assert turned.trace_h() == pytest.approx(own.trace_h(), abs=1e-13)
 
 
 def test_form_lipschitz_ratio_reported(profile33, quads33):
@@ -321,7 +363,7 @@ def test_bcg_campaign_no_violations():
 
 def test_jacobian_single_atom_attains_bound(profile33, quads33):
     config = single_atom(profile33)
-    rep = jacobian_bound_report(config, quads33)
+    rep = jacobian_bound_report(BarycenterProblem(config, quads33))
     assert rep.holds
     assert rep.bound == pytest.approx(27.0, abs=1e-12)
     assert rep.estimate == pytest.approx(27.0, rel=0.02)
@@ -336,7 +378,7 @@ def test_jacobian_spread_config_strictly_inside(profile33, quads33):
         weights=(0.5, 0.5),
         profile=profile33,
     )
-    rep = jacobian_bound_report(far, quads33)
+    rep = jacobian_bound_report(BarycenterProblem(far, quads33))
     assert rep.holds
     assert rep.estimate <= 0.95 * rep.bound
 
@@ -348,7 +390,7 @@ def test_jacobian_bound_formula_mixed_profile():
         atoms=(ProductPoint((o3, o4)),), weights=(1.0,), profile=prof
     )
     quads = [boundary_quadrature(3, 600), boundary_quadrature(4, 600, "monte-carlo", seed=5)]
-    rep = jacobian_bound_report(config, quads)
+    rep = jacobian_bound_report(BarycenterProblem(config, quads))
     want = (4.0 * 7.0 / prof.h_min**2) ** 3.5
     assert rep.bound == pytest.approx(want, rel=1e-12)
 
@@ -358,7 +400,9 @@ def test_jacobian_random_sweep_holds(profile33, quads33):
     worst = 0.0
     for _ in range(10):
         config = random_configuration(gen, profile33, int(gen.integers(2, 6)))
-        rep = jacobian_bound_report(config, quads33, solution=None)
+        rep = jacobian_bound_report(
+            BarycenterProblem(config, quads33), solution=None
+        )
         assert rep.holds
         worst = max(worst, rep.estimate / rep.bound)
     assert worst < 1.0
@@ -375,11 +419,11 @@ def test_jacobian_near_singular_rejection(profile33, quads33):
             profile=profile33,
         )
 
-    ok = jacobian_bound_report(antipodal(8.0), quads33)
+    ok = jacobian_bound_report(BarycenterProblem(antipodal(8.0), quads33))
     assert ok.holds
     assert ok.h_eigen_max > 0.999
     with pytest.raises(NearSingularError) as err:
-        jacobian_bound_report(antipodal(9.0), quads33)
+        jacobian_bound_report(BarycenterProblem(antipodal(9.0), quads33))
     assert "near-singular" in str(err.value)
 
 

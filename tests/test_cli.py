@@ -186,6 +186,31 @@ def test_report_coerces_numpy_values():
     json.dumps(d, allow_nan=False)
 
 
+def test_report_spells_nonfinite_floats_as_strings():
+    doc = ReportDocument(subcommand="t", config={"cap": float("inf")})
+    doc.add(
+        "edge",
+        "growth-slope",
+        {},
+        {
+            "a": np.float64("nan"),
+            "b": 1.5,
+            "c": np.float64("inf"),
+            "d": -np.inf,
+            "e": [np.float32("-inf")],
+        },
+        False,
+        tolerance=float("nan"),
+    )
+    d = json.loads(doc.to_json())
+    check = d["checks"][0]
+    assert check["outputs"] == {
+        "a": "nan", "b": 1.5, "c": "inf", "d": "-inf", "e": ["-inf"]
+    }
+    assert check["tolerance"] == "nan"
+    assert d["config"]["cap"] == "inf"
+
+
 def test_report_all_passed_tracks_records():
     doc = ReportDocument(subcommand="t", config={})
     doc.add("a", "growth-slope", {}, {}, True)
@@ -338,6 +363,21 @@ def test_barycenter_subcommand(tmp_path):
 def test_barycenter_nonconvergence_exit(tmp_path):
     stuck = write_ini(tmp_path, "[solver]\nmax_iter = 1\n")
     assert main(["--config", stuck, "barycenter"]) == EXIT_NOCONV
+
+
+def test_barycenter_singular_solve_exit(tmp_path, monkeypatch):
+    from minent.barycenter import BarycenterProblem, NearSingularError
+
+    def singular(self, **kwargs):
+        raise NearSingularError("second-derivative form is singular")
+
+    monkeypatch.setattr(BarycenterProblem, "solve", singular)
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "barycenter"]) == EXIT_NOCONV
+    doc = read_report(out, "barycenter")
+    solve = {c["name"]: c for c in doc["checks"]}["solve"]
+    assert solve["passed"] is False
+    assert "singular" in solve["outputs"]["rejected"]
 
 
 def test_bcg_subcommand(tmp_path):
