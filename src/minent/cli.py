@@ -453,7 +453,9 @@ def _run_shortcut(cfg: RunConfig, doc: ReportDocument, csv_dir) -> int:
         )
         est = eta_entropy_estimate(model, cfg.sc_rho_lo, cfg.sc_rho_hi)
         slopes[eta] = est.slope
-        sweep_rows.append([eta, est.slope, est.residual_rms])
+        sweep_rows.append(
+            [eta, est.slope, est.residual_rms, 2.0 * math.sqrt(2.0) / math.sqrt(eta)]
+        )
         print(f"eta={eta}: slope={est.slope:.5f} rms={est.residual_rms:.4f}")
     dec = sorted(etas, reverse=True)
     mono_ok = all(
@@ -475,17 +477,13 @@ def _run_shortcut(cfg: RunConfig, doc: ReportDocument, csv_dir) -> int:
     if csv_dir:
         write_csv(
             os.path.join(csv_dir, "shortcut_sweep.csv"),
-            ["eta", "slope", "slope_rms"],
+            ["eta", "slope", "slope_rms", "predicted"],
             sweep_rows,
         )
 
     # branching demo at the deepest shortcut
-    eta_br = min(etas)
-    if eta_br <= 0.9:
-        br_model = ShortcutModel(
-            eta=eta_br, spacing=cfg.sc_spacing, extent=min(cfg.sc_extent, 12.0)
-        )
-        demo = branching_geodesic_demo(br_model, (2.2, 0.9), (5.8, 0.85))
+    if base.eta <= 0.9:
+        demo = branching_geodesic_demo(base, (2.2, 0.9), (5.8, 0.85))
         br_ok = (
             demo.used
             and demo.length_difference <= 1e-9
@@ -494,7 +492,7 @@ def _run_shortcut(cfg: RunConfig, doc: ReportDocument, csv_dir) -> int:
         doc.add(
             "branching",
             "shortcut-branching",
-            {"eta": eta_br},
+            {"eta": base.eta},
             {
                 "used": demo.used,
                 "length_difference": demo.length_difference,

@@ -78,6 +78,12 @@ class RunConfig:
             raise ConfigError("[shortcut] etas must lie in (0, 1]")
         if not (0 < self.sc_spacing <= 0.05):
             raise ConfigError("[shortcut] spacing must lie in (0, 0.05]")
+        if self.sc_extent / self.sc_spacing > 1000:
+            # grid memory grows with side^2, about 1.1 KB per node
+            raise ConfigError(
+                "[shortcut] extent / spacing must be at most 1000 "
+                "(a grid of at most 1001 x 1001 nodes)"
+            )
         if not (0 < self.sc_rho_lo < self.sc_rho_hi <= self.sc_extent):
             raise ConfigError("[shortcut] need rho_lo < rho_hi <= extent")
         if self.region_c <= 0:

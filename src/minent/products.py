@@ -26,6 +26,7 @@ integrating sinh^{n_i - 1} shells over the radial quarter-plane.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -304,6 +305,17 @@ def _log_cell_masses_1d(n: int, r_max: float, step: float):
     return r, logmass
 
 
+def _log_ball_volume(radii, log_mass, rho) -> np.ndarray:
+    """log of the mass of all cells with radius at most each rho: cells
+    sorted by radius, masses accumulated in the log domain."""
+    order = np.argsort(radii)
+    cum = np.logaddexp.accumulate(log_mass[order])
+    idx = np.searchsorted(radii[order], rho, side="right") - 1
+    if np.any(idx < 0):
+        raise ValueError("radius_lo is below the first occupied cell")
+    return cum[idx]
+
+
 def _fit_slope(rho, logv, method) -> GrowthEstimate:
     A = np.vstack([rho, np.ones_like(rho)]).T
     coef, *_ = np.linalg.lstsq(A, logv, rcond=None)
@@ -352,10 +364,7 @@ def entropy_growth_numeric(
 
     if len(dims) == 1:
         r, logmass = _log_cell_masses_1d(dims[0], radius_hi, grid_step)
-        order = np.argsort(r)
-        cum = np.logaddexp.accumulate(logmass[order])
-        radii = r[order]
-        logv = np.array([cum[np.searchsorted(radii, p, side="right") - 1] for p in rho])
+        logv = _log_ball_volume(r, logmass, rho)
         return _fit_slope(rho, logv, "grid-1d")
 
     if len(dims) == 2:
@@ -364,14 +373,7 @@ def entropy_growth_numeric(
         rr = np.sqrt(r1[:, None] ** 2 + r2[None, :] ** 2).ravel()
         lm = (lm1[:, None] + lm2[None, :]).ravel()
         keep = rr <= radius_hi + grid_step
-        rr, lm = rr[keep], lm[keep]
-        order = np.argsort(rr)
-        cum = np.logaddexp.accumulate(lm[order])
-        radii = rr[order]
-        idx = np.searchsorted(radii, rho, side="right") - 1
-        if np.any(idx < 0):
-            raise ValueError("radius_lo is below the first grid shell")
-        logv = cum[idx]
+        logv = _log_ball_volume(rr[keep], lm[keep], rho)
         return _fit_slope(rho, logv, "grid-2d")
 
     # k >= 3: Monte Carlo over radial directions with an exact
@@ -399,13 +401,6 @@ def entropy_growth_numeric(
     slopes = [
         _fit_slope(rho, average(log_cum[b]), "monte-carlo").slope for b in batches
     ]
-    est = _fit_slope(rho, logv, "monte-carlo")
-    return GrowthEstimate(
-        slope=est.slope,
-        intercept=est.intercept,
-        residual_rms=est.residual_rms,
-        rho=rho,
-        log_volume=logv,
-        method="monte-carlo",
-        mc_slope_std=float(np.std(slopes)),
+    return dataclasses.replace(
+        _fit_slope(rho, logv, "monte-carlo"), mc_slope_std=float(np.std(slopes))
     )

@@ -12,7 +12,7 @@ on which the shortcut does not shorten anything, and the reflection
 construction producing two distinct minimizers that share a segment.
 
 Grid metric.  Distances come from Dijkstra on a grid graph whose moves
-are the primitive integer vectors of infinity-norm at most 3 (40
+are the primitive integer vectors of infinity-norm at most 3 (32
 directions).  The worst-case metric distortion of that stencil is
 sec(theta_gap / 2) - 1 with theta_gap = atan(1/3), about 1.3 percent;
 the model measures the distortion on its own grid once and every
@@ -22,14 +22,15 @@ tolerance folds it in.  A plain 8-neighbor stencil distorts by up to
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _dijkstra
 
-from .products import GrowthEstimate
+from .products import GrowthEstimate, _fit_slope, _log_ball_volume
 
 __all__ = [
     "ShortcutModel",
@@ -188,58 +189,65 @@ class CornerPath:
         )
 
 
+@functools.lru_cache(maxsize=4)
+def _stencil(side: int, spacing: float) -> csr_matrix:
+    """Shortcut-free grid graph on side x side nodes: every stencil
+    move at its Euclidean cost, each undirected edge stored once, from
+    its lower node index.  Shared between callers: copy to reweight."""
+    N = side
+    rows, cols, costs = [], [], []
+    for dx, dy in _HALF_STENCIL:
+        i0, i1 = max(0, -dx), N - max(0, dx)
+        j0, j1 = max(0, -dy), N - max(0, dy)
+        ii, jj = np.meshgrid(
+            np.arange(i0, i1), np.arange(j0, j1), indexing="ij"
+        )
+        src = (ii * N + jj).ravel()
+        rows.append(src)
+        cols.append(src + dx * N + dy)
+        costs.append(np.full(src.size, spacing * math.hypot(dx, dy)))
+    return csr_matrix(
+        (np.concatenate(costs), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(N * N, N * N),
+    )
+
+
 class _GridEngine:
-    """Sparse graph for one model, with cached distance fields."""
+    """Sparse graph for one model, with cached distance fields.
+
+    The graph is the grid's shared stencil with the segment's cheap
+    edges reweighted, so every model on one grid has the same sparsity
+    pattern and edge order."""
 
     def __init__(self, model: ShortcutModel):
         self.model = model
         N = model.side
         self.N = N
         d = model.spacing
-        rows, cols, costs = [], [], []
+        self.graph = _stencil(N, d).copy()
         lo, hi, off = model.segment
-        j_off = int(round(off / d))
-        i_lo = int(math.ceil(lo / d - 1e-9))
-        i_hi = int(math.floor(hi / d + 1e-9))
-        cheap_move = (1, 0) if model.orientation == "horizontal" else (1, 1)
-        root_eta = math.sqrt(model.eta)
-        for dx, dy in _HALF_STENCIL:
-            i0, i1 = max(0, -dx), N - max(0, dx)
-            j0, j1 = max(0, -dy), N - max(0, dy)
-            ii, jj = np.meshgrid(
-                np.arange(i0, i1), np.arange(j0, j1), indexing="ij"
-            )
-            src = ii * N + jj
-            dst = (ii + dx) * N + (jj + dy)
-            cost = d * math.hypot(dx, dy)
-            w = np.full(src.size, cost)
-            if (dx, dy) == cheap_move:
-                if model.orientation == "horizontal":
-                    on_seg = (jj == j_off) & (ii >= i_lo) & (ii + 1 <= i_hi)
-                else:
-                    on_seg = (jj - ii == j_off) & (ii >= i_lo) & (ii + 1 <= i_hi)
-                w[on_seg.ravel()] = root_eta * cost
-            rows.append(src.ravel())
-            cols.append(dst.ravel())
-            costs.append(w)
-        self.graph = csr_matrix(
-            (np.concatenate(costs), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(N * N, N * N),
+        # cheap edges: the unit moves whose both ends lie on the segment
+        ii = np.arange(int(math.ceil(lo / d - 1e-9)), int(math.floor(hi / d + 1e-9)))
+        jj = int(round(off / d)) + (ii if model.orientation == "diagonal" else 0)
+        dx, dy = (1, 0) if model.orientation == "horizontal" else (1, 1)
+        src = ii * N + jj
+        self.graph[src, src + dx * N + dy] = math.sqrt(model.eta) * (
+            d * math.hypot(dx, dy)
         )
         self._fields: dict[int, np.ndarray] = {}
         self._preds: dict[int, np.ndarray] = {}
-        self._slack: float | None = None
 
-    def node_of(self, point) -> int:
-        d = self.model.spacing
-        i = int(round(point[0] / d))
-        j = int(round(point[1] / d))
-        if not (0 <= i < self.N and 0 <= j < self.N):
+    def node_of(self, point):
+        """Flat index of the grid node nearest a point, or an array of
+        them for an (..., 2) array of points."""
+        ij = np.rint(np.asarray(point, dtype=float) / self.model.spacing)
+        if not np.all((ij >= 0) & (ij < self.N)):
             raise ValueError(
-                f"point {tuple(point)} lies outside the grid extent "
-                f"[0, {self.model.extent}]"
+                f"point {np.asarray(point).tolist()} lies outside the grid "
+                f"extent [0, {self.model.extent}]"
             )
-        return i * self.N + j
+        flat = ij[..., 0].astype(np.int64) * self.N + ij[..., 1].astype(np.int64)
+        return int(flat) if flat.ndim == 0 else flat
 
     def coords(self, flat: np.ndarray) -> np.ndarray:
         d = self.model.spacing
@@ -260,43 +268,28 @@ class _GridEngine:
         self.field(src, predecessors=True)
         return self._preds[src]
 
-    def slack(self) -> float:
-        """Measured stencil distortion: max over grid nodes at radius
-        at least 2 of grid distance over Euclidean distance, minus 1,
-        on the shortcut-free graph."""
-        if self._slack is None:
-            base = ShortcutModel(
-                n=self.model.n,
-                eta=1.0,
-                segment=(0.0, 1.0, 0.0),
-                spacing=self.model.spacing,
-                extent=min(self.model.extent, 6.0),
-            )
-            eng = _GridEngine(base)
-            origin = eng.node_of((0.0, 0.0))
-            dist = eng.field(origin)
-            pts = eng.coords(np.arange(eng.N * eng.N))
-            euclid = np.hypot(pts[:, 0], pts[:, 1])
-            mask = euclid >= 2.0
-            self._slack = float((dist[mask] / euclid[mask]).max() - 1.0)
-        return self._slack
 
-
-_ENGINES: dict[ShortcutModel, _GridEngine] = {}
-
-
+@functools.lru_cache(maxsize=8)
 def _engine(model: ShortcutModel) -> _GridEngine:
-    if model not in _ENGINES:
-        if len(_ENGINES) > 8:
-            _ENGINES.clear()
-        _ENGINES[model] = _GridEngine(model)
-    return _ENGINES[model]
+    return _GridEngine(model)
+
+
+@functools.lru_cache(maxsize=None)
+def _stencil_slack(spacing: float, extent: float) -> float:
+    side = int(round(extent / spacing)) + 1
+    dist = _dijkstra(_stencil(side, spacing), directed=False, indices=0)
+    i, j = np.divmod(np.arange(side * side), side)
+    euclid = np.hypot(i * spacing, j * spacing)
+    mask = euclid >= 2.0
+    return float((dist[mask] / euclid[mask]).max() - 1.0)
 
 
 def metric_slack(model: ShortcutModel) -> float:
-    """Measured stencil distortion of the model's grid, from the
-    shortcut-free reference graph at the same spacing."""
-    return _engine(model).slack()
+    """Measured stencil distortion of the model's grid: max over grid
+    nodes at radius at least 2 of grid distance from the origin over
+    Euclidean distance, minus 1, on the shortcut-free stencil at the
+    model's spacing over [0, min(extent, 6)]^2."""
+    return _stencil_slack(model.spacing, min(model.extent, 6.0))
 
 
 # -- turning angles and the corner witness ---------------------------------
@@ -363,12 +356,6 @@ def d_eta_reduced(model: ShortcutModel, a, b) -> float:
     """Shortest-path distance between the grid nodes nearest a and b."""
     eng = _engine(model)
     na, nb = eng.node_of(a), eng.node_of(b)
-    if na == nb:
-        return 0.0
-    if na in eng._fields:
-        return float(eng.field(na)[nb])
-    if nb in eng._fields:
-        return float(eng.field(nb)[na])
     return float(eng.field(na)[nb])
 
 
@@ -386,14 +373,11 @@ def extract_grid_path(model: ShortcutModel, a, b) -> CornerPath:
         chain.append(int(p))
     chain.reverse()
     verts = eng.coords(np.array(chain))
-    mults = []
-    d = model.spacing
-    for u, v in zip(chain[:-1], chain[1:]):
-        w = eng.graph[u, v]
-        if w == 0.0:
-            w = eng.graph[v, u]
-        seg = math.dist(eng.coords(np.array([u]))[0], eng.coords(np.array([v]))[0])
-        mults.append(float(w) / seg)
+    # the graph stores each edge once, from the lower node index
+    mults = [
+        float(eng.graph[min(u, v), max(u, v)]) / math.dist(verts[k], verts[k + 1])
+        for k, (u, v) in enumerate(zip(chain[:-1], chain[1:]))
+    ]
     # merge collinear same-cost steps so turning angles are meaningful
     keep = [0]
     for s in range(1, len(verts) - 1):
@@ -439,7 +423,7 @@ def r_c_verify(
     if c <= 0:
         raise ValueError("the wedge half-width c must be positive")
     eng = _engine(model)
-    slack = eng.slack() if slack_margin is None else slack_margin
+    slack = metric_slack(model) if slack_margin is None else slack_margin
     if radius_hi is None:
         radius_hi = 0.75 * model.extent
     origin = eng.node_of((0.0, 0.0))
@@ -460,35 +444,30 @@ def r_c_verify(
     )
     n_ang = angles.size
     radii = np.linspace(radius_lo, radius_hi, n_rad)
-    ratio_defect = np.zeros(n_ang)
-    for ai, ang in enumerate(angles):
-        worst = 0.0
-        for r in radii:
-            x = (r * math.cos(ang), r * math.sin(ang))
-            node = eng.node_of(x)
-            snapped = eng.coords(np.array([node]))[0]
-            euclid = math.hypot(snapped[0], snapped[1])
-            if euclid < radius_lo / 2:
-                continue
-            defect = 1.0 - float(dist[node]) / euclid
-            worst = max(worst, defect)
-        ratio_defect[ai] = worst
+    direction = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    nodes = eng.node_of(radii[None, :, None] * direction[:, None, :])
+    snapped = eng.coords(nodes)
+    euclid = np.hypot(snapped[..., 0], snapped[..., 1])
+    # samples snapped closer than radius_lo / 2 count as defect 0
+    ratio = np.divide(
+        dist[nodes], euclid, out=np.ones_like(euclid), where=euclid >= radius_lo / 2
+    )
+    ratio_defect = (1.0 - ratio).max(axis=1, initial=0.0)
     in_wedge = np.abs(angles - math.pi / 4) <= c + 1e-12
     bad = ratio_defect > slack
-    violations = []
-    for ai in np.nonzero(in_wedge & bad)[0]:
-        violations.append((float(angles[ai]), float(ratio_defect[ai])))
+    violations = tuple(
+        zip(angles[in_wedge & bad].tolist(), ratio_defect[in_wedge & bad].tolist())
+    )
     # widest clean wedge around the diagonal on this angle grid
-    c_max = float(np.abs(angles - math.pi / 4).max())
-    for ai in np.nonzero(bad)[0]:
-        c_max = min(c_max, abs(float(angles[ai]) - math.pi / 4))
+    offset = np.abs(angles - math.pi / 4)
+    c_max = float(offset[bad].min(initial=offset.max()))
     return RegionReport(
         c=c,
         samples=int(n_ang * n_rad),
         equal_within_slack=not violations,
         max_ratio_defect=float(ratio_defect[in_wedge].max()),
         c_max=c_max,
-        violations=tuple(violations),
+        violations=violations,
     )
 
 
@@ -524,26 +503,9 @@ def eta_entropy_estimate(
             + p * np.log(np.sinh(pts[:, 1]))
         )
     finite = np.isfinite(log_mass)
-    dist, log_mass = dist[finite], log_mass[finite]
-    order = np.argsort(dist)
-    dist = dist[order]
-    cum = np.logaddexp.accumulate(log_mass[order])
     rho = np.arange(radius_lo, radius_hi + 1e-9, rho_step)
-    idx = np.searchsorted(dist, rho, side="right") - 1
-    if np.any(idx < 0):
-        raise ValueError("radius range starts below the first occupied cell")
-    log_v = cum[idx]
-    A = np.stack([rho, np.ones_like(rho)], axis=1)
-    coef, *_ = np.linalg.lstsq(A, log_v, rcond=None)
-    resid = log_v - A @ coef
-    return GrowthEstimate(
-        slope=float(coef[0]),
-        intercept=float(coef[1]),
-        residual_rms=float(np.sqrt(np.mean(resid**2))),
-        rho=rho,
-        log_volume=log_v,
-        method="shortcut-grid",
-    )
+    log_v = _log_ball_volume(dist[finite], log_mass[finite], rho)
+    return _fit_slope(rho, log_v, "shortcut-grid")
 
 
 # -- branching minimizers --------------------------------------------------
@@ -609,21 +571,13 @@ def branching_geodesic_demo(model: ShortcutModel, p, q) -> BranchingReport:
     origin, along, normal, _ = model.line_frame()
     straight = math.dist(p, q)
     path = corner_path_between(model, p, q)
-    if path is None:
-        return BranchingReport(
-            used=False,
-            path=None,
-            reflected_path=None,
-            straight_length=straight,
-            shared_segment=None,
-            shared_length=0.0,
-            length_difference=float("nan"),
-        )
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    p_ref = tuple(p - 2.0 * float((p - origin) @ normal) * normal)
-    q_ref = tuple(q - 2.0 * float((q - origin) @ normal) * normal)
-    ref = corner_path_between(model, p_ref, q_ref)
+    ref = None
+    if path is not None:
+        p = np.asarray(p, dtype=float)
+        q = np.asarray(q, dtype=float)
+        p_ref = tuple(p - 2.0 * float((p - origin) @ normal) * normal)
+        q_ref = tuple(q - 2.0 * float((q - origin) @ normal) * normal)
+        ref = corner_path_between(model, p_ref, q_ref)
     if ref is None:
         return BranchingReport(
             used=False,

@@ -3,6 +3,7 @@ drivers, exercised in process through main()."""
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,6 +134,8 @@ def test_ini_empty_file(tmp_path):
         ("etas", (0.0, 1.0), "[shortcut]"),
         ("sc_spacing", 0.06, "[shortcut]"),
         ("sc_rho_hi", 30.0, "[shortcut]"),
+        ("sc_extent", 200.0, "[shortcut]"),
+        ("sc_spacing", 0.01, "[shortcut]"),
         ("region_c", 0.0, "[shortcut]"),
         ("gh_eps", -0.1, "[ghnet]"),
         ("gh_circle", 4, "[ghnet]"),
@@ -143,6 +146,11 @@ def test_validation_names_the_section(field, value, section):
     setattr(cfg, field, value)
     with pytest.raises(ConfigError, match=f"\\{section}"):
         cfg.validate()
+
+
+def test_shortcut_grid_bound_admits_side_1001():
+    cfg = RunConfig(sc_extent=50.0, sc_spacing=0.05)
+    assert cfg.validate() is cfg
 
 
 def test_config_dict_omits_output_routing():
@@ -292,6 +300,40 @@ def test_reports_are_byte_identical(tmp_path):
     assert ba == bb
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def moved_paths(old, new, path="$"):
+    """JSON paths whose values differ between two parsed documents."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        return [
+            p
+            for k in sorted(old.keys() | new.keys())
+            for p in moved_paths(old.get(k), new.get(k), f"{path}.{k}")
+        ]
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [
+            p
+            for i, (a, b) in enumerate(zip(old, new))
+            for p in moved_paths(a, b, f"{path}[{i}]")
+        ]
+    return [] if type(old) is type(new) and old == new else [path]
+
+
+@pytest.mark.parametrize(
+    "sub", ["entropy", "growth", "barycenter", "bcg", "natural-map", "shortcut"]
+)
+def test_reports_match_golden(tmp_path, sub):
+    # A change that moves a report value updates tests/golden and says
+    # in CHANGES.md which values moved and by how much.
+    assert main(["--out", str(tmp_path), sub]) == EXIT_OK
+    got = (tmp_path / f"{sub}_report.json").read_bytes()
+    want = (GOLDEN / f"{sub}_report.json").read_bytes()
+    if got != want:
+        moved = moved_paths(json.loads(want), json.loads(got))
+        pytest.fail(f"{sub} report moved at {moved or 'formatting only'}")
+
+
 def test_env_output_dir(tmp_path, monkeypatch):
     env_dir = tmp_path / "envout"
     monkeypatch.setenv("MINENT_OUT", str(env_dir))
@@ -339,6 +381,16 @@ def test_growth_csv_and_band_failure(tmp_path, capsys):
     doc = read_report(out2, "growth")
     assert doc["passed"] is False
     assert "[FAIL]" in capsys.readouterr().out
+
+
+def test_growth_below_first_shell_is_config_error(tmp_path, capsys):
+    ini = write_ini(
+        tmp_path,
+        "[profile]\ndims = 3\nentropies = 2.0\n"
+        "[growth]\nrho_lo = 0.01\nrho_hi = 2.0\n",
+    )
+    assert main(["--config", ini, "growth"]) == EXIT_CONFIG
+    assert "first occupied cell" in capsys.readouterr().err
 
 
 def test_growth_rho_max_override(tmp_path):
@@ -405,8 +457,10 @@ def test_shortcut_subcommand(tmp_path):
     assert "shortcut-turning" in anchors
     assert "shortcut-region" in anchors
     assert "shortcut-growth" in anchors
-    sweep = (out / "shortcut_sweep.csv").read_text(encoding="utf-8")
-    assert sweep.splitlines()[0].startswith("eta,")
+    sweep = (out / "shortcut_sweep.csv").read_text(encoding="utf-8").splitlines()
+    assert sweep[0] == "eta,slope,slope_rms,predicted"
+    eta, *_, predicted = map(float, sweep[1].split(","))
+    assert predicted == pytest.approx(2.0 * math.sqrt(2.0) / math.sqrt(eta))
 
 
 def test_shortcut_eta_override(tmp_path):

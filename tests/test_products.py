@@ -264,3 +264,8 @@ def test_growth_input_validation():
         entropy_growth_numeric((3, 3), 12.0, 8.0)
     with pytest.raises(ValueError):
         entropy_growth_numeric((3, 3), 8.0, 16.0, grid_step=0.5)
+    # below the first grid shell there is no ball to measure, in one
+    # factor as in two
+    for dims in ((3,), (3, 3)):
+        with pytest.raises(ValueError, match="first occupied cell"):
+            entropy_growth_numeric(dims, 0.01, 2.0)

@@ -1,10 +1,12 @@
 """Shortcut-metric laboratory: corner rules, the discounted grid
 metric, the diagonal region, growth sweeps, and branching minimizers."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from minent.products import entropy_growth_numeric
 from minent.shortcut import (
@@ -24,6 +26,7 @@ from minent.shortcut import (
     shorter_path_witness,
     turning_angle_threshold,
 )
+from minent.shortcut import _HALF_STENCIL, _GridEngine, _engine
 
 ROOT2 = math.sqrt(2.0)
 
@@ -349,7 +352,117 @@ def test_extracted_corners_respect_turning_rule():
         assert path.vertices[-1] == pytest.approx(b)
 
 
+def per_model_graph(model):
+    """Reference assembly: the whole graph for one model, with the
+    segment's cheap edges weighted while the edge lists grow."""
+    N, d = model.side, model.spacing
+    lo, hi, off = model.segment
+    j_off = int(round(off / d))
+    i_lo = int(math.ceil(lo / d - 1e-9))
+    i_hi = int(math.floor(hi / d + 1e-9))
+    cheap_move = (1, 0) if model.orientation == "horizontal" else (1, 1)
+    rows, cols, costs = [], [], []
+    for dx, dy in _HALF_STENCIL:
+        ii, jj = np.meshgrid(
+            np.arange(max(0, -dx), N - max(0, dx)),
+            np.arange(max(0, -dy), N - max(0, dy)),
+            indexing="ij",
+        )
+        cost = d * math.hypot(dx, dy)
+        w = np.full(ii.size, cost)
+        if (dx, dy) == cheap_move:
+            j_seg = j_off + (ii if model.orientation == "diagonal" else 0)
+            on_seg = (jj == j_seg) & (ii >= i_lo) & (ii + 1 <= i_hi)
+            w[on_seg.ravel()] = math.sqrt(model.eta) * cost
+        rows.append((ii * N + jj).ravel())
+        cols.append(((ii + dx) * N + (jj + dy)).ravel())
+        costs.append(w)
+    return csr_matrix(
+        (np.concatenate(costs), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(N * N, N * N),
+    )
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        small_model(),
+        small_model(eta=1.0),
+        ShortcutModel(eta=0.3, segment=(0.0, 6.0, 6.0), extent=6.0),
+        ShortcutModel(
+            eta=0.6, segment=(1.0, 4.0, -0.5), extent=6.0, orientation="diagonal"
+        ),
+        ShortcutModel(
+            eta=0.8, segment=(0.0, 5.0, 1.0), extent=6.0, orientation="diagonal"
+        ),
+    ],
+)
+def test_engine_graph_matches_per_model_build(model):
+    # the reweighted shared stencil equals, bit for bit, the graph
+    # assembled for this model alone
+    got, want = _GridEngine(model).graph, per_model_graph(model)
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr))
+    plain = per_model_graph(dataclasses.replace(model, eta=1.0))
+    assert (got.data != plain.data).any() == (model.eta < 1.0)
+
+
 # -- diagonal region -------------------------------------------------------
+
+
+def region_defects_by_loop(model, c, samples=200, radius_lo=1.0):
+    """Reference for r_c_verify's sampling: one node lookup per sample."""
+    eng = _engine(model)
+    dist = eng.field(eng.node_of((0.0, 0.0)))
+    n_ang = max(int(np.sqrt(samples)) * 2, 16)
+    n_rad = max(samples // n_ang, 4)
+    band = np.clip(
+        np.linspace(math.pi / 4 - c, math.pi / 4 + c, 9), 0.02, math.pi / 2 - 0.02
+    )
+    angles = np.unique(
+        np.concatenate([np.linspace(0.02, math.pi / 2 - 0.02, n_ang), band])
+    )
+    radii = np.linspace(radius_lo, 0.75 * model.extent, n_rad)
+    worst = []
+    for ang in angles:
+        w = 0.0
+        for r in radii:
+            node = eng.node_of((r * math.cos(ang), r * math.sin(ang)))
+            snapped = eng.coords(np.array([node]))[0]
+            euclid = math.hypot(snapped[0], snapped[1])
+            if euclid >= radius_lo / 2:
+                w = max(w, 1.0 - float(dist[node]) / euclid)
+        worst.append(w)
+    return angles, np.array(worst)
+
+
+@pytest.mark.parametrize(
+    "model,c",
+    [
+        (ShortcutModel(eta=0.99), 0.05),
+        (ShortcutModel(eta=0.3), 1.0),
+        (
+            ShortcutModel(eta=0.6, segment=(1.0, 10.0, 0.0), orientation="diagonal"),
+            0.05,
+        ),
+    ],
+)
+def test_region_matches_per_sample_loop(model, c):
+    # the same nodes as the loop; norms go through np.hypot rather than
+    # math.hypot, and the two can differ in the last bit
+    rep = r_c_verify(model, c)
+    angles, worst = region_defects_by_loop(model, c)
+    in_wedge = np.abs(angles - math.pi / 4) <= c + 1e-12
+    bad = worst > metric_slack(model)
+    assert rep.max_ratio_defect == pytest.approx(worst[in_wedge].max(), abs=1e-15)
+    assert [a for a, _ in rep.violations] == angles[in_wedge & bad].tolist()
+    assert [w for _, w in rep.violations] == pytest.approx(
+        worst[in_wedge & bad].tolist(), abs=1e-15
+    )
+    assert rep.c_max == min(
+        [float(np.abs(angles - math.pi / 4).max())]
+        + [abs(float(a) - math.pi / 4) for a in angles[bad]]
+    )
 
 
 def test_region_clean_near_one():
