@@ -16,9 +16,8 @@ correspondence is a modeling choice, not a theorem.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -74,8 +73,14 @@ class FiniteMetricSpace:
             raise ValueError("distance matrix must be symmetric")
         if d.min() < 0:
             raise ValueError("distances must be nonnegative")
-        # triangle inequality: d_ij <= min_k (d_ik + d_kj)
-        via = (d[:, :, None] + d[None, :, :]).min(axis=1)
+        # triangle inequality: d_ij <= min_k (d_ik + d_kj), one middle
+        # index k at a time in two n x n buffers; each sum is a single
+        # rounded addition and min is exact, so the order of k is free
+        via = np.full_like(d, np.inf)
+        tmp = np.empty_like(d)
+        for k in range(n):
+            np.add(d[:, k, None], d[None, k, :], out=tmp)
+            np.minimum(via, tmp, out=via)
         if (d - via).max() > 1e-9:
             raise ValueError("triangle inequality violated beyond 1e-9")
         object.__setattr__(self, "dist", d)
@@ -327,16 +332,31 @@ def approximation_check(
 # -- GH distance bounds ----------------------------------------------------
 
 
-def _sorted_multiset_gap(dx: np.ndarray, dy: np.ndarray) -> float:
-    iu = np.triu_indices(dx.shape[0], k=1)
-    a = np.sort(dx[iu])
-    iv = np.triu_indices(dy.shape[0], k=1)
-    b = np.sort(dy[iv])
-    if a.size != b.size:
-        return 0.0
-    if a.size == 0:
-        return 0.0
-    return float(np.abs(a - b).max())
+def _eccentricity_gap(dx: np.ndarray, dy: np.ndarray) -> float:
+    """Hausdorff distance between the eccentricity sets {max_j d_ij}.
+
+    A pair (x, y) of a correspondence R has |ecc(x) - ecc(y)| <= dis R
+    (match the farthest point of either side through R), and every
+    point has a partner, so this is at most the distortion of every
+    correspondence.
+
+    A validated matrix may be asymmetric in the last bits, and the
+    searches compare each two pairs of R in one orientation only, so
+    each difference is the low eccentricity max_j min(d_ij, d_ji) of
+    one point minus the high one max_j max(d_ij, d_ji) of the other.
+    Rounding is monotone, so the result never exceeds a computed
+    distortion, and a relabeled copy still gives exactly 0.
+    """
+
+    def ecc(d):
+        return np.minimum(d, d.T).max(axis=1), np.maximum(d, d.T).max(axis=1)
+
+    (lo_x, hi_x), (lo_y, hi_y) = ecc(dx), ecc(dy)
+    gap = np.maximum(
+        lo_x[:, None] - hi_y[None, :], lo_y[None, :] - hi_x[:, None]
+    )
+    gap = np.maximum(gap, 0.0)
+    return float(max(gap.min(axis=1).max(), gap.min(axis=0).max()))
 
 
 def _pair_distortion(dx, dy, f, g) -> float:
@@ -425,9 +445,38 @@ def _exact_upper(dx: np.ndarray, dy: np.ndarray) -> float:
     return best[0]
 
 
-def _greedy_upper(dx: np.ndarray, dy: np.ndarray) -> float:
-    """Heuristic correspondence: match points by sorted eccentricity
-    profile, then locally improve each assignment once."""
+def _candidate_costs(dx, dy, f, g, i) -> np.ndarray:
+    """_pair_distortion(dx, dy, f', g) for every f' equal to f except
+    f'[i] = v, indexed by v.
+
+    Only row and column i of |dx - dy[f, f]| and row i of the cross
+    term depend on f[i]: the rest is reduced once, and each candidate
+    adds three row maxima.  Every cost is the maximum of the same
+    entries as a full recompute, so it is bit-identical.
+    """
+    rest = np.abs(dx - dy[np.ix_(f, f)])
+    rest[i, :] = 0.0
+    rest[:, i] = 0.0
+    cross = np.abs(dx[:, g] - dy[f, :])
+    cross[i, :] = 0.0
+    base = max(
+        rest.max(), np.abs(dy - dx[np.ix_(g, g)]).max(), cross.max()
+    )
+    diag = np.diagonal(dy)
+    row = dy[:, f]  # row[v, k] = dy[v, f'[k]]
+    row[:, i] = diag
+    col = dy[f, :].T  # col[v, k] = dy[f'[k], v]
+    col[:, i] = diag
+    cost = np.maximum(
+        np.abs(dx[i] - row).max(axis=1), np.abs(dx[:, i] - col).max(axis=1)
+    )
+    cost = np.maximum(cost, np.abs(dx[i, g] - dy).max(axis=1))
+    return np.maximum(cost, base)
+
+
+def _greedy_maps(dx: np.ndarray, dy: np.ndarray):
+    """Heuristic map pair (f, g): match points by sorted eccentricity
+    profile, then locally improve each assignment twice."""
     nx, ny = dx.shape[0], dy.shape[0]
     ex = np.argsort(-dx.max(axis=1))
     ey = np.argsort(-dy.max(axis=1))
@@ -439,18 +488,16 @@ def _greedy_upper(dx: np.ndarray, dy: np.ndarray) -> float:
         g[j] = ex[min(rank, nx - 1)]
     for _ in range(2):
         for i in range(nx):
-            costs = [
-                _pair_distortion(dx, dy, np.r_[f[:i], [v], f[i + 1:]], g)
-                for v in range(ny)
-            ]
-            f[i] = int(np.argmin(costs))
+            f[i] = int(np.argmin(_candidate_costs(dx, dy, f, g, i)))
+        # the distortion is symmetric under swapping the two sides
         for j in range(ny):
-            costs = [
-                _pair_distortion(dx, dy, f, np.r_[g[:j], [v], g[j + 1:]])
-                for v in range(nx)
-            ]
-            g[j] = int(np.argmin(costs))
-    return _pair_distortion(dx, dy, f, g)
+            g[j] = int(np.argmin(_candidate_costs(dy, dx, g, f, j)))
+    return f, g
+
+
+def _greedy_upper(dx: np.ndarray, dy: np.ndarray) -> float:
+    """Distortion of the heuristic map pair of _greedy_maps."""
+    return _pair_distortion(dx, dy, *_greedy_maps(dx, dy))
 
 
 @dataclass(frozen=True)
@@ -463,14 +510,14 @@ class GhBounds:
 def gh_bounds(X: FiniteMetricSpace, Y: FiniteMetricSpace) -> GhBounds:
     """Lower and upper bounds for the Gromov-Hausdorff distance.
 
-    lower: max of half the diameter gap and (equal sizes only) half the
-    bottleneck matching gap of the sorted distance multisets.
+    lower: half the Hausdorff distance between the eccentricity sets
+    {max_j d_ij} of the two spaces.  It holds for every correspondence,
+    bijective or not, and is 0 on a relabeled copy.
     upper: half the minimal correspondence distortion, exact up to size
     9 per side, a labeled greedy heuristic beyond.
     """
     dx, dy = X.dist, Y.dist
-    lower = abs(X.diameter - Y.diameter) / 2.0
-    lower = max(lower, _sorted_multiset_gap(dx, dy) / 2.0)
+    lower = _eccentricity_gap(dx, dy) / 2.0
     if X.size <= _EXACT_CAP and Y.size <= _EXACT_CAP:
         upper = _exact_upper(dx, dy) / 2.0
         exact = True
@@ -546,21 +593,19 @@ def measure_compare(
     delta = mu - nu
     if np.abs(delta).max() == 0.0:
         return 0.0
-    # maximize delta @ f subject to f_i - f_j <= d_ij for all ordered pairs
-    rows = []
-    rhs = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            row = np.zeros(n)
-            row[i], row[j] = 1.0, -1.0
-            rows.append(row)
-            rhs.append(X.dist[i, j])
+    # maximize delta @ f subject to f_i - f_j <= d_ij for all ordered
+    # pairs i != j, row-major; each row holds +1 at i and -1 at j
+    ii, jj = np.nonzero(~np.eye(n, dtype=bool))
+    rows = ii.size
+    a_ub = csr_matrix(
+        (np.tile([1.0, -1.0], rows), np.column_stack([ii, jj]).ravel(),
+         np.arange(0, 2 * rows + 1, 2)),
+        shape=(rows, n),
+    )
     res = linprog(
         -delta,
-        A_ub=np.array(rows),
-        b_ub=np.array(rhs),
+        A_ub=a_ub,
+        b_ub=X.dist[ii, jj],
         bounds=[(None, None)] * n,
         method="highs",
     )

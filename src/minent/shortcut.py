@@ -364,6 +364,11 @@ def extract_grid_path(model: ShortcutModel, a, b) -> CornerPath:
     read off the graph edge costs."""
     eng = _engine(model)
     na, nb = eng.node_of(a), eng.node_of(b)
+    if na == nb:
+        raise ValueError(
+            f"points {tuple(a)} and {tuple(b)} snap to the same grid node; "
+            "a path needs two"
+        )
     pred = eng.predecessors(na)
     chain = [nb]
     while chain[-1] != na:

@@ -1,16 +1,24 @@
 """Finite metric spaces, nets, net graphs, GH bounds, and the weighted
 discrepancy, each checked against a route the implementation does not
-share: Floyd-Warshall for shortest paths, full correspondence
-enumeration for GH, and the primal transport program for the
-discrepancy."""
+share: the n^3 tensor for the triangle check, Floyd-Warshall for
+shortest paths, full correspondence enumeration and the full-recompute
+greedy search for GH, and the primal transport program and the circle's
+closed-form W1 for the discrepancy."""
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from minent import ghkit
 from minent.ghkit import (
     ApproximationReport,
     Correspondence,
@@ -122,6 +130,94 @@ def test_space_rejects_triangle_violation():
     d = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
     with pytest.raises(ValueError, match="triangle"):
         FiniteMetricSpace(d)
+
+
+def tensor_rejects(d):
+    """The n x n x n reference for the triangle check."""
+    via = (d[:, :, None] + d[None, :, :]).min(axis=1)
+    return bool((d - via).max() > 1e-9)
+
+
+def builds(d):
+    try:
+        FiniteMetricSpace(d)
+    except ValueError as e:
+        assert "triangle" in str(e)
+        return False
+    return True
+
+
+def min_plus_closure(d):
+    d = d.copy()
+    for k in range(d.shape[0]):
+        d = np.minimum(d, d[:, k, None] + d[None, k, :])
+    return d
+
+
+@given(
+    n=st.integers(1, 6),
+    upper=st.lists(st.floats(0.0, 4.0), min_size=15, max_size=15),
+    close=st.booleans(),
+    push=st.sampled_from([0.0, 0.5e-9, 2e-9]),
+    at=st.integers(0, 14),
+)
+@settings(max_examples=200, deadline=None)
+def test_triangle_check_matches_tensor_oracle(n, upper, close, push, at):
+    iu = np.triu_indices(n, k=1)
+    d = np.zeros((n, n))
+    d[iu] = upper[: iu[0].size]
+    d = d + d.T
+    if close:
+        d = min_plus_closure(d)
+    if iu[0].size:
+        i, j = iu[0][at % iu[0].size], iu[1][at % iu[0].size]
+        d[i, j] += push
+        d[j, i] = d[i, j]
+    assert builds(d) == (not tensor_rejects(d))
+
+
+def test_triangle_check_tolerance_on_tight_triangles():
+    # points on a line: every ordered triple is tight, exactly
+    x = np.array([0.0, 1.0, 3.0, 6.0, 10.0])
+    d = np.abs(x[:, None] - x[None, :])
+    assert builds(d)
+    for push, ok in ((0.5e-9, True), (2e-9, False)):
+        pushed = d.copy()
+        pushed[0, 4] += push
+        pushed[4, 0] += push
+        assert tensor_rejects(pushed) == (not ok)
+        assert builds(pushed) == ok
+    # two 0.6e-9 violations on one path: each triangle is within the
+    # tolerance, so a shortest-path closure, which adds them, is stricter
+    chain = d.copy()
+    for i, j in ((0, 1), (2, 3)):
+        chain[i, j] -= 0.6e-9
+        chain[j, i] = chain[i, j]
+    assert not tensor_rejects(chain)
+    assert builds(chain)
+
+
+def test_space_validation_memory_is_quadratic():
+    # the n^3 tensor would need 8 GB at n = 1000; the check must fit in
+    # a 1.5 GB address space next to the interpreter and its libraries
+    limit = 1536 * 2**20
+    code = (
+        "import resource\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+        "from minent.ghkit import circle_space\n"
+        "print(circle_space(1000).size)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.strip() == "1000"
 
 
 def test_space_rejects_bad_weights():
@@ -423,6 +519,99 @@ def test_gh_heuristic_above_cap():
     assert b.lower <= b.upper + 1e-12
 
 
+def test_gh_lower_bound_allows_non_bijective_correspondences():
+    # two eps-pairs 1 apart against an eps-triangle plus a point 1 away:
+    # no bijection has distortion below 1 - eps, but sending each pair
+    # onto the triangle and the point has distortion eps
+    e = 0.1
+    dx = np.array(
+        [[0.0, e, 1.0, 1.0], [e, 0.0, 1.0, 1.0], [1.0, 1.0, 0.0, e], [1.0, 1.0, e, 0.0]]
+    )
+    dy = np.array(
+        [[0.0, e, e, 1.0], [e, 0.0, e, 1.0], [e, e, 0.0, 1.0], [1.0, 1.0, 1.0, 0.0]]
+    )
+    b = gh_bounds(FiniteMetricSpace(dx), FiniteMetricSpace(dy))
+    assert b.exact
+    assert b.lower == 0.0
+    assert b.upper == pytest.approx(e / 2.0, abs=1e-15)
+
+
+def test_gh_permuted_trees_have_zero_bounds():
+    # tree distances are not bit-symmetric, so a relabeled copy mixes
+    # d_ij and d_ji; both bounds must still be exactly 0
+    rng = np.random.default_rng(41)
+    for n in range(4, 10):
+        for seed in range(3):
+            X = random_tree_space(n, seed=100 * n + seed)
+            p = rng.permutation(n)
+            Y = FiniteMetricSpace(X.dist[np.ix_(p, p)])
+            b = gh_bounds(X, Y)
+            assert b.exact
+            assert b.lower == 0.0
+            assert b.upper == 0.0
+
+
+def test_gh_bounds_never_cross_on_tree_pairs():
+    # eccentricities from the row maxima alone exceed the exact upper
+    # bound by an ulp on some of these pairs (the first one among them)
+    rng = np.random.default_rng(53)
+    for t in range(30):
+        nx = int(rng.integers(2, 10))
+        ny = int(rng.integers(2, 10)) if t % 2 else nx
+        X = random_tree_space(nx, seed=int(rng.integers(2**31)))
+        Y = random_tree_space(ny, seed=int(rng.integers(2**31)))
+        b = gh_bounds(X, Y)
+        assert b.exact
+        assert b.lower <= b.upper
+
+
+def greedy_reference(dx, dy):
+    """The full-recompute greedy search: every candidate is scored by a
+    complete _pair_distortion."""
+    nx, ny = dx.shape[0], dy.shape[0]
+    ex = np.argsort(-dx.max(axis=1))
+    ey = np.argsort(-dy.max(axis=1))
+    f = np.zeros(nx, int)
+    for rank, i in enumerate(ex):
+        f[i] = ey[min(rank, ny - 1)]
+    g = np.zeros(ny, int)
+    for rank, j in enumerate(ey):
+        g[j] = ex[min(rank, nx - 1)]
+    for _ in range(2):
+        for i in range(nx):
+            costs = [
+                ghkit._pair_distortion(dx, dy, np.r_[f[:i], [v], f[i + 1:]], g)
+                for v in range(ny)
+            ]
+            f[i] = int(np.argmin(costs))
+        for j in range(ny):
+            costs = [
+                ghkit._pair_distortion(dx, dy, f, np.r_[g[:j], [v], g[j + 1:]])
+                for v in range(nx)
+            ]
+            g[j] = int(np.argmin(costs))
+    return f, g, ghkit._pair_distortion(dx, dy, f, g)
+
+
+def test_greedy_search_matches_full_recompute():
+    rng = np.random.default_rng(43)
+    cases = [(12, 17), (17, 12)]
+    cases += [(n, n) for n in (10, 20, 30, 40)]
+    for nx, ny in cases:
+        X = random_tree_space(nx, seed=int(rng.integers(2**31)))
+        Y = random_tree_space(ny, seed=int(rng.integers(2**31)))
+        ys = [Y.dist]
+        if nx == ny:
+            p = rng.permutation(nx)
+            ys.append(X.dist[np.ix_(p, p)])
+        for dy in ys:
+            f, g, value = greedy_reference(X.dist, dy)
+            got_f, got_g = ghkit._greedy_maps(X.dist, dy)
+            assert np.array_equal(got_f, f)
+            assert np.array_equal(got_g, g)
+            assert ghkit._greedy_upper(X.dist, dy) == value
+
+
 # -- epsilon isometries ----------------------------------------------------
 
 
@@ -561,6 +750,24 @@ def test_measure_with_mapping():
     assert got == pytest.approx(
         transport_cost(X.dist, X.effective_weights(), nu), abs=1e-9
     )
+
+
+def circle_w1(mu, nu):
+    """W1 on n equally spaced points of the unit circle: the arc step
+    times the L1 distance of the CDF difference from its median, the
+    optimal shift of the cut point."""
+    f = np.cumsum(mu - nu)
+    return 2.0 * math.pi / len(mu) * float(np.abs(f - np.median(f)).sum())
+
+
+def test_measure_matches_circle_w1_at_scale():
+    rng = np.random.default_rng(47)
+    n = 200
+    S = circle_space(n)
+    for _ in range(3):
+        mu, nu = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+        got = measure_compare(FiniteMetricSpace(S.dist, mu), FiniteMetricSpace(S.dist, nu))
+        assert got == pytest.approx(circle_w1(mu, nu), abs=1e-7)
 
 
 def test_measure_requires_target():

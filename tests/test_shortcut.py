@@ -352,6 +352,14 @@ def test_extracted_corners_respect_turning_rule():
         assert path.vertices[-1] == pytest.approx(b)
 
 
+def test_extract_path_rejects_points_on_one_node():
+    m = ShortcutModel(eta=0.5)
+    nudge = 0.25 * m.spacing
+    for a, b in [((1.0, 1.0), (1.0, 1.0)), ((1.0, 1.0), (1.0 + nudge, 1.0 - nudge))]:
+        with pytest.raises(ValueError, match="same grid node"):
+            extract_grid_path(m, a, b)
+
+
 def per_model_graph(model):
     """Reference assembly: the whole graph for one model, with the
     segment's cheap edges weighted while the edge lists grow."""
