@@ -1,11 +1,14 @@
 """Command-line front end.
 
 Subcommands run the library's check suites with a validated
-configuration, print one line per check, and write a canonical report
-document whose bytes depend only on the configuration and seed.
+configuration and record each check in a canonical report document
+whose bytes depend only on the configuration and seed.  The driver
+prints one verdict line per recorded check and takes the exit code
+from the report.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 configuration
-error, 3 a solver or estimator failed to converge.
+error, 3 a solver or estimator failed to converge, an LP failed, or
+bounds that must be ordered crossed.
 """
 
 from __future__ import annotations
@@ -47,23 +50,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="subcommand", required=True)
 
-    sub.add_parser("entropy", help="closed-form profile table")
+    def command(name, run, help):
+        cmd = sub.add_parser(name, help=help)
+        cmd.set_defaults(run=run)
+        return cmd
 
-    g = sub.add_parser("growth", help="numeric ball-volume growth")
+    command("entropy", _run_entropy, "closed-form profile table")
+    g = command("growth", _run_growth, "numeric ball-volume growth")
     g.add_argument("--rho-max", type=float, help="override the upper radius")
-
-    b = sub.add_parser("barycenter", help="solve and check a random configuration")
+    b = command(
+        "barycenter", _run_barycenter, "solve and check a random configuration"
+    )
     b.add_argument("--quad-count", type=int, help="boundary quadrature size")
     b.add_argument("--tol", type=float, help="solver gradient tolerance")
-
-    sub.add_parser("bcg", help="determinant inequality campaign")
-    sub.add_parser("natural-map", help="sphere-map energy campaign")
-
-    s = sub.add_parser("shortcut", help="shortcut-metric lab")
+    command("bcg", _run_bcg, "determinant inequality campaign")
+    command("natural-map", _run_natural_map, "sphere-map energy campaign")
+    s = command("shortcut", _run_shortcut, "shortcut-metric lab")
     s.add_argument("--eta", type=float, action="append", help="add an eta value")
     s.add_argument("--rho-max", type=float, help="override the sweep upper radius")
-
-    sub.add_parser("ghnet", help="net-graph approximation toolkit")
+    command("ghnet", _run_ghnet, "net-graph approximation toolkit")
     return p
 
 
@@ -93,7 +98,7 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
 # -- subcommand bodies -----------------------------------------------------
 
 
-def _run_entropy(cfg: RunConfig, doc: ReportDocument) -> int:
+def _run_entropy(cfg: RunConfig, doc: ReportDocument, csv_dir):
     from .products import min_entropy_profile
 
     prof = min_entropy_profile(cfg.dims, cfg.entropies)
@@ -103,7 +108,6 @@ def _run_entropy(cfg: RunConfig, doc: ReportDocument) -> int:
         f"h_min={prof.h_min:.6f} alpha=({', '.join(f'{a:.6f}' for a in prof.alpha)}) "
         f"gm_factor={prof.gm_factor:.6f}"
     )
-    ok = rep["entropy_identity_error"] <= 1e-9 and rep["volume_normalization_error"] <= 1e-9
     doc.add(
         "profile-table",
         "profile-closed-form",
@@ -120,14 +124,13 @@ def _run_entropy(cfg: RunConfig, doc: ReportDocument) -> int:
         "profile-identity",
         {},
         rep,
-        ok,
+        rep["entropy_identity_error"] <= 1e-9
+        and rep["volume_normalization_error"] <= 1e-9,
         tolerance=1e-9,
     )
-    _say("profile-identities", ok)
-    return EXIT_OK if ok else EXIT_CHECK
 
 
-def _run_growth(cfg: RunConfig, doc: ReportDocument, csv_dir) -> int:
+def _run_growth(cfg: RunConfig, doc: ReportDocument, csv_dir) -> int | None:
     from .products import entropy_growth_numeric
 
     t0 = time.time()
@@ -143,7 +146,6 @@ def _run_growth(cfg: RunConfig, doc: ReportDocument, csv_dir) -> int:
     band = cfg.slope_band
     if est.mc_slope_std is not None:
         band = band + 3.0 * est.mc_slope_std
-    ok = abs(est.slope - target) <= band
     print(
         f"slope={est.slope:.5f} target={target:.5f} band={band:.4f} "
         f"rms={est.residual_rms:.4f} method={est.method}"
@@ -163,10 +165,9 @@ def _run_growth(cfg: RunConfig, doc: ReportDocument, csv_dir) -> int:
             "mc_slope_std": est.mc_slope_std,
             "method": est.method,
         },
-        ok,
+        abs(est.slope - target) <= band,
         tolerance=band,
     )
-    _say("growth-slope", ok)
     if csv_dir:
         write_csv(
             os.path.join(csv_dir, "growth.csv"),
@@ -175,7 +176,6 @@ def _run_growth(cfg: RunConfig, doc: ReportDocument, csv_dir) -> int:
         )
     if est.mc_slope_std is not None and est.mc_slope_std > 0.2:
         return EXIT_NOCONV
-    return EXIT_OK if ok else EXIT_CHECK
 
 
 def _quads_for(cfg: RunConfig, dims):
@@ -199,7 +199,7 @@ def _quads_for(cfg: RunConfig, dims):
     return quads
 
 
-def _run_barycenter(cfg: RunConfig, doc: ReportDocument) -> int:
+def _run_barycenter(cfg: RunConfig, doc: ReportDocument, csv_dir) -> int | None:
     from .barycenter import (
         BarycenterProblem,
         NearSingularError,
@@ -218,7 +218,6 @@ def _run_barycenter(cfg: RunConfig, doc: ReportDocument) -> int:
         sol = problem.solve(tol=cfg.tol, max_iter=cfg.max_iter)
     except NearSingularError as e:
         doc.add("solve", "barycenter-fixed-point", {}, {"rejected": str(e)}, False)
-        _say("solve", False)
         return EXIT_NOCONV
     doc.time("solve", time.time() - t0)
     print(
@@ -238,7 +237,6 @@ def _run_barycenter(cfg: RunConfig, doc: ReportDocument) -> int:
         tolerance=cfg.tol,
     )
     if not sol.converged:
-        _say("solve", False)
         return EXIT_NOCONV
     pair = problem.forms(sol.point)
     tr_err = abs(pair.trace_h() - 1.0)
@@ -246,14 +244,12 @@ def _run_barycenter(cfg: RunConfig, doc: ReportDocument) -> int:
         float(np.abs(k - (np.eye(k.shape[0]) - h)).max())
         for k, h in zip(pair.factor_k, pair.factor_h)
     )
-    ok_tr = tr_err <= 1e-10
-    ok_comp = comp_err <= 1e-10
     doc.add(
         "trace",
         "barycenter-trace",
         {},
         {"trace_error": tr_err},
-        ok_tr,
+        tr_err <= 1e-10,
         tolerance=1e-10,
     )
     doc.add(
@@ -261,14 +257,11 @@ def _run_barycenter(cfg: RunConfig, doc: ReportDocument) -> int:
         "barycenter-complement",
         {},
         {"max_entry_error": comp_err},
-        ok_comp,
+        comp_err <= 1e-10,
         tolerance=1e-10,
     )
-    _say("trace", ok_tr)
-    _say("complement", ok_comp)
     try:
         rep = jacobian_bound_report(problem, solution=sol)
-        ok_j = rep.holds
         doc.add(
             "jacobian",
             "jacobian-bound",
@@ -278,26 +271,18 @@ def _run_barycenter(cfg: RunConfig, doc: ReportDocument) -> int:
                 "bound": rep.bound,
                 "h_eigen_max": rep.h_eigen_max,
             },
-            ok_j,
+            rep.holds,
         )
-        _say("jacobian", ok_j)
     except NearSingularError as e:
         doc.add("jacobian", "jacobian-bound", {}, {"rejected": str(e)}, False)
-        _say("jacobian", False)
-        ok_j = False
-    ok = ok_tr and ok_comp and ok_j
-    return EXIT_OK if ok else EXIT_CHECK
 
 
-def _run_bcg(cfg: RunConfig, doc: ReportDocument) -> int:
+def _run_bcg(cfg: RunConfig, doc: ReportDocument, csv_dir):
     from .barycenter import bcg_campaign, bcg_inequality_check
 
-    all_ok = True
     for n in (3, 4, 5):
         camp = bcg_campaign(n, cfg.bcg_count, seed=cfg.seed)
         eq = bcg_inequality_check(np.eye(n) / n, n, n - 1)
-        ok = camp["violations"] == 0 and eq.equality_gap <= 1e-9
-        all_ok = all_ok and ok
         print(
             f"n={n}: violations={camp['violations']}/{camp['count']} "
             f"max_ratio={camp['max_ratio']:.6f} bound={camp['bound']:.6f} "
@@ -313,14 +298,12 @@ def _run_bcg(cfg: RunConfig, doc: ReportDocument) -> int:
                 "bound": camp["bound"],
                 "equality_gap": eq.equality_gap,
             },
-            ok,
+            camp["violations"] == 0 and eq.equality_gap <= 1e-9,
             tolerance=1e-9,
         )
-        _say(f"campaign-n{n}", ok)
-    return EXIT_OK if all_ok else EXIT_CHECK
 
 
-def _run_natural_map(cfg: RunConfig, doc: ReportDocument) -> int:
+def _run_natural_map(cfg: RunConfig, doc: ReportDocument, csv_dir):
     from .barycenter import natural_map_energy
     from .hyperbolic import random_point
     from .products import ProductPoint, min_entropy_profile
@@ -337,21 +320,18 @@ def _run_natural_map(cfg: RunConfig, doc: ReportDocument) -> int:
         x = ProductPoint(tuple(random_point(rng, m, 1.0) for m in prof.dims))
         res = natural_map_energy(pts, c, x, prof)
         worst = max(worst, res.energy / res.bound)
-    ok = worst <= 1.05
     print(f"draws={cfg.draws} c={c:.5f} worst energy/bound={worst:.5f}")
     doc.add(
         "energy",
         "natural-map-energy",
         {"draws": cfg.draws, "c": c, "seed": cfg.seed},
         {"worst_ratio": worst},
-        ok,
+        worst <= 1.05,
         tolerance=1.05,
     )
-    _say("energy", ok)
-    return EXIT_OK if ok else EXIT_CHECK
 
 
-def _run_shortcut(cfg: RunConfig, doc: ReportDocument, csv_dir) -> int:
+def _run_shortcut(cfg: RunConfig, doc: ReportDocument, csv_dir):
     from .shortcut import (
         ShortcutModel,
         branching_geodesic_demo,
@@ -363,7 +343,6 @@ def _run_shortcut(cfg: RunConfig, doc: ReportDocument, csv_dir) -> int:
         turning_angle_threshold,
     )
 
-    ok_all = True
     etas = sorted(set(cfg.etas))
     # corner threshold table and witness sanity on a small grid
     rows = []
@@ -383,8 +362,6 @@ def _run_shortcut(cfg: RunConfig, doc: ReportDocument, csv_dir) -> int:
         {"thresholds": {str(e): r for e, r in rows}},
         witness_ok,
     )
-    _say("witness", witness_ok)
-    ok_all &= witness_ok
 
     # metric spot checks on the off-diagonal segment model
     base = ShortcutModel(
@@ -414,8 +391,6 @@ def _run_shortcut(cfg: RunConfig, doc: ReportDocument, csv_dir) -> int:
         spot_ok,
         tolerance=slack,
     )
-    _say("metric-spot", spot_ok)
-    ok_all &= spot_ok
 
     # diagonal wedge
     eta_rc = max([e for e in etas if e < 1.0], default=1.0)
@@ -436,8 +411,6 @@ def _run_shortcut(cfg: RunConfig, doc: ReportDocument, csv_dir) -> int:
         },
         rc_ok,
     )
-    _say("region", rc_ok)
-    ok_all &= rc_ok
 
     # growth sweep on the diagonal model
     seg_hi = min(cfg.sc_extent - 2.0, cfg.sc_rho_hi + 2.0)
@@ -472,8 +445,6 @@ def _run_shortcut(cfg: RunConfig, doc: ReportDocument, csv_dir) -> int:
         {"slopes": {str(e): s for e, s in slopes.items()}, "monotone": mono_ok},
         mono_ok and band_ok,
     )
-    _say("growth-sweep", mono_ok and band_ok)
-    ok_all &= mono_ok and band_ok
     if csv_dir:
         write_csv(
             os.path.join(csv_dir, "shortcut_sweep.csv"),
@@ -484,11 +455,6 @@ def _run_shortcut(cfg: RunConfig, doc: ReportDocument, csv_dir) -> int:
     # branching demo at the deepest shortcut
     if base.eta <= 0.9:
         demo = branching_geodesic_demo(base, (2.2, 0.9), (5.8, 0.85))
-        br_ok = (
-            demo.used
-            and demo.length_difference <= 1e-9
-            and demo.shared_length > 0
-        )
         doc.add(
             "branching",
             "shortcut-branching",
@@ -498,15 +464,14 @@ def _run_shortcut(cfg: RunConfig, doc: ReportDocument, csv_dir) -> int:
                 "length_difference": demo.length_difference,
                 "shared_length": demo.shared_length,
             },
-            br_ok,
+            demo.used
+            and demo.length_difference <= 1e-9
+            and demo.shared_length > 0,
             tolerance=1e-9,
         )
-        _say("branching", br_ok)
-        ok_all &= br_ok
-    return EXIT_OK if ok_all else EXIT_CHECK
 
 
-def _run_ghnet(cfg: RunConfig, doc: ReportDocument) -> int:
+def _run_ghnet(cfg: RunConfig, doc: ReportDocument, csv_dir):
     from .ghkit import (
         FiniteMetricSpace,
         approximation_check,
@@ -518,7 +483,6 @@ def _run_ghnet(cfg: RunConfig, doc: ReportDocument) -> int:
         torus_grid_space,
     )
 
-    ok_all = True
     for name, target in (
         ("circle", circle_space(cfg.gh_circle)),
         ("torus", torus_grid_space(cfg.gh_torus, cfg.gh_torus)),
@@ -528,8 +492,6 @@ def _run_ghnet(cfg: RunConfig, doc: ReportDocument) -> int:
         delta = 0.8 * min(eps / 4, eps * eps / (6 * target.diameter))
         graph = build_net_graph(net, net, target, eps, delta, len(net))
         rep = approximation_check(graph, net, target, eps)
-        ok = rep.passed
-        ok_all &= ok
         print(
             f"{name}: net={len(net)} edges={len(graph.edges)} "
             f"deviation={rep.max_deviation:.5f} (eps={eps})"
@@ -543,56 +505,43 @@ def _run_ghnet(cfg: RunConfig, doc: ReportDocument) -> int:
                 "step1": rep.step1_max,
                 "step2": rep.step2_max,
             },
-            ok,
+            rep.passed,
             tolerance=eps,
         )
-        _say(f"approx-{name}", ok)
 
     two_a = FiniteMetricSpace(np.array([[0.0, 1.0], [1.0, 0.0]]))
     two_b = FiniteMetricSpace(np.array([[0.0, 3.0], [3.0, 0.0]]))
     gb = gh_bounds(two_a, two_b)
-    gh_ok = abs(gb.lower - 1.0) <= 1e-12 and abs(gb.upper - 1.0) <= 1e-12
     doc.add(
         "gh-two-point",
         "gh-bounds",
         {},
         {"lower": gb.lower, "upper": gb.upper},
-        gh_ok,
+        abs(gb.lower - 1.0) <= 1e-12 and abs(gb.upper - 1.0) <= 1e-12,
         tolerance=1e-12,
     )
-    _say("gh-two-point", gh_ok)
-    ok_all &= gh_ok
 
     s = 1.0
     eq = FiniteMetricSpace(s * (np.ones((3, 3)) - np.eye(3)), np.full(3, 1 / 3))
     pt = FiniteMetricSpace(eq.dist, np.array([1.0, 0.0, 0.0]))
     disc = measure_compare(eq, pt)
-    mc_ok = abs(disc - 2.0 * s / 3.0) <= 1e-9
     doc.add(
         "measure-equilateral",
         "measure-discrepancy",
         {"side": s},
         {"discrepancy": disc, "expected": 2.0 * s / 3.0},
-        mc_ok,
+        abs(disc - 2.0 * s / 3.0) <= 1e-9,
         tolerance=1e-9,
     )
-    _say("measure-equilateral", mc_ok)
-    ok_all &= mc_ok
-    return EXIT_OK if ok_all else EXIT_CHECK
 
 
 # -- driver ----------------------------------------------------------------
 
 
-def _say(name: str, ok: bool):
-    print(f"[{'PASS' if ok else 'FAIL'}] {name}")
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        cfg = _apply_overrides(cfg, args)
+        cfg = _apply_overrides(load_config(args.config), args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
@@ -605,27 +554,19 @@ def main(argv=None) -> int:
 
     t0 = time.time()
     try:
-        if args.subcommand == "entropy":
-            code = _run_entropy(cfg, doc)
-        elif args.subcommand == "growth":
-            code = _run_growth(cfg, doc, csv_dir)
-        elif args.subcommand == "barycenter":
-            code = _run_barycenter(cfg, doc)
-        elif args.subcommand == "bcg":
-            code = _run_bcg(cfg, doc)
-        elif args.subcommand == "natural-map":
-            code = _run_natural_map(cfg, doc)
-        elif args.subcommand == "shortcut":
-            code = _run_shortcut(cfg, doc, csv_dir)
-        elif args.subcommand == "ghnet":
-            code = _run_ghnet(cfg, doc)
-        else:
-            print(f"unknown subcommand {args.subcommand}", file=sys.stderr)
-            return EXIT_CONFIG
+        # a runner only records checks; it returns EXIT_NOCONV when its
+        # solver or estimator did not converge, None otherwise
+        code = args.run(cfg, doc, csv_dir)
     except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    except (RuntimeError, AssertionError) as e:
+        # an LP that fails, bounds that cross, a broken identity
+        print(f"numerical failure: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_NOCONV
     doc.time("total", time.time() - t0)
+    for rec in doc.records[1:]:
+        print(f"[{'PASS' if rec.passed else 'FAIL'}] {rec.name}")
 
     if args.json:
         sys.stdout.write(doc.to_json())
@@ -634,7 +575,9 @@ def main(argv=None) -> int:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(doc.to_json())
         print(f"report written to {path}")
-    return code
+    if code is not None:
+        return code
+    return EXIT_OK if doc.all_passed else EXIT_CHECK
 
 
 if __name__ == "__main__":

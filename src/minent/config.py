@@ -8,6 +8,7 @@ and key named in the error.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, asdict
 
 
@@ -53,6 +54,12 @@ class RunConfig:
     write_csv: bool = False
 
     def validate(self):
+        for attr, (section, key) in _FLOAT_FIELDS.items():
+            values = getattr(self, attr)
+            if not isinstance(values, tuple):
+                values = (values,)
+            if not all(map(math.isfinite, values)):
+                raise ConfigError(f"[{section}] {key} must be finite")
         if len(self.dims) != len(self.entropies) or not self.dims:
             raise ConfigError("[profile] dims and entropies must match")
         if any(d < 2 for d in self.dims):
@@ -66,6 +73,9 @@ class RunConfig:
             raise ConfigError("[quadrature] count must be at least 12")
         if self.seed < 0:
             raise ConfigError("[run] seed must be nonnegative")
+        for key in ("n_atoms", "draws", "bcg_count"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"[run] {key} must be at least 1")
         if not (0 < self.tol <= 1e-2) or self.tol < 1e-10:
             raise ConfigError("[solver] tol must lie in [1e-10, 1e-2]")
         if self.max_iter < 1:
@@ -141,6 +151,15 @@ _SECTIONS = {
         "torus": ("gh_torus", "int"),
     },
     "output": {"dir": ("out_dir", "str"), "csv": ("write_csv", "bool")},
+}
+
+# float and float-list fields by attribute, with their section and key
+_FLOAT_FIELDS = {
+    attr: (section, key)
+    for section, schema in _SECTIONS.items()
+    for key, spec in schema.items()
+    for attr, kind in [spec if isinstance(spec, tuple) else (key, spec)]
+    if kind in ("float", "float_list")
 }
 
 

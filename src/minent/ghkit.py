@@ -53,8 +53,8 @@ class FiniteMetricSpace:
     """Distance matrix with optional weights.
 
     Validates the metric axioms up front, so downstream code never
-    re-checks: zero diagonal, symmetry, triangle inequality within
-    1e-9, weights a probability vector.
+    re-checks: finite entries, zero diagonal, symmetry, triangle
+    inequality within 1e-9, weights a probability vector.
     """
 
     dist: np.ndarray
@@ -67,6 +67,10 @@ class FiniteMetricSpace:
         n = d.shape[0]
         if n == 0:
             raise ValueError("empty space")
+        # every check below is a comparison, and comparisons with NaN
+        # are False
+        if not np.isfinite(d).all():
+            raise ValueError("distances must be finite")
         if np.abs(np.diag(d)).max() > 0:
             raise ValueError("diagonal must be zero")
         if np.abs(d - d.T).max() > 1e-12:

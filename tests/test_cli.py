@@ -139,6 +139,15 @@ def test_ini_empty_file(tmp_path):
         ("region_c", 0.0, "[shortcut]"),
         ("gh_eps", -0.1, "[ghnet]"),
         ("gh_circle", 4, "[ghnet]"),
+        ("entropies", (math.nan, 2.0), "[profile]"),
+        ("spread", math.nan, "[run]"),
+        ("n_atoms", 0, "[run]"),
+        ("draws", 0, "[run]"),
+        ("bcg_count", 0, "[run]"),
+        ("rho_hi", math.inf, "[growth]"),
+        ("slope_band", math.nan, "[growth]"),
+        ("region_c", math.nan, "[shortcut]"),
+        ("gh_eps", math.nan, "[ghnet]"),
     ],
 )
 def test_validation_names_the_section(field, value, section):
@@ -270,7 +279,16 @@ def test_entropy_subcommand(tmp_path, capsys):
     assert "out_dir" not in doc["config"]
     prof = next(c for c in doc["checks"] if c["name"] == "profile-table")
     assert prof["outputs"]["h_min"] == pytest.approx(2.0 * math.sqrt(2.0))
-    assert "[PASS]" in capsys.readouterr().out
+    out_text = capsys.readouterr().out
+    assert "[PASS]" in out_text
+    # one verdict line per recorded check, in report order
+    verdicts = [
+        ln for ln in out_text.splitlines() if ln.startswith(("[PASS] ", "[FAIL] "))
+    ]
+    assert verdicts == [
+        f"[{'PASS' if c['passed'] else 'FAIL'}] {c['name']}"
+        for c in doc["checks"][1:]
+    ]
 
 
 def test_entropy_mixed_profile(tmp_path):
@@ -321,7 +339,8 @@ def moved_paths(old, new, path="$"):
 
 
 @pytest.mark.parametrize(
-    "sub", ["entropy", "growth", "barycenter", "bcg", "natural-map", "shortcut"]
+    "sub",
+    ["entropy", "growth", "barycenter", "bcg", "natural-map", "shortcut", "ghnet"],
 )
 def test_reports_match_golden(tmp_path, sub):
     # A change that moves a report value updates tests/golden and says
@@ -430,6 +449,30 @@ def test_barycenter_singular_solve_exit(tmp_path, monkeypatch):
     solve = {c["name"]: c for c in doc["checks"]}["solve"]
     assert solve["passed"] is False
     assert "singular" in solve["outputs"]["rejected"]
+
+
+def test_lp_failure_exits_noconv(tmp_path, monkeypatch, capsys):
+    from types import SimpleNamespace
+
+    from minent import ghkit
+
+    def failed(*args, **kwargs):
+        return SimpleNamespace(success=False, message="stub failure", fun=0.0)
+
+    monkeypatch.setattr(ghkit, "linprog", failed)
+    quick = write_ini(tmp_path, "[ghnet]\ncircle = 200\ntorus = 12\n")
+    assert main(["--config", quick, "ghnet"]) == EXIT_NOCONV
+    assert "discrepancy LP failed: stub failure" in capsys.readouterr().err
+
+
+def test_crossing_gh_bounds_exit_noconv(tmp_path, monkeypatch, capsys):
+    from minent import ghkit
+
+    # the two-point check has lower bound 1; an upper bound of 0 crosses it
+    monkeypatch.setattr(ghkit, "_exact_upper", lambda dx, dy: 0.0)
+    quick = write_ini(tmp_path, "[ghnet]\ncircle = 200\ntorus = 12\n")
+    assert main(["--config", quick, "ghnet"]) == EXIT_NOCONV
+    assert "exceeds exact upper bound" in capsys.readouterr().err
 
 
 def test_bcg_subcommand(tmp_path):

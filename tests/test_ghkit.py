@@ -126,6 +126,18 @@ def test_space_rejects_bad_matrices():
         FiniteMetricSpace(np.array([[0.0, -1.0], [-1.0, 0.0]]))
 
 
+def test_space_rejects_nonfinite_distances(tmp_path):
+    # NaN fails every comparison and inf - inf is NaN, so both slipped
+    # past the symmetry, sign and triangle checks
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            FiniteMetricSpace(np.array([[0.0, bad], [bad, 0.0]]))
+    path = tmp_path / "nan.csv"
+    path.write_text("2\n0,nan\nnan,0\n")
+    with pytest.raises(ValueError, match="finite"):
+        read_space_csv(path)
+
+
 def test_space_rejects_triangle_violation():
     d = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
     with pytest.raises(ValueError, match="triangle"):
