@@ -62,8 +62,8 @@ class RunConfig:
                 raise ConfigError(f"[{section}] {key} must be finite")
         if len(self.dims) != len(self.entropies) or not self.dims:
             raise ConfigError("[profile] dims and entropies must match")
-        if any(d < 2 for d in self.dims):
-            raise ConfigError("[profile] dims: factors need dimension >= 2")
+        if any(d < 3 for d in self.dims):
+            raise ConfigError("[profile] dims: factors need dimension >= 3")
         if any(h <= 0 for h in self.entropies):
             raise ConfigError("[profile] entropies must be positive")
         if self.quad_scheme not in ("deterministic-sphere", "monte-carlo"):

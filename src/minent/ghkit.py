@@ -5,8 +5,8 @@ epsilon-net, join net points whose images are closer than epsilon,
 assign each edge its target distance, and compare the graph metric
 with the target metric.  This module provides that pipeline on finite
 metric spaces, plus distortion-based GH distance bounds, epsilon
-isometry certification, and an exact bounded-Lipschitz comparison of
-weighted spaces.
+isometry certification, and the exact first Wasserstein distance W1
+between weighted spaces, solved as a primal transport LP.
 
 Everything here is synthetic: edge lengths are assigned numbers, not
 lengths of realizable paths in a manifold.  The graph construction and
@@ -23,6 +23,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.spatial.distance import pdist
 
 __all__ = [
     "FiniteMetricSpace",
@@ -53,8 +54,15 @@ class FiniteMetricSpace:
     """Distance matrix with optional weights.
 
     Validates the metric axioms up front, so downstream code never
-    re-checks: finite entries, zero diagonal, symmetry, triangle
-    inequality within 1e-9, weights a probability vector.
+    re-checks: finite entries, zero diagonal, symmetry within 1e-12,
+    triangle inequality within 1e-9, weights a probability vector.
+
+    The matrix is stored bit-symmetric (an entry that differs from its
+    transpose becomes 0.5 d_ij + 0.5 d_ji; float addition commutes).
+    The triangle check is the l-infinity (Kuratowski) isometry test:
+    the rows satisfy max_k |d_ik - d_jk| = d_ij for every pair exactly
+    when d_ik <= d_ij + d_jk for every triple.  One rounded subtraction
+    per triangle keeps the tolerance per triangle, memory O(n^2).
     """
 
     dist: np.ndarray
@@ -77,15 +85,10 @@ class FiniteMetricSpace:
             raise ValueError("distance matrix must be symmetric")
         if d.min() < 0:
             raise ValueError("distances must be nonnegative")
-        # triangle inequality: d_ij <= min_k (d_ik + d_kj), one middle
-        # index k at a time in two n x n buffers; each sum is a single
-        # rounded addition and min is exact, so the order of k is free
-        via = np.full_like(d, np.inf)
-        tmp = np.empty_like(d)
-        for k in range(n):
-            np.add(d[:, k, None], d[None, k, :], out=tmp)
-            np.minimum(via, tmp, out=via)
-        if (d - via).max() > 1e-9:
+        d = np.where(d == d.T, d, 0.5 * d + 0.5 * d.T)
+        # the pairs i < j in pdist's order; a single point has none
+        iu = np.triu_indices(n, 1)
+        if n > 1 and (pdist(d, "chebyshev") - d[iu]).max() > 1e-9:
             raise ValueError("triangle inequality violated beyond 1e-9")
         object.__setattr__(self, "dist", d)
         if self.weights is not None:
@@ -342,24 +345,11 @@ def _eccentricity_gap(dx: np.ndarray, dy: np.ndarray) -> float:
     A pair (x, y) of a correspondence R has |ecc(x) - ecc(y)| <= dis R
     (match the farthest point of either side through R), and every
     point has a partner, so this is at most the distortion of every
-    correspondence.
-
-    A validated matrix may be asymmetric in the last bits, and the
-    searches compare each two pairs of R in one orientation only, so
-    each difference is the low eccentricity max_j min(d_ij, d_ji) of
-    one point minus the high one max_j max(d_ij, d_ji) of the other.
-    Rounding is monotone, so the result never exceeds a computed
-    distortion, and a relabeled copy still gives exactly 0.
+    correspondence.  The matrices are bit-symmetric and rounding is
+    monotone, so the result never exceeds a computed distortion, and a
+    relabeled copy gives exactly 0.
     """
-
-    def ecc(d):
-        return np.minimum(d, d.T).max(axis=1), np.maximum(d, d.T).max(axis=1)
-
-    (lo_x, hi_x), (lo_y, hi_y) = ecc(dx), ecc(dy)
-    gap = np.maximum(
-        lo_x[:, None] - hi_y[None, :], lo_y[None, :] - hi_x[:, None]
-    )
-    gap = np.maximum(gap, 0.0)
+    gap = np.abs(dx.max(axis=1)[:, None] - dy.max(axis=1)[None, :])
     return float(max(gap.min(axis=1).max(), gap.min(axis=0).max()))
 
 
@@ -575,13 +565,15 @@ def measure_compare(
     Y: FiniteMetricSpace | None = None,
     mapping=None,
 ) -> float:
-    """Exact bounded-Lipschitz discrepancy between the weights of X and
-    the weights of Y pushed onto X's index set.
+    """Exact first Wasserstein distance W1 between the weights of X and
+    the weights of Y, pushed onto X's index set by `mapping` (default:
+    the identity, for a Y of X's size).
 
-    sup { sum_i f_i (mu_i - nu_i) : |f_i - f_j| <= d_ij }, a linear
-    program solved exactly; on a connected finite space this equals the
-    first Wasserstein distance.  Y defaults to X (same support,
-    different weights); otherwise `mapping` sends Y's indices into X's.
+    Primal transport LP: surplus points (mu > nu) ship to deficit
+    points (mu < nu) at cost X.dist, one variable per such pair.  The
+    weight sums may differ by the validator's 1e-9, so the heavier side
+    ships at most its surplus and the other receives exactly its
+    deficit; the LP is always feasible.
     """
     mu = X.effective_weights()
     if Y is None:
@@ -593,29 +585,32 @@ def measure_compare(
     mapping = np.asarray(mapping, dtype=int)
     nu = np.zeros(X.size)
     np.add.at(nu, mapping, Y.effective_weights())
-    n = X.size
     delta = mu - nu
-    if np.abs(delta).max() == 0.0:
+    if delta.sum() < 0:
+        delta = -delta  # W1 is symmetric
+    src = np.flatnonzero(delta > 0)
+    snk = np.flatnonzero(delta < 0)
+    if not snk.size:
         return 0.0
-    # maximize delta @ f subject to f_i - f_j <= d_ij for all ordered
-    # pairs i != j, row-major; each row holds +1 at i and -1 at j
-    ii, jj = np.nonzero(~np.eye(n, dtype=bool))
-    rows = ii.size
-    a_ub = csr_matrix(
-        (np.tile([1.0, -1.0], rows), np.column_stack([ii, jj]).ravel(),
-         np.arange(0, 2 * rows + 1, 2)),
-        shape=(rows, n),
-    )
+    # variable a * q + b ships from src[a] to snk[b]: one nonzero in
+    # its supply row a and one in its demand row b
+    q = snk.size
+    var = np.arange(src.size * q)
+    ones = np.ones(var.size)
     res = linprog(
-        -delta,
-        A_ub=a_ub,
-        b_ub=X.dist[ii, jj],
-        bounds=[(None, None)] * n,
+        X.dist[np.ix_(src, snk)].ravel(),
+        A_ub=csr_matrix((ones, (var // q, var)), shape=(src.size, var.size)),
+        b_ub=delta[src],
+        A_eq=csr_matrix((ones, (var % q, var)), shape=(q, var.size)),
+        b_eq=-delta[snk],
         method="highs",
+        # the default 1e-7 is absolute and masses are often far below
+        # 1: a vertex off its demand by 5e-8 put W1 off by 5e-7 relative
+        options={"primal_feasibility_tolerance": 1e-10},
     )
     if not res.success:
         raise RuntimeError(f"discrepancy LP failed: {res.message}")
-    return float(-res.fun)
+    return float(res.fun)
 
 
 # -- sample spaces ---------------------------------------------------------

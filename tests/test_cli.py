@@ -148,6 +148,7 @@ def test_ini_empty_file(tmp_path):
         ("slope_band", math.nan, "[growth]"),
         ("region_c", math.nan, "[shortcut]"),
         ("gh_eps", math.nan, "[ghnet]"),
+        ("dims", (2, 3), "[profile]"),
     ],
 )
 def test_validation_names_the_section(field, value, section):

@@ -2,8 +2,9 @@
 discrepancy, each checked against a route the implementation does not
 share: the n^3 tensor for the triangle check, Floyd-Warshall for
 shortest paths, full correspondence enumeration and the full-recompute
-greedy search for GH, and the primal transport program and the circle's
-closed-form W1 for the discrepancy."""
+greedy search for GH, and the dense primal transport program, the
+Kantorovich-Rubinstein dual LP and the circle's closed-form W1 for the
+discrepancy."""
 
 import itertools
 import math
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
+from scipy.sparse import csr_matrix
 
 from minent import ghkit
 from minent.ghkit import (
@@ -186,6 +188,37 @@ def test_triangle_check_matches_tensor_oracle(n, upper, close, push, at):
         d[i, j] += push
         d[j, i] = d[i, j]
     assert builds(d) == (not tensor_rejects(d))
+
+
+@given(
+    n=st.integers(1, 6),
+    upper=st.lists(st.floats(0.0, 4.0), min_size=15, max_size=15),
+    skew=st.lists(st.floats(-0.9e-12, 0.9e-12), min_size=15, max_size=15),
+    close=st.booleans(),
+    push=st.sampled_from([0.0, 0.5e-9, 2e-9]),
+    at=st.integers(0, 14),
+)
+@settings(max_examples=200, deadline=None)
+def test_triangle_check_on_near_symmetric_input(n, upper, skew, close, push, at):
+    # d_ji = d_ij + skew: the space stores and checks the symmetrized
+    # matrix, bit-symmetric, so the oracle runs on that one
+    iu = np.triu_indices(n, k=1)
+    d = np.zeros((n, n))
+    d[iu] = upper[: iu[0].size]
+    d = d + d.T
+    if close:
+        d = min_plus_closure(d)
+    if iu[0].size:
+        i, j = iu[0][at % iu[0].size], iu[1][at % iu[0].size]
+        d[i, j] += push
+        d[j, i] = d[i, j]
+    d[iu[1], iu[0]] = np.maximum(d[iu] + skew[: iu[0].size], 0.0)
+    sym = np.where(d == d.T, d, 0.5 * d + 0.5 * d.T)
+    assert np.array_equal(sym, sym.T)
+    ok = builds(d)
+    assert ok == (not tensor_rejects(sym))
+    if ok:
+        assert np.array_equal(FiniteMetricSpace(d).dist, sym)
 
 
 def test_triangle_check_tolerance_on_tight_triangles():
@@ -577,6 +610,18 @@ def test_gh_bounds_never_cross_on_tree_pairs():
         assert b.lower <= b.upper
 
 
+def test_exact_upper_ignores_orientation():
+    # tree distances are symmetric only to the last bit as computed;
+    # stored bit-symmetric, transposing both matrices changes nothing
+    rng = np.random.default_rng(59)
+    for _ in range(150):
+        X = random_tree_space(int(rng.integers(2, 9)), seed=int(rng.integers(2**31)))
+        Y = random_tree_space(int(rng.integers(2, 9)), seed=int(rng.integers(2**31)))
+        assert ghkit._exact_upper(X.dist, Y.dist) == ghkit._exact_upper(
+            X.dist.T, Y.dist.T
+        )
+
+
 def greedy_reference(dx, dy):
     """The full-recompute greedy search: every candidate is scored by a
     complete _pair_distortion."""
@@ -698,6 +743,64 @@ def transport_cost(dist, mu, nu):
     return float(res.fun)
 
 
+def dual_lp(dist, mu, nu):
+    """The Kantorovich-Rubinstein dual of W1: sup delta @ f over f with
+    f_i - f_j <= d_ij for every ordered pair i != j."""
+    n = dist.shape[0]
+    ii, jj = np.nonzero(~np.eye(n, dtype=bool))
+    rows = ii.size
+    a_ub = csr_matrix(
+        (np.tile([1.0, -1.0], rows), np.column_stack([ii, jj]).ravel(),
+         np.arange(0, 2 * rows + 1, 2)),
+        shape=(rows, n),
+    )
+    res = linprog(
+        nu - mu, A_ub=a_ub, b_ub=dist[ii, jj], bounds=[(None, None)] * n,
+        method="highs",
+    )
+    assert res.success
+    return float(-res.fun)
+
+
+@pytest.mark.parametrize(
+    "kind,n", [("circle", 12), ("circle", 120), ("plane", 8), ("plane", 120)]
+)
+def test_measure_matches_dual_lp(kind, n):
+    rng = np.random.default_rng(n)
+    S = circle_space(n) if kind == "circle" else plane_space(rng, n)
+    for _ in range(3):
+        mu, nu = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+        got = measure_compare(FiniteMetricSpace(S.dist, mu), FiniteMetricSpace(S.dist, nu))
+        assert got == pytest.approx(dual_lp(S.dist, mu, nu), abs=1e-9)
+
+
+def test_measure_with_mapping_from_smaller_space_matches_dual_lp():
+    # two points of Y land on X's point 3, none on 0 or 4
+    rng = np.random.default_rng(29)
+    X = FiniteMetricSpace(plane_space(rng, 6).dist, rng.dirichlet(np.ones(6)))
+    Y = FiniteMetricSpace(plane_space(rng, 4).dist, rng.dirichlet(np.ones(4)))
+    mapping = np.array([3, 1, 3, 5])
+    nu = np.zeros(6)
+    np.add.at(nu, mapping, Y.weights)
+    got = measure_compare(X, Y, mapping=mapping)
+    assert got == pytest.approx(dual_lp(X.dist, X.weights, nu), abs=1e-9)
+
+
+def test_measure_weights_off_unit_sum_by_validator_tolerance():
+    # the validator admits sums of 1 +- 1e-9; W1 then moves by at most
+    # that mass times the diameter, from either side
+    rng = np.random.default_rng(31)
+    S = plane_space(rng, 30)
+    mu, nu = rng.dirichlet(np.ones(30)), rng.dirichlet(np.ones(30))
+    want = dual_lp(S.dist, mu, nu)
+    for a, b in ((1.0 + 0.9e-9, 1.0 - 0.9e-9), (1.0 - 0.9e-9, 1.0 + 0.9e-9)):
+        A = FiniteMetricSpace(S.dist, mu * a)
+        B = FiniteMetricSpace(S.dist, nu * b)
+        got = measure_compare(A, B)
+        assert got == pytest.approx(want, abs=2e-9 * S.diameter)
+        assert measure_compare(B, A) == pytest.approx(got, abs=1e-12)
+
+
 def test_measure_identical_weights():
     X = two_point_space(1.0, weights=(0.3, 0.7))
     assert measure_compare(X, X) == 0.0
@@ -780,6 +883,19 @@ def test_measure_matches_circle_w1_at_scale():
         mu, nu = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
         got = measure_compare(FiniteMetricSpace(S.dist, mu), FiniteMetricSpace(S.dist, nu))
         assert got == pytest.approx(circle_w1(mu, nu), abs=1e-7)
+
+
+def test_measure_exact_with_small_masses():
+    # Dirichlet(0.3) weights put many points far below 1/n; a feasibility
+    # tolerance absolute at 1e-7 lets the solver stop 2e-7 (relative)
+    # off the circle's W1 on the eighth of these
+    n = 200
+    S = circle_space(n)
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        mu, nu = rng.dirichlet(np.full(n, 0.3)), rng.dirichlet(np.full(n, 0.3))
+        got = measure_compare(FiniteMetricSpace(S.dist, mu), FiniteMetricSpace(S.dist, nu))
+        assert got == pytest.approx(circle_w1(mu, nu), rel=1e-12)
 
 
 def test_measure_requires_target():
