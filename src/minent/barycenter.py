@@ -550,24 +550,18 @@ class NaturalMapResult:
     components: np.ndarray
     energy: float
     bound: float
+    deficit: float
+    volume_ratio: float
     holds: bool
-    step: float
 
 
-def natural_map_discrete(
-    points: list[ProductPoint], c: float, x: ProductPoint, profile: ScalingProfile
-) -> np.ndarray:
-    """Unit vector with components proportional to exp(-c/2 d(x, p_j)).
-
-    Computed through a log-domain normalization, so the output is
-    finite whenever the distance gaps are; an error is raised only when
-    every raw component underflows in double precision.
-    """
+def _sphere_components(d: np.ndarray, c: float) -> np.ndarray:
+    """Unit vector proportional to exp(-c/2 d_j), normalized in the log
+    domain, so that it fails only if every raw component underflows."""
     if c <= 0:
         raise ValueError("the exponential rate c must be positive")
-    if len(points) < 2:
+    if d.size < 2:
         raise ValueError("need at least two reference points")
-    d = np.array([product_dist(x, p, profile) for p in points])
     loga = -0.5 * c * d
     if loga.max() < -700.0:
         raise ValueError(
@@ -578,45 +572,51 @@ def natural_map_discrete(
     return np.exp(loga - logz)
 
 
-def natural_map_energy(
-    points: list[ProductPoint],
-    c: float,
-    x: ProductPoint,
-    profile: ScalingProfile,
-    step: float = 1e-4,
-) -> NaturalMapResult:
-    """Finite-difference energy of the sphere map at x.
+def natural_map_discrete(
+    points: list[ProductPoint], c: float, x: ProductPoint, profile: ScalingProfile
+) -> np.ndarray:
+    """The sphere map at x: components proportional to exp(-c/2 d(x, p_j))."""
+    d = np.array([product_dist(x, p, profile) for p in points])
+    return _sphere_components(d, c)
 
-    Central differences of the components along an orthonormal frame of
-    the scaled metric; the energy (sum of squared differential norms)
-    is compared against c^2 / 4 with 5 percent headroom for the
-    discretization.
+
+def natural_map_energy(
+    points: list[ProductPoint], c: float, x: ProductPoint, profile: ScalingProfile
+) -> NaturalMapResult:
+    """Energy and volume of the sphere map at x, in closed form.
+
+    With a_j the components, g_j = grad d(., p_j) (unit) and
+    v = sum_j a_j^2 g_j, da_j = -(c/2) a_j (g_j - v): the pullback metric
+    G = (c^2/4)(sum_j a_j^2 g_j (x) g_j - v (x) v) has trace
+    (c^2/4)(1 - |v|^2), ``deficit`` is |v|^2, and by AM-GM
+    ``volume_ratio`` = det(G)^(1/2) / (c^2/4n)^(n/2) <= 1.
     """
-    comps = natural_map_discrete(points, c, x, profile)
-    energy = 0.0
-    for i, xf in enumerate(x.factors):
-        frame = tangent_frame(xf)
-        for a in range(xf.m):
-            vec = frame[a] / profile.alpha[i]
-            outs = []
-            for sgn in (+1.0, -1.0):
-                moved = list(x.factors)
-                moved[i] = exp_map(xf, TangentVector(xf, vec), sgn * step)
-                outs.append(
-                    natural_map_discrete(
-                        points, c, ProductPoint(tuple(moved)), profile
-                    )
-                )
-            diff = (outs[0] - outs[1]) / (2.0 * step)
-            energy += float(diff @ diff)
+    d, u = [], []  # per factor: d_ij and the unit gradients u_ij of d_ij
+    for i, xc in enumerate(xf.coords for xf in x.factors):
+        # from the chord w = x - p, |w| = 2 sinh(d/2): exactly 0 where x = p
+        w = xc - np.stack([pt.factors[i].coords for pt in points])
+        s = np.sqrt(np.maximum(minkowski_form(w, w), 0.0))[:, None]
+        d.append(2.0 * np.arcsinh(s[:, 0] / 2.0))
+        sh = s * np.sqrt(1.0 + s * s / 4.0)  # sinh d; sinh(d) u = w + (cosh d - 1) x
+        u.append(np.divide(w + s * s / 2.0 * xc, sh, out=np.zeros_like(w), where=s > 0))
+    dist = np.sqrt(sum((a * di) ** 2 for a, di in zip(profile.alpha, d)))
+    if not dist.all():  # x = p_j in every factor: d_j has no gradient
+        j = np.argmin(dist)
+        raise ValueError(f"x is reference point {j}, where d(., p_{j}) is not smooth")
+    comps = _sphere_components(dist, c)
+    # g_j by factor, scaled so that the form q measures the product metric
+    g = [(a * di / dist)[:, None] * ui for a, di, ui in zip(profile.alpha, d, u)]
+    v = [(comps * comps) @ gi for gi in g]
+    deficit = float(sum(minkowski_form(vi, vi) for vi in v))
+    # G / (c^2/4) has the nonzero spectrum of the Gram matrix of a_j (g_j - v)
+    rows = [comps[:, None] * (gi - vi) for gi, vi in zip(g, v)]
+    lam = np.linalg.eigvalsh(sum(minkowski_form(r[:, None], r[None]) for r in rows))
+    n = profile.n
+    volume = np.sqrt(np.prod(np.maximum(n * lam[-n:], 0.0))) if lam.size >= n else 0.0
     bound = c * c / 4.0
-    return NaturalMapResult(
-        components=comps,
-        energy=float(energy),
-        bound=bound,
-        holds=bool(energy <= bound * 1.05),
-        step=step,
-    )
+    energy = bound * (1.0 - deficit)
+    holds = bool(energy <= bound * (1.0 + 1e-12))
+    return NaturalMapResult(comps, energy, bound, deficit, float(volume), holds)
 
 
 # -- empirical Lipschitz data for the second form --------------------------

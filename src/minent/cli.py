@@ -315,19 +315,34 @@ def _run_natural_map(cfg: RunConfig, doc: ReportDocument, csv_dir):
         ProductPoint(tuple(random_point(rng, m, cfg.spread) for m in prof.dims))
         for _ in range(max(4, cfg.n_atoms * 2))
     ]
-    worst = 0.0
+    results = []
     for _ in range(cfg.draws):
         x = ProductPoint(tuple(random_point(rng, m, 1.0) for m in prof.dims))
-        res = natural_map_energy(pts, c, x, prof)
-        worst = max(worst, res.energy / res.bound)
-    print(f"draws={cfg.draws} c={c:.5f} worst energy/bound={worst:.5f}")
+        results.append(natural_map_energy(pts, c, x, prof))
+    worst = max(r.energy / r.bound for r in results)
+    deficit = min(r.deficit for r in results)
+    volume = max(r.volume_ratio for r in results)
+    print(
+        f"draws={cfg.draws} c={c:.5f} worst energy/bound={worst:.5f} "
+        f"min deficit={deficit:.5f} worst volume ratio={volume:.5f}"
+    )
+    inputs = {"draws": cfg.draws, "c": c, "seed": cfg.seed}
+    tol = 1.0 + 1e-12
     doc.add(
         "energy",
         "natural-map-energy",
-        {"draws": cfg.draws, "c": c, "seed": cfg.seed},
-        {"worst_ratio": worst},
-        worst <= 1.05,
-        tolerance=1.05,
+        inputs,
+        {"worst_ratio": worst, "min_deficit": deficit},
+        worst <= tol,
+        tolerance=tol,
+    )
+    doc.add(
+        "volume",
+        "natural-map-volume",
+        inputs,
+        {"worst_ratio": volume},
+        volume <= tol,
+        tolerance=tol,
     )
 
 

@@ -35,7 +35,8 @@ ANCHORS = {
     "jacobian-bound": "determinant ratio at the minimizer vs its bound",
     "bcg-determinant": "trace-one determinant inequality and equality case",
     "differential-bound": "finite-difference differential vs norm bound",
-    "natural-map-energy": "discrete sphere-map energy vs rate bound",
+    "natural-map-energy": "closed-form sphere-map energy vs rate bound",
+    "natural-map-volume": "closed-form sphere-map volume vs its AM-GM bound",
     "shortcut-turning": "corner-angle threshold and shortcut witness",
     "shortcut-metric": "grid path metric vs Euclidean comparison",
     "shortcut-region": "diagonal wedge where the shortcut is inactive",
@@ -44,7 +45,7 @@ ANCHORS = {
     "net-construction": "separated covering nets and edge-length intervals",
     "net-approximation": "two-sided graph-vs-target metric comparison",
     "gh-bounds": "correspondence distortion bounds on finite spaces",
-    "measure-discrepancy": "weighted-space comparison via test functions",
+    "measure-discrepancy": "weighted-space comparison via the primal transport LP",
     "config-echo": "resolved run configuration",
 }
 

@@ -2,7 +2,9 @@
 quadratic forms, the determinant inequalities, the differential bound,
 and the discrete sphere-valued map."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,9 +27,11 @@ from minent.barycenter import (
 )
 from minent.hyperbolic import (
     HyperboloidPoint,
+    TangentVector,
     apply_isometry,
     base_point,
     boundary_quadrature,
+    exp_map,
     random_boost,
     random_point,
     tangent_frame,
@@ -515,3 +519,90 @@ def test_natural_map_energy_bound(profile33):
         assert res.holds
         worst = max(worst, res.energy / res.bound)
     assert worst <= 1.05
+
+
+def fd_sphere_map(points, c, x, profile, step=1e-4):
+    """Oracle: central differences of the sphere map along an orthonormal
+    frame of the scaled metric.  Returns the energy (squared norm of the
+    J x n differential) and det(G)^(1/2) / (c^2/4n)^(n/2)."""
+    cols = []
+    for i, xf in enumerate(x.factors):
+        for vec in tangent_frame(xf) / profile.alpha[i]:
+            outs = []
+            for sgn in (+1.0, -1.0):
+                moved = list(x.factors)
+                moved[i] = exp_map(xf, TangentVector(xf, vec), sgn * step)
+                outs.append(
+                    natural_map_discrete(points, c, ProductPoint(tuple(moved)), profile)
+                )
+            cols.append((outs[0] - outs[1]) / (2.0 * step))
+    jac = np.array(cols).T
+    n = profile.n
+    gram_det = max(np.linalg.det(jac.T @ jac), 0.0)
+    return float(np.sum(jac * jac)), math.sqrt(gram_det) / (c * c / (4 * n)) ** (n / 2)
+
+
+def random_product_point(gen, dims, radius):
+    return ProductPoint(tuple(random_point(gen, m, radius) for m in dims))
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (3, 4), (3, 3, 5)])
+@pytest.mark.parametrize("minimal", [True, False])
+@pytest.mark.parametrize("c_factor", [0.5, 1.1, 2.0])
+def test_natural_map_energy_matches_fd(dims, minimal, c_factor):
+    profile = min_entropy_profile(dims, [2.0 + 0.5 * i for i in range(len(dims))])
+    if not minimal:
+        alpha = tuple(a * s for a, s in zip(profile.alpha, (0.6, 1.7, 1.2)))
+        profile = dataclasses.replace(profile, alpha=alpha)
+    c = c_factor * profile.h_min
+    gen = np.random.default_rng([*dims, int(minimal), int(10 * c_factor)])
+    # J - 1 >= n reference points, so that det(G) can be nonzero
+    pts = [random_product_point(gen, dims, 1.2) for _ in range(sum(dims) + 2)]
+    for _ in range(2):
+        x = random_product_point(gen, dims, 1.0)
+        res = natural_map_energy(pts, c, x, profile)
+        energy, volume = fd_sphere_map(pts, c, x, profile)
+        assert res.energy == pytest.approx(energy, rel=1e-6)
+        assert res.volume_ratio == pytest.approx(volume, rel=1e-5)
+        assert res.energy == pytest.approx(res.bound * (1.0 - res.deficit), rel=1e-15)
+        assert np.allclose(res.components, natural_map_discrete(pts, c, x, profile))
+        assert res.holds and 0.0 < res.volume_ratio <= 1.0
+
+
+def test_natural_map_energy_antipodal_pair(profile33):
+    # g_1 = -g_2 in factor 0, so v = 0 and E = c^2/4; G has rank 1
+    pts = [ProductPoint((radial(1.0), o3)), ProductPoint((radial(-1.0), o3))]
+    c = 2.5
+    res = natural_map_energy(pts, c, ProductPoint((o3, o3)), profile33)
+    assert res.energy == pytest.approx(c * c / 4.0, rel=1e-15)
+    assert abs(res.deficit) <= 1e-15
+    assert res.volume_ratio == 0.0
+    # still equidistant, displaced 0.7 in factor 1: v = (alpha_1 0.7 / D) u_1
+    a0, a1 = profile33.alpha
+    res = natural_map_energy(pts, c, ProductPoint((o3, radial(0.7))), profile33)
+    d_sq = a0**2 + (0.7 * a1) ** 2
+    assert res.energy == pytest.approx(c * c / 4.0 * a0**2 / d_sq, rel=1e-14)
+    assert res.deficit == pytest.approx((0.7 * a1) ** 2 / d_sq, rel=1e-14)
+
+
+def test_natural_map_energy_coincident_factor(profile33):
+    # x meets p_2 in factor 0 only: d_2 is smooth there and finite
+    gen = np.random.default_rng(29)
+    c = 1.1 * profile33.h_min
+    pts = [random_product_point(gen, (3, 3), 1.2) for _ in range(8)]
+    x = ProductPoint((pts[2].factors[0], random_point(gen, 3, 1.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = natural_map_energy(pts, c, x, profile33)
+    assert np.isfinite([res.energy, res.deficit, res.volume_ratio]).all()
+    assert res.holds
+    energy, volume = fd_sphere_map(pts, c, x, profile33)
+    assert res.energy == pytest.approx(energy, rel=1e-6)
+    assert res.volume_ratio == pytest.approx(volume, rel=1e-5)
+
+
+def test_natural_map_energy_at_reference_point(profile33):
+    gen = np.random.default_rng(31)
+    pts = [random_product_point(gen, (3, 3), 1.2) for _ in range(6)]
+    with pytest.raises(ValueError, match="reference point 3"):
+        natural_map_energy(pts, 1.1 * profile33.h_min, pts[3], profile33)

@@ -3,6 +3,9 @@ drivers, exercised in process through main()."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -526,3 +529,24 @@ def test_ghnet_subcommand(tmp_path):
     assert all(c["passed"] for c in by_anchor["net-approximation"])
     assert all(c["passed"] for c in by_anchor["gh-bounds"])
     assert all(c["passed"] for c in by_anchor["measure-discrepancy"])
+
+
+def test_short_subcommands_import_no_scipy():
+    # The five short subcommands spend most of their time importing;
+    # scipy would add about 0.1 s to each call.  Only shortcut and ghkit
+    # may pull it in, and hyperbolic imports expm inside a function.
+    code = (
+        "import sys\n"
+        "import minent.cli, minent.config, minent.reports, minent.products\n"
+        "import minent.hyperbolic, minent.barycenter\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.strip() == "[]"
