@@ -396,14 +396,15 @@ def bcg_campaign(
     rng = np.random.default_rng(seed)
     lam = rng.dirichlet(np.ones(n), size=count)
     gauss = rng.standard_normal((count, n, n))
-    q, r = np.linalg.qr(gauss)
-    sign = np.sign(np.einsum("cii->ci", r))
-    q = q * sign[:, None, :]
     ratios = np.sqrt(np.prod(lam, axis=1)) / np.prod(1.0 - lam, axis=1)
     bound = (np.sqrt(n) / (n - 1)) ** n
     # The ratio depends only on the spectrum; assemble a few full
-    # matrices and push them through the scalar check as a route check.
+    # matrices and push them through the scalar check as a route check;
+    # only their frames get a QR.
     spot = min(8, count)
+    q, r = np.linalg.qr(gauss[:spot])
+    sign = np.sign(np.einsum("cii->ci", r))
+    q = q * sign[:, None, :]
     spot_err = 0.0
     for c in range(spot):
         Hc = (q[c] * lam[c][None, :]) @ q[c].T

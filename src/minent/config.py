@@ -89,7 +89,7 @@ class RunConfig:
         if not (0 < self.sc_spacing <= 0.05):
             raise ConfigError("[shortcut] spacing must lie in (0, 0.05]")
         if self.sc_extent / self.sc_spacing > 1000:
-            # grid memory grows with side^2, about 1.1 KB per node
+            # grid memory grows with side^2, about 0.55 KB per node at peak
             raise ConfigError(
                 "[shortcut] extent / spacing must be at most 1000 "
                 "(a grid of at most 1001 x 1001 nodes)"

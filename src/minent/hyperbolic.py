@@ -12,7 +12,7 @@ anchors every horofunction at the base point: busemann value 0 at o.
 
 The closed forms used here are exact in this model:
 
-* distance          arccosh(-q(x, y))
+* distance          arccosh(-q(x, y)) = 2 asinh(|x - y| / 2)
 * geodesic flow     cosh(t |v|) x + sinh(t |v|) v / |v|
 * horofunction      B(x, xi) = log(-q(x, xi))
 * its gradient      x - xi / (-q(x, xi)), a unit tangent vector
@@ -171,17 +171,20 @@ class TangentVector:
 
 
 def dist(x: HyperboloidPoint, y: HyperboloidPoint) -> float:
-    """Geodesic distance arccosh(-q(x, y)).
+    """Geodesic distance, by the chord form 2 asinh(|w| / 2) with
+    w = x - y and |w|^2 = q(w, w) = 2 cosh d - 2.
 
-    Values of -q(x, y) slightly below 1 (floating point drift for nearby
-    points) are clamped to 1; anything below 1 - 1e-9 is rejected.
+    Unlike arccosh(-q(x, y)), whose error near 0 is sqrt(2 eps), the
+    chord form is 0 for equal points and keeps full relative precision
+    for near ones.  Inputs with -q(x, y) below 1 - 1e-9 are rejected.
     """
     if x.m != y.m:
         raise ValueError(f"dimension mismatch: H^{x.m} vs H^{y.m}")
     inner = -minkowski_form(x.coords, y.coords)
     if inner < 1.0 - _DIST_CLAMP:
         raise ValueError(f"-q(x, y) = {inner!r} < 1: inputs are not hyperboloid points")
-    return float(np.arccosh(max(inner, 1.0)))
+    w = x.coords - y.coords
+    return float(2.0 * np.arcsinh(np.sqrt(max(minkowski_form(w, w), 0.0)) / 2.0))
 
 
 def exp_map(x: HyperboloidPoint, v: TangentVector, t: float = 1.0) -> HyperboloidPoint:

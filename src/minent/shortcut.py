@@ -193,49 +193,79 @@ class CornerPath:
 def _stencil(side: int, spacing: float) -> csr_matrix:
     """Shortcut-free grid graph on side x side nodes: every stencil
     move at its Euclidean cost, each undirected edge stored once, from
-    its lower node index.  Shared between callers: copy to reweight."""
+    its lower node index.  Shared between callers, so its arrays are
+    read-only.
+
+    Written straight into CSR.  With the moves sorted by their flat
+    offset dx * side + dy, positive for every move that fits, each
+    row's columns come out sorted."""
     N = side
-    rows, cols, costs = [], [], []
-    for dx, dy in _HALF_STENCIL:
-        i0, i1 = max(0, -dx), N - max(0, dx)
-        j0, j1 = max(0, -dy), N - max(0, dy)
-        ii, jj = np.meshgrid(
-            np.arange(i0, i1), np.arange(j0, j1), indexing="ij"
-        )
-        src = (ii * N + jj).ravel()
-        rows.append(src)
-        cols.append(src + dx * N + dy)
-        costs.append(np.full(src.size, spacing * math.hypot(dx, dy)))
-    return csr_matrix(
-        (np.concatenate(costs), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(N * N, N * N),
-    )
+    moves = sorted(_HALF_STENCIL, key=lambda m: m[0] * N + m[1])
+    # the nodes each move leaves from, as slices of the node grid
+    blocks = [
+        np.s_[: max(0, N - dx), max(0, -dy) : max(0, N - max(0, dy))]
+        for dx, dy in moves
+    ]
+    count = np.zeros((N, N), dtype=np.int32)
+    for block in blocks:
+        count[block] += 1
+    indptr = np.zeros(N * N + 1, dtype=np.int32)
+    np.cumsum(count, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1])
+    flat = np.arange(N * N, dtype=np.int32).reshape(N, N)
+    slot = indptr[:-1].reshape(N, N).copy()  # next free entry of each row
+    for (dx, dy), block in zip(moves, blocks):
+        at = slot[block]
+        indices[at] = flat[block] + (dx * N + dy)
+        data[at] = spacing * math.hypot(dx, dy)
+        slot[block] += 1
+    for a in (data, indices, indptr):
+        a.flags.writeable = False
+    return csr_matrix((data, indices, indptr), shape=(N * N, N * N))
 
 
 class _GridEngine:
-    """Sparse graph for one model, with cached distance fields.
+    """Distance fields for one model, on its grid's shared stencil.
 
-    The graph is the grid's shared stencil with the segment's cheap
-    edges reweighted, so every model on one grid has the same sparsity
-    pattern and edge order."""
+    The engine keeps no graph of its own: only where the segment's
+    cheap edges sit in the stencil's data array and their discounted
+    cost, plus its cached fields.  Every model on one grid therefore
+    has the same sparsity pattern and edge order."""
 
     def __init__(self, model: ShortcutModel):
         self.model = model
         N = model.side
         self.N = N
         d = model.spacing
-        self.graph = _stencil(N, d).copy()
+        stencil = _stencil(N, d)
         lo, hi, off = model.segment
         # cheap edges: the unit moves whose both ends lie on the segment
         ii = np.arange(int(math.ceil(lo / d - 1e-9)), int(math.floor(hi / d + 1e-9)))
         jj = int(round(off / d)) + (ii if model.orientation == "diagonal" else 0)
         dx, dy = (1, 0) if model.orientation == "horizontal" else (1, 1)
         src = ii * N + jj
-        self.graph[src, src + dx * N + dy] = math.sqrt(model.eta) * (
-            d * math.hypot(dx, dy)
+        row = stencil.indptr
+        self._cheap_pos = np.array(
+            [
+                row[s] + np.searchsorted(stencil.indices[row[s] : row[s + 1]], t)
+                for s, t in zip(src.tolist(), (src + dx * N + dy).tolist())
+            ],
+            dtype=np.int64,
         )
-        self._fields: dict[int, np.ndarray] = {}
-        self._preds: dict[int, np.ndarray] = {}
+        self._cheap_cost = math.sqrt(model.eta) * (d * math.hypot(dx, dy))
+        self._fields: dict[tuple[int, float], np.ndarray] = {}
+        self._preds: dict[tuple[int, float], np.ndarray] = {}
+
+    @property
+    def graph(self) -> csr_matrix:
+        """The model's graph: the stencil's indices and indptr, shared,
+        with one fresh data array carrying the cheap edges.  Built on
+        every access; hold it only as long as one search needs it."""
+        stencil = _stencil(self.N, self.model.spacing)
+        data = stencil.data.copy()
+        data[self._cheap_pos] = self._cheap_cost
+        return csr_matrix((data, stencil.indices, stencil.indptr), shape=stencil.shape)
 
     def node_of(self, point):
         """Flat index of the grid node nearest a point, or an array of
@@ -253,20 +283,30 @@ class _GridEngine:
         d = self.model.spacing
         return np.stack([(flat // self.N) * d, (flat % self.N) * d], axis=-1)
 
-    def field(self, src: int, predecessors: bool = False) -> np.ndarray:
-        if predecessors and src not in self._preds:
-            dist, pred = _dijkstra(
-                self.graph, directed=False, indices=src, return_predecessors=True
+    def field(
+        self, src: int, predecessors: bool = False, limit: float = math.inf
+    ) -> np.ndarray:
+        """Grid distances from node src.  With a finite limit the search
+        stops there and farther nodes read inf; such fields are cached
+        apart from full ones, keyed by (src, limit)."""
+        key = (src, limit)
+        if key not in self._fields or (predecessors and key not in self._preds):
+            out = _dijkstra(
+                self.graph,
+                directed=False,
+                indices=src,
+                return_predecessors=predecessors,
+                limit=limit,
             )
-            self._fields[src] = dist
-            self._preds[src] = pred
-        elif src not in self._fields:
-            self._fields[src] = _dijkstra(self.graph, directed=False, indices=src)
-        return self._fields[src]
+            if predecessors:
+                self._fields[key], self._preds[key] = out
+            else:
+                self._fields[key] = out
+        return self._fields[key]
 
     def predecessors(self, src: int) -> np.ndarray:
         self.field(src, predecessors=True)
-        return self._preds[src]
+        return self._preds[(src, math.inf)]
 
 
 @functools.lru_cache(maxsize=8)
@@ -379,8 +419,9 @@ def extract_grid_path(model: ShortcutModel, a, b) -> CornerPath:
     chain.reverse()
     verts = eng.coords(np.array(chain))
     # the graph stores each edge once, from the lower node index
+    graph = eng.graph
     mults = [
-        float(eng.graph[min(u, v), max(u, v)]) / math.dist(verts[k], verts[k + 1])
+        float(graph[min(u, v), max(u, v)]) / math.dist(verts[k], verts[k + 1])
         for k, (u, v) in enumerate(zip(chain[:-1], chain[1:]))
     ]
     # merge collinear same-cost steps so turning angles are meaningful
@@ -490,16 +531,18 @@ def eta_entropy_estimate(
     sinh^(n-1)(r1) sinh^(n-1)(r2).
 
     Cell masses accumulate in the log domain, sorted by grid distance,
-    so sinh overflow never occurs.
+    so sinh overflow never occurs.  The search stops at the largest rho:
+    only the cells it reaches carry mass.
     """
     if not (0 < radius_lo < radius_hi):
         raise ValueError("need 0 < radius_lo < radius_hi")
     if radius_hi > model.extent:
         raise ValueError("radius range exceeds the grid extent")
+    rho = np.arange(radius_lo, radius_hi + 1e-9, rho_step)
     eng = _engine(model)
-    origin = eng.node_of((0.0, 0.0))
-    dist = eng.field(origin)
-    pts = eng.coords(np.arange(eng.N * eng.N))
+    dist = eng.field(eng.node_of((0.0, 0.0)), limit=float(rho[-1]))
+    reached = np.flatnonzero(np.isfinite(dist))
+    pts = eng.coords(reached)
     p = model.n - 1
     with np.errstate(divide="ignore"):
         log_mass = (
@@ -508,8 +551,7 @@ def eta_entropy_estimate(
             + p * np.log(np.sinh(pts[:, 1]))
         )
     finite = np.isfinite(log_mass)
-    rho = np.arange(radius_lo, radius_hi + 1e-9, rho_step)
-    log_v = _log_ball_volume(dist[finite], log_mass[finite], rho)
+    log_v = _log_ball_volume(dist[reached][finite], log_mass[finite], rho)
     return _fit_slope(rho, log_v, "shortcut-grid")
 
 

@@ -62,6 +62,34 @@ def test_dist_matches_radial_construction():
         assert dist(o3, pt(r, [1, 0, 0])) == pytest.approx(r, rel=1e-9)
 
 
+def test_dist_of_a_point_to_itself_is_zero():
+    # arccosh(-q(p, p)) reads up to 4e-8 here, since -q rounds to 1 + eps
+    gen = np.random.default_rng(31)
+    for _ in range(1000):
+        p = random_point(gen, 3, 1.2)
+        assert dist(p, p) == 0.0
+
+
+def test_dist_resolves_short_geodesics():
+    # from the base point exp_map computes (cosh t, sinh t u) with no
+    # cancellation, so the geodesic's length is known to the last bit;
+    # elsewhere the endpoint's rounding, eps |x|, swamps t near 1e-12
+    gen = np.random.default_rng(8)
+    for _ in range(20):
+        u = gen.standard_normal(3)
+        v = TangentVector(o3, np.concatenate([[0.0], u / np.linalg.norm(u)]))
+        for t in np.logspace(-12, -3, 19):
+            assert dist(o3, exp_map(o3, v, t)) == pytest.approx(t, rel=1e-12)
+
+
+def test_dist_rejects_non_hyperboloid_input():
+    x = pt(1.0, [1, 0, 0])
+    fake = HyperboloidPoint.__new__(HyperboloidPoint)
+    object.__setattr__(fake, "coords", np.array([0.5, 0.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="not hyperboloid points"):
+        dist(x, fake)
+
+
 def test_dist_colocated_clamp():
     x = pt(2.0, [1, 1, 0])
     wiggle = HyperboloidPoint(x.coords * (1 + 1e-13))

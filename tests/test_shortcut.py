@@ -3,10 +3,12 @@ metric, the diagonal region, growth sweeps, and branching minimizers."""
 
 import dataclasses
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
+from scipy.sparse import SparseEfficiencyWarning, csr_matrix
 
 from minent.products import entropy_growth_numeric
 from minent.shortcut import (
@@ -26,7 +28,7 @@ from minent.shortcut import (
     shorter_path_witness,
     turning_angle_threshold,
 )
-from minent.shortcut import _HALF_STENCIL, _GridEngine, _engine
+from minent.shortcut import _HALF_STENCIL, _GridEngine, _engine, _stencil
 
 ROOT2 = math.sqrt(2.0)
 
@@ -413,6 +415,76 @@ def test_engine_graph_matches_per_model_build(model):
         assert np.array_equal(getattr(got, attr), getattr(want, attr))
     plain = per_model_graph(dataclasses.replace(model, eta=1.0))
     assert (got.data != plain.data).any() == (model.eta < 1.0)
+
+
+@pytest.mark.parametrize("spacing", [0.05, 0.03])
+@pytest.mark.parametrize("side", [2, 3, 4, 7])
+def test_stencil_matches_coo_build(side, spacing):
+    # small sides, where the longer moves fit nowhere or only in part
+    extent = (side - 1) * spacing
+    model = ShortcutModel(spacing=spacing, extent=extent, segment=(0.0, extent, 0.0))
+    assert model.side == side
+    got, want = _stencil(side, spacing), per_model_graph(model)
+    assert got.shape == want.shape
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr))
+
+
+def test_engine_graph_shares_the_stencil_pattern():
+    model = small_model(eta=0.4)
+    stencil = _stencil(model.side, model.spacing)
+    plain = stencil.data.copy()
+    graph = _GridEngine(model).graph
+    assert np.shares_memory(graph.indices, stencil.indices)
+    assert np.shares_memory(graph.indptr, stencil.indptr)
+    assert not np.shares_memory(graph.data, stencil.data)
+    # reweighting leaves the shared stencil as it was
+    assert (graph.data != plain).any()
+    assert np.array_equal(stencil.data, plain)
+    assert not stencil.data.flags.writeable
+
+
+def test_limited_field_matches_full_field():
+    eng = _GridEngine(small_model(eta=0.5))
+    src = eng.node_of((1.5, 1.0))
+    full = eng.field(src)
+    for limit in (0.5, 2.35, 4.0):
+        limited = eng.field(src, limit=limit)
+        near = full <= limit
+        assert near.sum() > 1 and (~near).any()
+        assert np.array_equal(limited[near], full[near])
+        assert np.isposinf(limited[~near]).all()
+        # full and limited fields are cached apart
+        assert eng.field(src, limit=limit) is limited
+    assert eng.field(src) is full
+
+
+def test_engine_raises_no_sparse_efficiency_warning():
+    # a grid no other test uses, so the stencil is built here too
+    model = ShortcutModel(
+        eta=0.5, segment=(0.5, 1.5, 0.51), spacing=0.03, extent=2.1
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SparseEfficiencyWarning)
+        eng = _GridEngine(model)
+        eng.field(0)
+        extract_grid_path(model, (0.3, 0.3), (1.8, 0.6))
+
+
+def test_growth_estimate_keeps_fields_not_graphs():
+    # with the grid's stencil cached, a growth estimate on a model no
+    # other test builds leaves its engine holding fields only: a copy
+    # of the graph would hold about the stencil's bytes
+    model = diag_model(0.37, extent=12.0)
+    stencil = _stencil(model.side, model.spacing)
+    size = stencil.data.nbytes + stencil.indices.nbytes + stencil.indptr.nbytes
+    tracemalloc.start()
+    try:
+        eta_entropy_estimate(model, 5.0, 9.0)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 0.1 * size
 
 
 # -- diagonal region -------------------------------------------------------
