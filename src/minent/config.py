@@ -73,6 +73,10 @@ class RunConfig:
             raise ConfigError("[quadrature] count must be at least 12")
         if self.seed < 0:
             raise ConfigError("[run] seed must be nonnegative")
+        if not (0 < self.spread <= 6):
+            # hyperboloid points hold |q(x, x) + 1| <= 1e-10 only up to
+            # a distance of about 8 from the base point
+            raise ConfigError("[run] spread must lie in (0, 6]")
         for key in ("n_atoms", "draws", "bcg_count"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"[run] {key} must be at least 1")

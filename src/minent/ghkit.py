@@ -23,7 +23,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import pdist, squareform
 
 __all__ = [
     "FiniteMetricSpace",
@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 _EXACT_CAP = 9
+# candidate routes per point in measure_compare's first restricted LP
+_ROUTES = 16
 
 
 @dataclass(frozen=True)
@@ -87,8 +89,7 @@ class FiniteMetricSpace:
             raise ValueError("distances must be nonnegative")
         d = np.where(d == d.T, d, 0.5 * d + 0.5 * d.T)
         # the pairs i < j in pdist's order; a single point has none
-        iu = np.triu_indices(n, 1)
-        if n > 1 and (pdist(d, "chebyshev") - d[iu]).max() > 1e-9:
+        if n > 1 and (pdist(d, "chebyshev") - squareform(d, checks=False)).max() > 1e-9:
             raise ValueError("triangle inequality violated beyond 1e-9")
         object.__setattr__(self, "dist", d)
         if self.weights is not None:
@@ -570,10 +571,18 @@ def measure_compare(
     the identity, for a Y of X's size).
 
     Primal transport LP: surplus points (mu > nu) ship to deficit
-    points (mu < nu) at cost X.dist, one variable per such pair.  The
+    points (mu < nu) at cost X.dist, one variable per such route.  The
     weight sums may differ by the validator's 1e-9, so the heavier side
     ships at most its surplus and the other receives exactly its
     deficit; the LP is always feasible.
+
+    An optimal plan uses about p + q of the p * q routes, nearly all
+    between near neighbours, so the LP is solved by route pricing
+    (delayed column generation).  It starts on each point's `_ROUTES`
+    nearest routes plus the northwest-corner plan, which keeps every
+    restricted LP feasible, then adds each route whose reduced cost
+    under the restricted LP's duals is negative.  When none is left the
+    duals certify that the restricted optimum is the full LP's.
     """
     mu = X.effective_weights()
     if Y is None:
@@ -592,25 +601,71 @@ def measure_compare(
     snk = np.flatnonzero(delta < 0)
     if not snk.size:
         return 0.0
-    # variable a * q + b ships from src[a] to snk[b]: one nonzero in
-    # its supply row a and one in its demand row b
-    q = snk.size
-    var = np.arange(src.size * q)
-    ones = np.ones(var.size)
-    res = linprog(
-        X.dist[np.ix_(src, snk)].ravel(),
-        A_ub=csr_matrix((ones, (var // q, var)), shape=(src.size, var.size)),
-        b_ub=delta[src],
-        A_eq=csr_matrix((ones, (var % q, var)), shape=(q, var.size)),
-        b_eq=-delta[snk],
-        method="highs",
-        # the default 1e-7 is absolute and masses are often far below
-        # 1: a vertex off its demand by 5e-8 put W1 off by 5e-7 relative
-        options={"primal_feasibility_tolerance": 1e-10},
-    )
-    if not res.success:
-        raise RuntimeError(f"discrepancy LP failed: {res.message}")
-    return float(res.fun)
+    supply, demand = delta[src], -delta[snk]
+    cost = X.dist[np.ix_(src, snk)]
+    # HiGHS's optimality tolerances are absolute: solve with the largest
+    # cost scaled into [1, 2) by a power of two, which is exact
+    shift = math.frexp(cost.max())[1] - 1
+    cost = np.ldexp(cost, -shift)
+    p, q = cost.shape
+    active = _starting_routes(cost, supply, demand)
+    floor = -1e-12 * cost.max()
+    while True:
+        # active routes in row-major order; route k ships from
+        # src[rows[k]] to snk[cols[k]]: one nonzero in its supply row
+        # and one in its demand row
+        rows, cols = np.nonzero(active)
+        var = np.arange(rows.size)
+        ones = np.ones(var.size)
+        res = linprog(
+            cost[rows, cols],
+            A_ub=csr_matrix((ones, (rows, var)), shape=(p, var.size)),
+            b_ub=supply,
+            A_eq=csr_matrix((ones, (cols, var)), shape=(q, var.size)),
+            b_eq=demand,
+            method="highs-ds",
+            # the default 1e-7 is absolute and masses are often far below
+            # 1: a vertex off its demand by 5e-8 put W1 off by 5e-7
+            # relative.  Presolve and HiGHS's default edge weights cost
+            # more than they save on these small, well-posed LPs.
+            options={
+                "primal_feasibility_tolerance": 1e-10,
+                "presolve": False,
+                "simplex_dual_edge_weight_strategy": "dantzig",
+            },
+        )
+        if not res.success:
+            raise RuntimeError(f"discrepancy LP failed: {res.message}")
+        reduced = cost - res.ineqlin.marginals[:, None] - res.eqlin.marginals[None, :]
+        priced = (reduced < floor) & ~active
+        if not priced.any():
+            return math.ldexp(res.fun, shift)
+        active |= priced
+
+
+def _starting_routes(cost, supply, demand) -> np.ndarray:
+    """Boolean p x q mask of the first restricted LP's routes: each
+    surplus point's `_ROUTES` nearest deficit points, each deficit
+    point's `_ROUTES` nearest surplus points, and the northwest-corner
+    plan.  Nearest routes alone can leave a set of deficit points whose
+    neighbours cannot cover them (Hall's condition); the corner plan is
+    a feasible plan, so every restricted LP is feasible."""
+    p, q = cost.shape
+    active = np.zeros((p, q), dtype=bool)
+    k = min(_ROUTES, q)
+    near = np.argpartition(cost, k - 1, axis=1)[:, :k]
+    active[np.arange(p)[:, None], near] = True
+    k = min(_ROUTES, p)
+    near = np.argpartition(cost, k - 1, axis=0)[:k, :]
+    active[near, np.arange(q)[None, :]] = True
+    # corner plan: demand point j draws on the surplus points whose
+    # cumulative-supply interval meets its cumulative-demand interval;
+    # consecutive columns share a row, so the cells form one staircase
+    last = np.minimum(np.searchsorted(np.cumsum(supply), np.cumsum(demand)), p - 1)
+    first = np.concatenate(([0], last[:-1]))
+    for j in range(q):
+        active[first[j]:last[j] + 1, j] = True
+    return active
 
 
 # -- sample spaces ---------------------------------------------------------

@@ -152,6 +152,9 @@ def test_ini_empty_file(tmp_path):
         ("region_c", math.nan, "[shortcut]"),
         ("gh_eps", math.nan, "[ghnet]"),
         ("dims", (2, 3), "[profile]"),
+        ("spread", 0.0, "[run]"),
+        ("spread", -1.0, "[run]"),
+        ("spread", 8.0, "[run]"),
     ],
 )
 def test_validation_names_the_section(field, value, section):
@@ -492,6 +495,14 @@ def test_bcg_subcommand(tmp_path):
 def test_natural_map_subcommand(tmp_path):
     quick = write_ini(tmp_path, "[run]\ndraws = 20\n")
     assert main(["--config", quick, "natural-map"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("sub", ["barycenter", "natural-map"])
+def test_largest_valid_spread_runs(tmp_path, sub):
+    # points at distance 6 from the base still hold the hyperboloid
+    # tolerance; at 8 a draw can fail its own assert
+    far = write_ini(tmp_path, "[run]\nspread = 6\ndraws = 20\n")
+    assert main(["--config", far, sub]) == EXIT_OK
 
 
 def test_shortcut_subcommand(tmp_path):

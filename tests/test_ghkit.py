@@ -3,8 +3,8 @@ discrepancy, each checked against a route the implementation does not
 share: the n^3 tensor for the triangle check, Floyd-Warshall for
 shortest paths, full correspondence enumeration and the full-recompute
 greedy search for GH, and the dense primal transport program, the
-Kantorovich-Rubinstein dual LP and the circle's closed-form W1 for the
-discrepancy."""
+transport LP on all routes, the Kantorovich-Rubinstein dual LP and the
+circle's closed-form W1 for the discrepancy."""
 
 import itertools
 import math
@@ -896,6 +896,131 @@ def test_measure_exact_with_small_masses():
         mu, nu = rng.dirichlet(np.full(n, 0.3)), rng.dirichlet(np.full(n, 0.3))
         got = measure_compare(FiniteMetricSpace(S.dist, mu), FiniteMetricSpace(S.dist, nu))
         assert got == pytest.approx(circle_w1(mu, nu), rel=1e-12)
+
+
+def full_transport_lp(dist, mu, nu):
+    """W1 by the primal transport LP on all p * q surplus-to-deficit
+    routes at once, the route measure_compare prices its way around."""
+    delta = mu - nu
+    if delta.sum() < 0:
+        delta = -delta
+    src = np.flatnonzero(delta > 0)
+    snk = np.flatnonzero(delta < 0)
+    if not snk.size:
+        return 0.0
+    q = snk.size
+    var = np.arange(src.size * q)
+    ones = np.ones(var.size)
+    res = linprog(
+        dist[np.ix_(src, snk)].ravel(),
+        A_ub=csr_matrix((ones, (var // q, var)), shape=(src.size, var.size)),
+        b_ub=delta[src],
+        A_eq=csr_matrix((ones, (var % q, var)), shape=(q, var.size)),
+        b_eq=-delta[snk],
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10},
+    )
+    assert res.success
+    return float(res.fun)
+
+
+def _space(kind, n, rng):
+    if kind == "circle":
+        return circle_space(n)
+    if kind == "torus":
+        side = round(math.sqrt(n))
+        return torus_grid_space(side, side)
+    if kind == "tree":
+        return random_tree_space(n, seed=int(rng.integers(2**31)))
+    return plane_space(rng, n)
+
+
+def _weights(kind, n, rng):
+    if kind == "point":
+        return np.eye(n)[rng.integers(n)]
+    return rng.dirichlet(np.full(n, kind))
+
+
+@pytest.mark.parametrize("weights", [1.0, 0.3, 0.05, "point"])
+@pytest.mark.parametrize("kind", ["circle", "torus", "tree", "plane"])
+@pytest.mark.parametrize("n", [40, 150])
+def test_measure_matches_full_lp(kind, n, weights):
+    rng = np.random.default_rng([n, len(kind), len(str(weights))])
+    S = _space(kind, n, rng)
+    for _ in range(2):
+        mu, nu = rng.dirichlet(np.ones(S.size)), _weights(weights, S.size, rng)
+        got = measure_compare(FiniteMetricSpace(S.dist, mu), FiniteMetricSpace(S.dist, nu))
+        assert got == pytest.approx(full_transport_lp(S.dist, mu, nu), rel=1e-12)
+
+
+@pytest.mark.parametrize("weights", [1.0, 0.05])
+def test_measure_many_to_one_mapping_matches_full_lp(weights):
+    # 60 points of Y land on at most 60 of X's 150, several on one point
+    rng = np.random.default_rng(41)
+    X = FiniteMetricSpace(plane_space(rng, 150).dist, rng.dirichlet(np.ones(150)))
+    Y = FiniteMetricSpace(plane_space(rng, 60).dist, _weights(weights, 60, rng))
+    mapping = rng.integers(150, size=60)
+    assert np.unique(mapping).size < 60
+    nu = np.zeros(150)
+    np.add.at(nu, mapping, Y.weights)
+    got = measure_compare(X, Y, mapping=mapping)
+    assert got == pytest.approx(full_transport_lp(X.dist, X.weights, nu), rel=1e-12)
+
+
+@pytest.mark.parametrize("scale,n", [(1e-6, 200), (1e6, 60)])
+def test_measure_scaled_circle_matches_closed_form(scale, n):
+    # HiGHS's optimality tolerances are absolute; at scale 1e-6 an
+    # unscaled solve stopped 1 % off the circle's W1.  At scale 1e6 the
+    # rounded distances fail the 1e-9 triangle check beyond 60 points.
+    S = FiniteMetricSpace(circle_space(n).dist * scale)
+    rng = np.random.default_rng(53)
+    for _ in range(3):
+        mu, nu = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+        got = measure_compare(FiniteMetricSpace(S.dist, mu), FiniteMetricSpace(S.dist, nu))
+        assert got == pytest.approx(scale * circle_w1(mu, nu), rel=1e-9)
+
+
+def test_measure_prices_few_routes(monkeypatch):
+    # the full LP has p * q columns; pricing solves a few LPs on a
+    # fraction of them
+    sizes = []
+
+    def counted(c, **kwargs):
+        sizes.append(c.size)
+        return linprog(c, **kwargs)
+
+    monkeypatch.setattr(ghkit, "linprog", counted)
+    n = 300
+    S = circle_space(n)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        mu, nu = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+        routes = np.count_nonzero(mu > nu) * np.count_nonzero(mu < nu)
+        sizes.clear()
+        measure_compare(FiniteMetricSpace(S.dist, mu), FiniteMetricSpace(S.dist, nu))
+        assert 1 <= len(sizes) <= 4
+        assert max(sizes) <= 0.3 * routes
+
+
+def test_measure_failure_in_a_pricing_round_raises(monkeypatch):
+    from types import SimpleNamespace
+
+    calls = []
+
+    def fails_second(c, **kwargs):
+        calls.append(c.size)
+        if len(calls) == 2:
+            return SimpleNamespace(success=False, message="stub failure", fun=0.0)
+        return linprog(c, **kwargs)
+
+    monkeypatch.setattr(ghkit, "linprog", fails_second)
+    n = 300
+    rng = np.random.default_rng(0)
+    mu, nu = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+    S = circle_space(n)
+    with pytest.raises(RuntimeError, match="stub failure"):
+        measure_compare(FiniteMetricSpace(S.dist, mu), FiniteMetricSpace(S.dist, nu))
+    assert len(calls) == 2
 
 
 def test_measure_requires_target():
