@@ -55,9 +55,9 @@ _ROUTES = 16
 class FiniteMetricSpace:
     """Distance matrix with optional weights.
 
-    Validates the metric axioms up front, so downstream code never
-    re-checks: finite entries, zero diagonal, symmetry within 1e-12,
-    triangle inequality within 1e-9, weights a probability vector.
+    Validates the metric axioms of outside input up front: finite
+    entries, zero diagonal, symmetry within 1e-12, triangle inequality
+    within 1e-9, weights a probability vector (see _trusted).
 
     The matrix is stored bit-symmetric (an entry that differs from its
     transpose becomes 0.5 d_ij + 0.5 d_ji; float addition commutes).
@@ -71,7 +71,7 @@ class FiniteMetricSpace:
     weights: np.ndarray | None = None
 
     def __post_init__(self):
-        d = np.asarray(self.dist, dtype=float)
+        d = np.array(self.dist, dtype=float)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError("distance matrix must be square")
         n = d.shape[0]
@@ -83,11 +83,13 @@ class FiniteMetricSpace:
             raise ValueError("distances must be finite")
         if np.abs(np.diag(d)).max() > 0:
             raise ValueError("diagonal must be zero")
-        if np.abs(d - d.T).max() > 1e-12:
+        # exactly antisymmetric, so its max is the max of its magnitude
+        skew = d - d.T
+        if skew.max() > 1e-12:
             raise ValueError("distance matrix must be symmetric")
         if d.min() < 0:
             raise ValueError("distances must be nonnegative")
-        d = np.where(d == d.T, d, 0.5 * d + 0.5 * d.T)
+        _symmetrize(d, skew)
         # the pairs i < j in pdist's order; a single point has none
         if n > 1 and (pdist(d, "chebyshev") - squareform(d, checks=False)).max() > 1e-9:
             raise ValueError("triangle inequality violated beyond 1e-9")
@@ -97,6 +99,15 @@ class FiniteMetricSpace:
             if w.shape != (n,) or w.min() < 0 or abs(w.sum() - 1.0) > 1e-9:
                 raise ValueError("weights must be a probability vector")
             object.__setattr__(self, "weights", w)
+
+    @classmethod
+    def _trusted(cls, dist: np.ndarray, weights: np.ndarray | None = None):
+        """Store a bit-symmetric float metric and probability weights as
+        given, without checks: for this module's own constructors."""
+        X = object.__new__(cls)
+        object.__setattr__(X, "dist", dist)
+        object.__setattr__(X, "weights", weights)
+        return X
 
     @property
     def size(self) -> int:
@@ -113,11 +124,20 @@ class FiniteMetricSpace:
 
     def restrict(self, idx) -> "FiniteMetricSpace":
         idx = np.asarray(idx, dtype=int)
+        if idx.size == 0:
+            raise ValueError("empty space")
         w = None
         if self.weights is not None:
             w = self.weights[idx]
             w = w / w.sum()
-        return FiniteMetricSpace(self.dist[np.ix_(idx, idx)], w)
+        return FiniteMetricSpace._trusted(self.dist[np.ix_(idx, idx)], w)
+
+
+def _symmetrize(d: np.ndarray, skew: np.ndarray):
+    """Make d bit-symmetric in place: each entry where skew = d - d^T is
+    nonzero becomes 0.5 d_ij + 0.5 d_ji (float addition commutes)."""
+    i, j = np.divmod(np.flatnonzero(skew), d.shape[0])
+    d[i, j] = 0.5 * d[i, j] + 0.5 * d[j, i]
 
 
 @dataclass
@@ -139,14 +159,17 @@ class NetGraph:
     def interval_violations(self) -> list[tuple[int, int, float, float, float]]:
         """Edges whose length leaves the mandated open interval:
         (u, v, length, low, high)."""
-        bad = []
-        for u, v, length in self.edges:
-            d = float(self.target_dist[u, v])
-            low = max(0.0, d - self.eps / self.n_count)
-            high = d + self.delta
-            if not (low < length < high):
-                bad.append((u, v, length, low, high))
-        return bad
+        u, v, length = self._columns()
+        d = self.target_dist[u, v]
+        low = np.maximum(0.0, d - self.eps / self.n_count)
+        high = d + self.delta
+        bad = np.flatnonzero(~((low < length) & (length < high)))
+        return [(*self.edges[k], float(low[k]), float(high[k])) for k in bad]
+
+    def _columns(self):
+        """The edges as three arrays: endpoints u, v and lengths."""
+        u, v, length = zip(*self.edges) if self.edges else ((), (), ())
+        return np.array(u, dtype=int), np.array(v, dtype=int), np.array(length, dtype=float)
 
     def validate(self):
         bad = self.interval_violations()
@@ -241,14 +264,10 @@ def build_net_graph(
         )
     if n_count <= 0:
         raise ValueError("n_count must be positive")
-    edges = []
-    td = target.dist
-    for a in range(len(net)):
-        for b in range(a + 1, len(net)):
-            d = float(td[phi[a], phi[b]])
-            if d < eps:
-                edges.append((a, b, d))
-    sub = td[np.ix_(phi, phi)]
+    sub = target.dist[np.ix_(phi, phi)]
+    # the pairs a < b in row-major order
+    a, b = np.nonzero(np.triu(sub < eps, 1))
+    edges = list(zip(a.tolist(), b.tolist(), sub[a, b].tolist()))
     graph = NetGraph(
         vertices=net,
         edges=edges,
@@ -270,19 +289,14 @@ class GraphMetricResult:
     def space(self) -> FiniteMetricSpace:
         if not self.connected:
             raise ValueError("graph is disconnected; no finite metric")
-        return FiniteMetricSpace(self.matrix)
+        return FiniteMetricSpace._trusted(self.matrix)
 
 
 def graph_metric(G: NetGraph) -> GraphMetricResult:
     """All-pairs shortest path lengths of the net graph."""
     n = len(G.vertices)
-    if G.edges:
-        rows = np.array([e[0] for e in G.edges])
-        cols = np.array([e[1] for e in G.edges])
-        vals = np.array([e[2] for e in G.edges])
-        sp = csr_matrix((vals, (rows, cols)), shape=(n, n))
-    else:
-        sp = csr_matrix((n, n))
+    rows, cols, vals = G._columns()
+    sp = csr_matrix((vals, (rows, cols)), shape=(n, n))
     ncomp, _ = connected_components(sp, directed=False)
     mat = dijkstra(sp, directed=False)
     mat = np.minimum(mat, mat.T)
@@ -357,15 +371,13 @@ def _eccentricity_gap(dx: np.ndarray, dy: np.ndarray) -> float:
 def _pair_distortion(dx, dy, f, g) -> float:
     """Distortion of the correspondence graph(f) plus transposed
     graph(g)."""
-    nx, ny = dx.shape[0], dy.shape[0]
     f = np.asarray(f)
     g = np.asarray(g)
-    m = 0.0
-    m = max(m, float(np.abs(dx - dy[np.ix_(f, f)]).max()))
-    m = max(m, float(np.abs(dy - dx[np.ix_(g, g)]).max()))
-    cross = np.abs(dx[:, g] - dy[f, :])
-    m = max(m, float(cross.max()))
-    return m
+    return max(
+        float(np.abs(dx - dy[np.ix_(f, f)]).max()),
+        float(np.abs(dy - dx[np.ix_(g, g)]).max()),
+        float(np.abs(dx[:, g] - dy[f, :]).max()),
+    )
 
 
 def _exact_upper(dx: np.ndarray, dy: np.ndarray) -> float:
@@ -379,36 +391,24 @@ def _exact_upper(dx: np.ndarray, dy: np.ndarray) -> float:
     assignment is pruned as soon as its distortion reaches the best
     complete one.
     """
-    nx, ny = dx.shape[0], dy.shape[0]
-    slots = [("f", i) for i in range(nx)] + [("g", j) for j in range(ny)]
+    f = np.full(dx.shape[0], -1, int)
+    g = np.full(dy.shape[0], -1, int)
+    # slot (a, b, p, q, i) assigns p[i], a point of b, to the point i of
+    # a, with q the other map: a g slot is an f slot with the spaces swapped
+    slots = [(dx, dy, f, g, i) for i in range(f.size)]
+    slots += [(dy, dx, g, f, j) for j in range(g.size)]
     # assign high-eccentricity points first for early pruning
-    slots.sort(
-        key=lambda s: -(dx[s[1]].max() if s[0] == "f" else dy[s[1]].max())
-    )
+    slots.sort(key=lambda s: -s[0][s[4]].max())
     best = [_greedy_upper(dx, dy)]
-    f = np.full(nx, -1, int)
-    g = np.full(ny, -1, int)
 
-    def partial_cost(side, idx, val) -> float:
+    def partial_cost(a, b, p, q, i, val) -> float:
         m = 0.0
-        if side == "f":
-            done = np.nonzero(f >= 0)[0]
-            if done.size:
-                m = max(m, float(np.abs(dx[idx, done] - dy[val, f[done]]).max()))
-            gdone = np.nonzero(g >= 0)[0]
-            if gdone.size:
-                m = max(
-                    m, float(np.abs(dx[idx, g[gdone]] - dy[val, gdone]).max())
-                )
-        else:
-            done = np.nonzero(g >= 0)[0]
-            if done.size:
-                m = max(m, float(np.abs(dy[idx, done] - dx[val, g[done]]).max()))
-            fdone = np.nonzero(f >= 0)[0]
-            if fdone.size:
-                m = max(
-                    m, float(np.abs(dy[idx, f[fdone]] - dx[val, fdone]).max())
-                )
+        done = np.nonzero(p >= 0)[0]
+        if done.size:
+            m = float(np.abs(a[i, done] - b[val, p[done]]).max())
+        other = np.nonzero(q >= 0)[0]
+        if other.size:
+            m = max(m, float(np.abs(a[i, q[other]] - b[val, other]).max()))
         return m
 
     def rec(k: int, cur: float):
@@ -417,56 +417,49 @@ def _exact_upper(dx: np.ndarray, dy: np.ndarray) -> float:
         if k == len(slots):
             best[0] = cur
             return
-        side, idx = slots[k]
-        nvals = ny if side == "f" else nx
+        a, b, p, q, i = slots[k]
         cands = []
-        for val in range(nvals):
-            c = partial_cost(side, idx, val)
+        for val in range(b.shape[0]):
+            c = partial_cost(a, b, p, q, i, val)
             if max(cur, c) < best[0]:
                 cands.append((c, val))
         cands.sort()
         for c, val in cands:
-            if side == "f":
-                f[idx] = val
-            else:
-                g[idx] = val
+            p[i] = val
             rec(k + 1, max(cur, c))
-            if side == "f":
-                f[idx] = -1
-            else:
-                g[idx] = -1
+            p[i] = -1
 
     rec(0, 0.0)
     return best[0]
 
 
-def _candidate_costs(dx, dy, f, g, i) -> np.ndarray:
-    """_pair_distortion(dx, dy, f', g) for every f' equal to f except
-    f'[i] = v, indexed by v.
+def _sweep(dx, dy, f, g):
+    """Set each f[i] in turn to the lowest v minimizing
+    _pair_distortion(dx, dy, f', g), f' = f with f'[i] = v.
 
-    Only row and column i of |dx - dy[f, f]| and row i of the cross
-    term depend on f[i]: the rest is reduced once, and each candidate
-    adds three row maxima.  Every cost is the maximum of the same
-    entries as a full recompute, so it is bit-identical.
+    Kept as matrices: R = |dx - dy[f, f]|, the cross term
+    C = |dx[:, g] - dy[f, :]| and dy[:, f]; an assignment rewrites row
+    and column i of R and row i of C, and |dy - dx[g, g]| is fixed.  Both
+    inputs are bit-symmetric, so row and column i of R agree: every cost
+    is the maximum of the same entries as a full recompute.
     """
     rest = np.abs(dx - dy[np.ix_(f, f)])
-    rest[i, :] = 0.0
-    rest[:, i] = 0.0
     cross = np.abs(dx[:, g] - dy[f, :])
-    cross[i, :] = 0.0
-    base = max(
-        rest.max(), np.abs(dy - dx[np.ix_(g, g)]).max(), cross.max()
-    )
+    gterm = np.abs(dy - dx[np.ix_(g, g)]).max()
+    dyf = dy[:, f]
     diag = np.diagonal(dy)
-    row = dy[:, f]  # row[v, k] = dy[v, f'[k]]
-    row[:, i] = diag
-    col = dy[f, :].T  # col[v, k] = dy[f'[k], v]
-    col[:, i] = diag
-    cost = np.maximum(
-        np.abs(dx[i] - row).max(axis=1), np.abs(dx[:, i] - col).max(axis=1)
-    )
-    cost = np.maximum(cost, np.abs(dx[i, g] - dy).max(axis=1))
-    return np.maximum(cost, base)
+    for i in range(dx.shape[0]):
+        rest[i] = rest[:, i] = 0.0
+        cross[i] = 0.0
+        base = max(rest.max(), cross.max(), gterm)
+        dyf[:, i] = diag  # dy[v, f'[i]] at f'[i] = v
+        row = np.abs(dx[i] - dyf)  # row[v]: row i of R at f[i] = v
+        out = np.abs(dx[i, g] - dy)  # out[v]: row i of C at f[i] = v
+        cost = np.maximum(row.max(axis=1), out.max(axis=1))
+        v = f[i] = int(np.argmin(np.maximum(cost, base)))
+        rest[i] = rest[:, i] = row[v]
+        cross[i] = out[v]
+        dyf[:, i] = dy[:, v]
 
 
 def _greedy_maps(dx: np.ndarray, dy: np.ndarray):
@@ -482,11 +475,9 @@ def _greedy_maps(dx: np.ndarray, dy: np.ndarray):
     for rank, j in enumerate(ey):
         g[j] = ex[min(rank, nx - 1)]
     for _ in range(2):
-        for i in range(nx):
-            f[i] = int(np.argmin(_candidate_costs(dx, dy, f, g, i)))
+        _sweep(dx, dy, f, g)
         # the distortion is symmetric under swapping the two sides
-        for j in range(ny):
-            g[j] = int(np.argmin(_candidate_costs(dy, dx, g, f, j)))
+        _sweep(dy, dx, g, f)
     return f, g
 
 
@@ -676,6 +667,8 @@ def circle_space(
 ) -> FiniteMetricSpace:
     """n equally spaced points on a circle, geodesic (arc length) or
     chord metric."""
+    if n < 1 or not 0.0 <= radius < math.inf:
+        raise ValueError("need n >= 1 points and a finite radius >= 0")
     ang = 2.0 * math.pi * np.arange(n) / n
     gap = np.abs(ang[:, None] - ang[None, :])
     gap = np.minimum(gap, 2.0 * math.pi - gap)
@@ -685,12 +678,14 @@ def circle_space(
         d = 2.0 * radius * np.sin(gap / 2.0)
     else:
         raise ValueError("metric must be geodesic or chord")
-    return FiniteMetricSpace(d)
+    return FiniteMetricSpace._trusted(d)
 
 
 def torus_grid_space(a: int, b: int, lx: float = 1.0, ly: float = 1.0) -> FiniteMetricSpace:
     """a x b grid on the flat torus of circumferences lx, ly, with the
     quotient Euclidean metric."""
+    if a < 1 or b < 1 or not (0.0 <= lx < math.inf and 0.0 <= ly < math.inf):
+        raise ValueError("need a, b >= 1 and finite circumferences >= 0")
     xs = lx * np.arange(a) / a
     ys = ly * np.arange(b) / b
     px, py = np.meshgrid(xs, ys, indexing="ij")
@@ -699,11 +694,13 @@ def torus_grid_space(a: int, b: int, lx: float = 1.0, ly: float = 1.0) -> Finite
     dx = np.minimum(dx, lx - dx)
     dy = np.abs(p[:, None, 1] - p[None, :, 1])
     dy = np.minimum(dy, ly - dy)
-    return FiniteMetricSpace(np.hypot(dx, dy))
+    return FiniteMetricSpace._trusted(np.hypot(dx, dy))
 
 
 def random_tree_space(n: int, seed: int = 0) -> FiniteMetricSpace:
     """Random tree with uniform edge lengths in [0.5, 1.5]; path metric."""
+    if n < 1:
+        raise ValueError("empty space")
     rng = np.random.default_rng(seed)
     parent = [0] * n
     for v in range(1, n):
@@ -713,7 +710,9 @@ def random_tree_space(n: int, seed: int = 0) -> FiniteMetricSpace:
     cols = np.array(parent[1:])
     sp = csr_matrix((lengths[1:], (rows, cols)), shape=(n, n))
     d = dijkstra(sp, directed=False)
-    return FiniteMetricSpace(d)
+    # the two directions of a path may sum in different orders
+    _symmetrize(d, d - d.T)
+    return FiniteMetricSpace._trusted(d)
 
 
 # -- CSV interchange -------------------------------------------------------

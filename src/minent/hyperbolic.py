@@ -93,16 +93,20 @@ class HyperboloidPoint:
             raise ValueError("hyperboloid point needs m+1 coordinates with m >= 2")
         if c[0] <= 0:
             raise ValueError("point must lie on the upper sheet (x_0 > 0)")
+        # q(x, x) cancels terms of size x_0^2, so its rounding error,
+        # and the drift allowed, scale with them
+        scale = max(1.0, c[0] ** 2)
         qq = minkowski_form(c, c)
-        if not np.isfinite(qq) or qq >= 0 or abs(qq + 1.0) > 1e-6:
+        if not np.isfinite(qq) or qq >= 0 or abs(qq + 1.0) > 1e-6 * scale:
             raise ValueError(
                 f"q(x, x) = {qq!r} is too far from -1 to be a hyperboloid point"
             )
         if abs(qq + 1.0) > 0:
             c = c / np.sqrt(-qq)
+        qq = minkowski_form(c, c)
+        if abs(qq + 1.0) > _POINT_TOL * scale:
+            raise ValueError(f"q(x, x) = {qq!r} after renormalization, not -1")
         object.__setattr__(self, "coords", _readonly(c))
-        qq = minkowski_form(self.coords, self.coords)
-        assert abs(qq + 1.0) <= _POINT_TOL
 
     @property
     def m(self) -> int:

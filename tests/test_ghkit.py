@@ -249,8 +249,8 @@ def test_space_validation_memory_is_quadratic():
     code = (
         "import resource\n"
         f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
-        "from minent.ghkit import circle_space\n"
-        "print(circle_space(1000).size)\n"
+        "from minent.ghkit import FiniteMetricSpace, circle_space\n"
+        "print(FiniteMetricSpace(circle_space(1000).dist).size)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
@@ -380,6 +380,77 @@ def test_graph_torus_intervals_validated():
         d = g.target_dist[u, v]
         low = max(0.0, d - eps / target.size)
         assert low < length < d + g.delta
+
+
+def net_edges_reference(phi, target, eps):
+    """The double loop over net pairs a < b."""
+    edges = []
+    for a in range(len(phi)):
+        for b in range(a + 1, len(phi)):
+            d = float(target.dist[phi[a], phi[b]])
+            if d < eps:
+                edges.append((a, b, d))
+    return edges
+
+
+def interval_violations_reference(G):
+    """The loop over edges."""
+    bad = []
+    for u, v, length in G.edges:
+        d = float(G.target_dist[u, v])
+        low = max(0.0, d - G.eps / G.n_count)
+        high = d + G.delta
+        if not (low < length < high):
+            bad.append((u, v, length, low, high))
+    return bad
+
+
+def test_graph_edges_match_double_loop():
+    rng = np.random.default_rng(67)
+    for target in (
+        circle_space(300),
+        torus_grid_space(12, 12),
+        random_tree_space(150, seed=3),
+        plane_space(rng, 80),
+    ):
+        for eps in (0.3, 1.5):
+            net = greedy_net(target, eps / 4.0)
+            # net vertices mapped to their points out of order
+            phi = tuple(rng.permutation(net))
+            bound = min(eps / 4.0, eps * eps / (6.0 * target.diameter))
+            g = build_net_graph(net, phi, target, eps, 0.8 * bound, len(net))
+            want = net_edges_reference(phi, target, eps)
+            assert g.edges == want
+            assert all(
+                type(x) is type(y) for e, f in zip(g.edges, want) for x, y in zip(e, f)
+            )
+
+
+def test_interval_violations_match_loop():
+    rng = np.random.default_rng(71)
+    far = build_net_graph(
+        (0, 1), (0, 1), two_point_space(1.0), eps=0.5, delta=0.02, n_count=2
+    )
+    assert far.edges == [] and far.interval_violations() == []
+    target = torus_grid_space(10, 10)
+    eps = 0.3
+    net = greedy_net(target, eps / 4.0)
+    bound = min(eps / 4.0, eps * eps / (6.0 * target.diameter))
+    g = build_net_graph(net, net, target, eps, 0.8 * bound, target.size)
+    assert g.interval_violations() == interval_violations_reference(g) == []
+    # every third length pushed past either end, to 0 or to NaN
+    pushed = range(0, len(g.edges), 3)
+    for k in pushed:
+        u, v, length = g.edges[k]
+        g.edges[k] = (u, v, rng.choice([length + g.delta, length - eps, 0.0, np.nan]))
+    bad = g.interval_violations()
+    assert [(u, v) for u, v, *_ in bad] == [g.edges[k][:2] for k in pushed]
+    assert bad == interval_violations_reference(g)
+    g.n_count = 1  # every low end clamped at 0
+    clamped = g.interval_violations()
+    assert clamped == interval_violations_reference(g)
+    assert len(clamped) == len(pushed)
+    assert all(low == 0.0 for *_, low, _ in clamped)
 
 
 def test_graph_mutation_detected():
@@ -648,6 +719,25 @@ def greedy_reference(dx, dy):
             ]
             g[j] = int(np.argmin(costs))
     return f, g, ghkit._pair_distortion(dx, dy, f, g)
+
+
+def test_greedy_search_on_validated_asymmetric_input():
+    # the sweep needs bit-symmetric matrices; FiniteMetricSpace stores a
+    # transposed tree matrix and one skewed in the last bits that way
+    rng = np.random.default_rng(73)
+    for nx, ny in ((15, 22), (25, 25)):
+        X = random_tree_space(nx, seed=int(rng.integers(2**31)))
+        T = random_tree_space(ny, seed=int(rng.integers(2**31))).dist
+        skewed = T * (1.0 + 4e-16 * np.triu(rng.standard_normal((ny, ny)), 1))
+        assert not np.array_equal(skewed, skewed.T)
+        dx = FiniteMetricSpace(X.dist.T).dist
+        for Y in (FiniteMetricSpace(T.T), FiniteMetricSpace(skewed)):
+            assert np.array_equal(Y.dist, Y.dist.T)
+            f, g, value = greedy_reference(dx, Y.dist)
+            got_f, got_g = ghkit._greedy_maps(dx, Y.dist)
+            assert np.array_equal(got_f, f)
+            assert np.array_equal(got_g, g)
+            assert ghkit._greedy_upper(dx, Y.dist) == value
 
 
 def test_greedy_search_matches_full_recompute():
@@ -1060,6 +1150,55 @@ def test_torus_space_wraps():
     assert X.size == 16
     assert X.dist[0, 3] == pytest.approx(0.25)
     assert X.dist[0, 10] == pytest.approx(math.hypot(0.5, 0.5))
+
+
+def assert_passes_full_check(X):
+    """The validating constructor accepts X's matrix and weights and
+    stores them unchanged: X holds a bit-symmetric metric."""
+    assert X.dist.dtype == np.float64
+    assert np.array_equal(X.dist, X.dist.T)
+    Y = FiniteMetricSpace(X.dist, X.weights)
+    assert np.array_equal(Y.dist, X.dist)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 301])
+def test_sample_spaces_pass_full_check(n):
+    assert_passes_full_check(circle_space(n))
+    assert_passes_full_check(circle_space(n, radius=2.5, metric="chord"))
+    assert_passes_full_check(random_tree_space(n, seed=n))
+    side = math.isqrt(n)
+    assert_passes_full_check(torus_grid_space(side, n // side, 2.0, 0.5))
+    X = FiniteMetricSpace(
+        circle_space(n).dist, np.random.default_rng(n).dirichlet(np.ones(n))
+    )
+    assert_passes_full_check(X.restrict(np.arange(0, n, 3)))
+    for target in (circle_space(n), random_tree_space(n, seed=n + 1)):
+        # a sparse net graph, then the complete one
+        for frac in (0.5, 1.01):
+            eps = frac * target.diameter + 1e-3
+            net = greedy_net(target, eps / 4.0)
+            bound = eps / 4.0
+            if target.diameter > 0:
+                bound = min(bound, eps * eps / (6.0 * target.diameter))
+            g = build_net_graph(net, net, target, eps, 0.8 * bound, len(net))
+            res = graph_metric(g)
+            if res.connected or frac > 1:
+                assert_passes_full_check(res.space())
+
+
+def test_sample_spaces_reject_bad_parameters():
+    for bad in (
+        lambda: circle_space(0),
+        lambda: circle_space(5, radius=-1.0),
+        lambda: circle_space(5, radius=math.nan),
+        lambda: torus_grid_space(0, 3),
+        lambda: torus_grid_space(3, 3, lx=-1.0),
+        lambda: torus_grid_space(3, 3, ly=math.inf),
+        lambda: random_tree_space(0),
+        lambda: circle_space(5).restrict([]),
+    ):
+        with pytest.raises(ValueError):
+            bad()
 
 
 def test_tree_space_deterministic():

@@ -56,6 +56,28 @@ def test_point_validation_rejects_spacelike():
         HyperboloidPoint(np.array([0.5, 1.0, 0.0, 0.0]))
 
 
+def test_far_points_build():
+    # q(x, x) cancels terms of size x_0^2 = cosh^2 r, so near r = 10 its
+    # rounding alone exceeded a fixed 1e-10 after renormalization
+    gen = np.random.default_rng(5)
+    for _ in range(200):
+        p = random_point(gen, 3, 10.0)
+        qq = minkowski_form(p.coords, p.coords)
+        assert abs(qq + 1.0) <= 1e-10 * p.coords[0] ** 2
+
+
+def test_point_drift_tolerance_scales_with_x0():
+    far = pt(9.0, [1, 2, 0]).coords
+    # a relative drift of 1e-12 moves q(x, x) by about 3e-5 here, within
+    # 1e-6 x_0^2, so the point is renormalized
+    p = HyperboloidPoint(far * np.r_[1.0, np.full(3, 1.0 + 1e-12)])
+    qq = minkowski_form(p.coords, p.coords)
+    assert abs(qq + 1.0) <= 1e-10 * p.coords[0] ** 2
+    # a relative drift of 1e-6 is not
+    with pytest.raises(ValueError, match="too far from -1"):
+        HyperboloidPoint(far * np.r_[1.0, np.full(3, 1.0 + 1e-6)])
+
+
 def test_dist_matches_radial_construction():
     # arccosh loses a few digits at large arguments, hence rel not abs
     for r in (0.1, 1.0, 3.7, 9.0):
