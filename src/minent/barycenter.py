@@ -239,9 +239,6 @@ class BarycenterProblem:
         gnorm = float(np.sqrt(sum(float(g @ g) for g in grad)))
         return value, grad, gnorm, frames
 
-    def value_only(self, x: ProductPoint) -> float:
-        return self.value_and_grad(x)[0]
-
     def forms(self, x: ProductPoint, frames=None) -> FormPair:
         """H and K at x, expressed in ``frames`` (per-factor orthonormal
         rows at x; the tangent frames at x by default)."""
@@ -437,14 +434,14 @@ class JacobianReport:
 def jacobian_bound_report(
     problem: BarycenterProblem,
     solution: BarycenterSolution | None = None,
-    tol: float = 1e-8,
 ) -> JacobianReport:
     """Both sides of the volume-distortion bound at the barycenter:
     estimate 2^n det(H)^{1/2} / det(K) against (4 n / h_min^2)^{n/2}.
-    ``solution`` must come from ``problem``; it is solved here if absent."""
+    ``solution`` must come from ``problem``; it is solved here at the
+    default tolerance if absent."""
     prof = problem.profile
     if solution is None:
-        solution = problem.solve(tol=tol)
+        solution = problem.solve()
     if not solution.converged:
         raise NearSingularError("barycenter solve did not converge; no report")
     pair = problem.forms(solution.point)
@@ -627,7 +624,6 @@ def form_lipschitz_ratio(
     config_a: WeightedConfiguration,
     config_b: WeightedConfiguration,
     quads,
-    tol: float = 1e-9,
 ) -> dict:
     """Compare the H forms of two configurations after parallel
     transport between their barycenters.
@@ -642,8 +638,8 @@ def form_lipschitz_ratio(
     prof = config_a.profile
     problem_a = BarycenterProblem(config_a, quads)
     problem_b = BarycenterProblem(config_b, quads)
-    sol_a = problem_a.solve(tol=tol)
-    sol_b = problem_b.solve(tol=tol, x0=sol_a.point)
+    sol_a = problem_a.solve(tol=1e-9)
+    sol_b = problem_b.solve(tol=1e-9, x0=sol_a.point)
     pair_a = problem_a.forms(sol_a.point)
     # Transport the frame at Bar(a) to Bar(b) factor by factor and
     # express H_b in the transported frame.

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass
 
 
 class ConfigError(ValueError):

@@ -28,7 +28,6 @@ from scipy.spatial.distance import pdist, squareform
 __all__ = [
     "FiniteMetricSpace",
     "NetGraph",
-    "Correspondence",
     "GraphMetricResult",
     "IsometryCheck",
     "greedy_net",
@@ -96,7 +95,8 @@ class FiniteMetricSpace:
         object.__setattr__(self, "dist", d)
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
-            if w.shape != (n,) or w.min() < 0 or abs(w.sum() - 1.0) > 1e-9:
+            # written so that NaN weights fail it too
+            if w.shape != (n,) or not (w.min() >= 0 and abs(w.sum() - 1.0) <= 1e-9):
                 raise ValueError("weights must be a probability vector")
             object.__setattr__(self, "weights", w)
 
@@ -129,6 +129,8 @@ class FiniteMetricSpace:
         w = None
         if self.weights is not None:
             w = self.weights[idx]
+            if not w.sum() > 0:
+                raise ValueError("the restricted points carry no weight")
             w = w / w.sum()
         return FiniteMetricSpace._trusted(self.dist[np.ix_(idx, idx)], w)
 
@@ -179,28 +181,6 @@ class NetGraph:
                 f"edge ({u},{v}) length {length} outside its interval "
                 f"({low}, {high})"
             )
-
-
-@dataclass(frozen=True)
-class Correspondence:
-    """Relation between index sets, covering both sides."""
-
-    pairs: tuple[tuple[int, int], ...]
-    size_x: int
-    size_y: int
-
-    def __post_init__(self):
-        left = {p[0] for p in self.pairs}
-        right = {p[1] for p in self.pairs}
-        if left != set(range(self.size_x)) or right != set(range(self.size_y)):
-            raise ValueError("correspondence must cover both index sets")
-
-    def distortion(self, dx: np.ndarray, dy: np.ndarray) -> float:
-        ps = np.array(self.pairs)
-        xi, yi = ps[:, 0], ps[:, 1]
-        return float(
-            np.abs(dx[np.ix_(xi, xi)] - dy[np.ix_(yi, yi)]).max()
-        )
 
 
 # -- nets and graphs -------------------------------------------------------

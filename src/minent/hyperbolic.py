@@ -25,7 +25,7 @@ against second-order finite differences of the value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

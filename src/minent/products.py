@@ -18,10 +18,9 @@ this identity is asserted.  A different weighted aggregate of the same
 ratios is exposed by :meth:`ScalingProfile.consistency_report` for
 inspection only, never asserted.
 
-The module also provides horofunction data on the product (value,
-gradient and Hessian of the weighted combination of factor
-horofunctions) and a numerical volume-growth entropy obtained by
-integrating sinh^{n_i - 1} shells over the radial quarter-plane.
+The module also provides product points, distances and geodesic steps,
+and a numerical volume-growth entropy obtained by integrating
+sinh^{n_i - 1} shells over the radial quarter-plane.
 """
 
 from __future__ import annotations
@@ -31,24 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hyperbolic import (
-    BusemannData,
-    HyperboloidPoint,
-    IdealPoint,
-    TangentVector,
-    busemann,
-    dist,
-    exp_map,
-)
+from .hyperbolic import HyperboloidPoint, TangentVector, dist, exp_map
 
 __all__ = [
     "ScalingProfile",
     "min_entropy_profile",
     "ProductPoint",
-    "FurstenbergPoint",
     "product_dist",
-    "ProductBusemannData",
-    "product_busemann",
     "product_exp",
     "GrowthEstimate",
     "entropy_growth_numeric",
@@ -102,14 +90,11 @@ class ScalingProfile:
         }
 
 
-def min_entropy_profile(
-    dims, entropies, *, allow_low_dim: bool = False
-) -> ScalingProfile:
+def min_entropy_profile(dims, entropies) -> ScalingProfile:
     """Closed-form optimal scaling profile for a product of factors.
 
     Factor dimensions below 3 are outside the supported regime and are
-    rejected unless ``allow_low_dim`` is set (useful for exploratory
-    sweeps; none of the asserted guarantees are claimed there).
+    rejected.
     """
     dims = tuple(int(d) for d in dims)
     ents = tuple(float(h) for h in entropies)
@@ -117,7 +102,7 @@ def min_entropy_profile(
         raise ValueError("dims and entropies must be matched, nonempty sequences")
     if any(h <= 0 for h in ents):
         raise ValueError("factor entropies must be positive")
-    if min(dims) < 3 and not allow_low_dim:
+    if min(dims) < 3:
         raise ValueError("factor dimensions below 3 are outside the supported regime")
     d = np.array(dims, dtype=float)
     h = np.array(ents, dtype=float)
@@ -157,22 +142,6 @@ class ProductPoint:
         return tuple(f.m for f in self.factors)
 
 
-@dataclass(frozen=True)
-class FurstenbergPoint:
-    """A product boundary direction: one ideal point per factor."""
-
-    factors: tuple[IdealPoint, ...]
-
-    def __post_init__(self):
-        if not self.factors:
-            raise ValueError("a boundary point needs at least one factor")
-        object.__setattr__(self, "factors", tuple(self.factors))
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(f.m for f in self.factors)
-
-
 def _check_compat(dims: tuple[int, ...], profile: ScalingProfile) -> None:
     if dims != profile.dims:
         raise ValueError(
@@ -205,80 +174,6 @@ def product_exp(
 
 
 @dataclass(frozen=True)
-class ProductBusemannData:
-    """Horofunction data on the scaled product.
-
-    value           sum_i (alpha_i / sqrt(k)) B_i(x_i, theta_i).
-    gradient_comps  per-factor components of the gradient in the
-                    orthonormal frame of the scaled metric; the
-                    concatenation has Euclidean norm 1.
-    gradient_vecs   per-factor ambient vectors (1 / (alpha_i sqrt(k)))
-                    grad B_i, the factor parts of the same gradient.
-    hessian_blocks  per-factor matrices of the second derivative in the
-                    same orthonormal frame; the full Hessian is their
-                    direct sum.
-    factor_data     the underlying per-factor horofunction data.
-    """
-
-    value: float
-    gradient_comps: tuple[np.ndarray, ...]
-    gradient_vecs: tuple[np.ndarray, ...]
-    hessian_blocks: tuple[np.ndarray, ...]
-    factor_data: tuple[BusemannData, ...]
-
-    def gradient_norm(self) -> float:
-        return float(
-            np.sqrt(sum(float(c @ c) for c in self.gradient_comps))
-        )
-
-    def full_hessian(self) -> np.ndarray:
-        n = sum(b.shape[0] for b in self.hessian_blocks)
-        out = np.zeros((n, n))
-        at = 0
-        for b in self.hessian_blocks:
-            d = b.shape[0]
-            out[at : at + d, at : at + d] = b
-            at += d
-        return out
-
-
-def product_busemann(
-    x: ProductPoint, theta: FurstenbergPoint, profile: ScalingProfile
-) -> ProductBusemannData:
-    """Value, gradient and Hessian of the product horofunction.
-
-    The orthonormal frame of the scaled metric on factor i is the
-    factor frame divided by alpha_i; all frame-expressed outputs refer
-    to that frame.  The value combination weights make the gradient a
-    unit vector for every profile.
-    """
-    _check_compat(x.dims, profile)
-    _check_compat(theta.dims, profile)
-    k = profile.k
-    rk = np.sqrt(k)
-    value = 0.0
-    comps = []
-    vecs = []
-    blocks = []
-    data = []
-    for alpha, xf, tf in zip(profile.alpha, x.factors, theta.factors):
-        bd = busemann(xf, tf)
-        data.append(bd)
-        value += (alpha / rk) * bd.value
-        b = bd.frame @ np.diag([-1.0] + [1.0] * xf.m) @ bd.gradient.vec
-        comps.append(b / rk)
-        vecs.append(bd.gradient.vec / (alpha * rk))
-        blocks.append(bd.hessian / (alpha * rk))
-    return ProductBusemannData(
-        value=float(value),
-        gradient_comps=tuple(comps),
-        gradient_vecs=tuple(vecs),
-        hessian_blocks=tuple(blocks),
-        factor_data=tuple(data),
-    )
-
-
-@dataclass(frozen=True)
 class GrowthEstimate:
     """Least-squares slope of log V(rho) over a radius window.
 
@@ -297,6 +192,12 @@ class GrowthEstimate:
     def __post_init__(self):
         object.__setattr__(self, "rho", np.asarray(self.rho, dtype=float))
         object.__setattr__(self, "log_volume", np.asarray(self.log_volume, dtype=float))
+
+
+def _rho_grid(radius_lo: float, radius_hi: float) -> np.ndarray:
+    """The radii a growth slope is fitted at: every 0.25 from radius_lo
+    up to radius_hi."""
+    return np.arange(radius_lo, radius_hi + 1e-9, 0.25)
 
 
 def _log_cell_masses_1d(n: int, r_max: float, step: float):
@@ -336,7 +237,6 @@ def entropy_growth_numeric(
     radius_hi: float,
     grid_step: float = 0.05,
     *,
-    rho_step: float = 0.25,
     mc_samples: int = 200_000,
     seed: int = 0,
 ) -> GrowthEstimate:
@@ -351,7 +251,7 @@ def entropy_growth_numeric(
     should be read together with the Monte Carlo noise.
 
     Returns the least-squares slope of log V(rho) for rho in
-    [radius_lo, radius_hi] sampled every ``rho_step``.
+    [radius_lo, radius_hi] sampled every 0.25.
     """
     dims = tuple(int(d) for d in dims)
     if not dims or any(d < 2 for d in dims):
@@ -360,7 +260,7 @@ def entropy_growth_numeric(
         raise ValueError("need 0 < radius_lo < radius_hi")
     if grid_step <= 0 or grid_step > 0.1:
         raise ValueError("grid_step must lie in (0, 0.1] for a trustworthy slope")
-    rho = np.arange(radius_lo, radius_hi + 1e-9, rho_step)
+    rho = _rho_grid(radius_lo, radius_hi)
 
     if len(dims) == 1:
         r, logmass = _log_cell_masses_1d(dims[0], radius_hi, grid_step)

@@ -24,17 +24,11 @@ ANCHORS = {
     "profile-closed-form": "minimizing factor scalings and product entropy",
     "profile-identity": "scaling consistency identities of the minimizer",
     "growth-slope": "ball-volume growth rate vs closed-form entropy",
-    "growth-oracle-h3": "single-factor growth vs exact ball volume",
-    "busemann-derivatives": "horofunction gradient and second form",
-    "visual-normalization": "visual density normalizes only at the entropy",
     "barycenter-fixed-point": "single-atom configurations minimize at the atom",
-    "barycenter-midpoint": "two-atom barycenter against 1-d minimization",
     "barycenter-trace": "unit trace of the first derived form",
     "barycenter-complement": "per-factor complement identity of the forms",
-    "barycenter-equivariance": "isometry equivariance of the minimizer",
     "jacobian-bound": "determinant ratio at the minimizer vs its bound",
     "bcg-determinant": "trace-one determinant inequality and equality case",
-    "differential-bound": "finite-difference differential vs norm bound",
     "natural-map-energy": "closed-form sphere-map energy vs rate bound",
     "natural-map-volume": "closed-form sphere-map volume vs its AM-GM bound",
     "shortcut-turning": "corner-angle threshold and shortcut witness",
@@ -42,7 +36,6 @@ ANCHORS = {
     "shortcut-region": "diagonal wedge where the shortcut is inactive",
     "shortcut-growth": "ball-mass growth rates of the shortcut family",
     "shortcut-branching": "equal-length reflected minimizers sharing a segment",
-    "net-construction": "separated covering nets and edge-length intervals",
     "net-approximation": "two-sided graph-vs-target metric comparison",
     "gh-bounds": "correspondence distortion bounds on finite spaces",
     "measure-discrepancy": "weighted-space comparison via the primal transport LP",

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _dijkstra
 
-from .products import GrowthEstimate, _fit_slope, _log_ball_volume
+from .products import GrowthEstimate, _fit_slope, _log_ball_volume, _rho_grid
 
 __all__ = [
     "ShortcutModel",
@@ -255,7 +255,6 @@ class _GridEngine:
         )
         self._cheap_cost = math.sqrt(model.eta) * (d * math.hypot(dx, dy))
         self._fields: dict[tuple[int, float], np.ndarray] = {}
-        self._preds: dict[tuple[int, float], np.ndarray] = {}
 
     @property
     def graph(self) -> csr_matrix:
@@ -283,30 +282,16 @@ class _GridEngine:
         d = self.model.spacing
         return np.stack([(flat // self.N) * d, (flat % self.N) * d], axis=-1)
 
-    def field(
-        self, src: int, predecessors: bool = False, limit: float = math.inf
-    ) -> np.ndarray:
+    def field(self, src: int, limit: float = math.inf) -> np.ndarray:
         """Grid distances from node src.  With a finite limit the search
         stops there and farther nodes read inf; such fields are cached
         apart from full ones, keyed by (src, limit)."""
         key = (src, limit)
-        if key not in self._fields or (predecessors and key not in self._preds):
-            out = _dijkstra(
-                self.graph,
-                directed=False,
-                indices=src,
-                return_predecessors=predecessors,
-                limit=limit,
+        if key not in self._fields:
+            self._fields[key] = _dijkstra(
+                self.graph, directed=False, indices=src, limit=limit
             )
-            if predecessors:
-                self._fields[key], self._preds[key] = out
-            else:
-                self._fields[key] = out
         return self._fields[key]
-
-    def predecessors(self, src: int) -> np.ndarray:
-        self.field(src, predecessors=True)
-        return self._preds[(src, math.inf)]
 
 
 @functools.lru_cache(maxsize=8)
@@ -409,7 +394,8 @@ def extract_grid_path(model: ShortcutModel, a, b) -> CornerPath:
             f"points {tuple(a)} and {tuple(b)} snap to the same grid node; "
             "a path needs two"
         )
-    pred = eng.predecessors(na)
+    graph = eng.graph
+    _, pred = _dijkstra(graph, directed=False, indices=na, return_predecessors=True)
     chain = [nb]
     while chain[-1] != na:
         p = pred[chain[-1]]
@@ -419,7 +405,6 @@ def extract_grid_path(model: ShortcutModel, a, b) -> CornerPath:
     chain.reverse()
     verts = eng.coords(np.array(chain))
     # the graph stores each edge once, from the lower node index
-    graph = eng.graph
     mults = [
         float(graph[min(u, v), max(u, v)]) / math.dist(verts[k], verts[k + 1])
         for k, (u, v) in enumerate(zip(chain[:-1], chain[1:]))
@@ -450,54 +435,39 @@ class RegionReport:
     violations: tuple[tuple[float, float], ...]
 
 
-def r_c_verify(
-    model: ShortcutModel,
-    c: float,
-    samples: int = 200,
-    radius_lo: float = 1.0,
-    radius_hi: float | None = None,
-    slack_margin: float | None = None,
-) -> RegionReport:
+def r_c_verify(model: ShortcutModel, c: float) -> RegionReport:
     """Check that the shortcut does not shorten distances from the
     origin inside the diagonal wedge |angle - pi/4| <= c.
 
-    For sampled x in the wedge, asserts grid distance >= Euclidean
-    times (1 - slack_margin); failures are collected, not raised.
+    Samples 7 radii from 1 to three quarters of the extent on each
+    sampled angle; at x in the wedge, asserts grid distance >= Euclidean
+    times (1 - metric_slack(model)); failures are collected, not raised.
     Also reports c_max: the widest wedge (on the sampled angle grid)
     with no failure anywhere inside.
     """
     if c <= 0:
         raise ValueError("the wedge half-width c must be positive")
     eng = _engine(model)
-    slack = metric_slack(model) if slack_margin is None else slack_margin
-    if radius_hi is None:
-        radius_hi = 0.75 * model.extent
-    origin = eng.node_of((0.0, 0.0))
-    dist = eng.field(origin)
-    n_ang = max(int(np.sqrt(samples)) * 2, 16)
-    n_rad = max(samples // n_ang, 4)
-    # coarse full-quadrant sweep plus a fine band across the wedge, so
-    # the wedge always holds samples and c_max is measured, not clipped
+    slack = metric_slack(model)
+    dist = eng.field(eng.node_of((0.0, 0.0)))
+    # coarse full-quadrant sweep of 28 angles plus a fine band across
+    # the wedge, so the wedge always holds samples and c_max is
+    # measured, not clipped
     band = np.clip(
         np.linspace(math.pi / 4 - c, math.pi / 4 + c, 9),
         0.02,
         math.pi / 2 - 0.02,
     )
     angles = np.unique(
-        np.concatenate(
-            [np.linspace(0.02, math.pi / 2 - 0.02, n_ang), band]
-        )
+        np.concatenate([np.linspace(0.02, math.pi / 2 - 0.02, 28), band])
     )
-    n_ang = angles.size
-    radii = np.linspace(radius_lo, radius_hi, n_rad)
+    radii = np.linspace(1.0, 0.75 * model.extent, 7)
     direction = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
     nodes = eng.node_of(radii[None, :, None] * direction[:, None, :])
     snapped = eng.coords(nodes)
     euclid = np.hypot(snapped[..., 0], snapped[..., 1])
-    # samples snapped closer than radius_lo / 2 count as defect 0
-    ratio = np.divide(
-        dist[nodes], euclid, out=np.ones_like(euclid), where=euclid >= radius_lo / 2
-    )
+    # samples snapped closer than half the smallest radius count as defect 0
+    ratio = np.divide(dist[nodes], euclid, out=np.ones_like(euclid), where=euclid >= 0.5)
     ratio_defect = (1.0 - ratio).max(axis=1, initial=0.0)
     in_wedge = np.abs(angles - math.pi / 4) <= c + 1e-12
     bad = ratio_defect > slack
@@ -509,7 +479,7 @@ def r_c_verify(
     c_max = float(offset[bad].min(initial=offset.max()))
     return RegionReport(
         c=c,
-        samples=int(n_ang * n_rad),
+        samples=int(angles.size * radii.size),
         equal_within_slack=not violations,
         max_ratio_defect=float(ratio_defect[in_wedge].max()),
         c_max=c_max,
@@ -524,11 +494,11 @@ def eta_entropy_estimate(
     model: ShortcutModel,
     radius_lo: float,
     radius_hi: float,
-    rho_step: float = 0.25,
 ) -> GrowthEstimate:
     """Least-squares slope of log V(rho), where V(rho) is the mass of
     the grid ball of radius rho around the origin under the density
-    sinh^(n-1)(r1) sinh^(n-1)(r2).
+    sinh^(n-1)(r1) sinh^(n-1)(r2), for rho every 0.25 in
+    [radius_lo, radius_hi].
 
     Cell masses accumulate in the log domain, sorted by grid distance,
     so sinh overflow never occurs.  The search stops at the largest rho:
@@ -538,7 +508,7 @@ def eta_entropy_estimate(
         raise ValueError("need 0 < radius_lo < radius_hi")
     if radius_hi > model.extent:
         raise ValueError("radius range exceeds the grid extent")
-    rho = np.arange(radius_lo, radius_hi + 1e-9, rho_step)
+    rho = _rho_grid(radius_lo, radius_hi)
     eng = _engine(model)
     dist = eng.field(eng.node_of((0.0, 0.0)), limit=float(rho[-1]))
     reached = np.flatnonzero(np.isfinite(dist))

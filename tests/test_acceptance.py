@@ -37,7 +37,6 @@ from minent.hyperbolic import HyperboloidPoint, base_point, random_point
 from minent.products import (
     ProductPoint,
     entropy_growth_numeric,
-    min_entropy_profile,
     product_dist,
 )
 from minent.shortcut import (
@@ -151,7 +150,7 @@ def test_criterion_4_barycenter_suite(record_property, profile33, quads33):
     mid = problem.solve(tol=1e-10)
 
     def along(t):
-        return problem.value_only(ProductPoint((radial(t), o3)))
+        return problem.value_and_grad(ProductPoint((radial(t), o3)))[0]
 
     res = minimize_scalar(
         along, bounds=(0.0, 1.6), method="bounded", options={"xatol": 1e-10}

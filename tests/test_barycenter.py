@@ -91,9 +91,9 @@ def test_gradient_matches_value_finite_differences(profile33, quads33, rng):
         for a in range(3):
             vecs = [np.zeros(4), np.zeros(4)]
             vecs[i] = h * frames[i][a]
-            vp = problem.value_only(product_exp(x, vecs, profile33))
+            vp = problem.value_and_grad(product_exp(x, vecs, profile33))[0]
             vecs[i] = -h * frames[i][a]
-            vm = problem.value_only(product_exp(x, vecs, profile33))
+            vm = problem.value_and_grad(product_exp(x, vecs, profile33))[0]
             assert (vp - vm) / (2 * h) == pytest.approx(
                 grad[i][a], abs=1e-4
             )
@@ -152,7 +152,7 @@ def test_midpoint_against_line_search_oracle(profile33, quads33):
 
     # 1-d oracle: minimize along the connecting geodesic in factor 1
     def along(t):
-        return problem.value_only(ProductPoint((radial(t), o3)))
+        return problem.value_and_grad(ProductPoint((radial(t), o3)))[0]
 
     res = minimize_scalar(
         along, bounds=(0.0, 1.6), method="bounded",

@@ -1,9 +1,12 @@
 """Configuration loading, report documents, and the command-line
 drivers, exercised in process through main()."""
 
+import ast
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import minent
 from minent.cli import (
     EXIT_CHECK,
     EXIT_CONFIG,
@@ -358,6 +362,51 @@ def test_reports_match_golden(tmp_path, sub):
     if got != want:
         moved = moved_paths(json.loads(want), json.loads(got))
         pytest.fail(f"{sub} report moved at {moved or 'formatting only'}")
+
+
+def test_anchor_table_is_what_the_reports_record():
+    # every anchor some default-config report records, and no other:
+    # an entry no record uses claims a fact the program never checks
+    recorded = {
+        check["anchor"]
+        for path in GOLDEN.glob("*_report.json")
+        for check in json.loads(path.read_text(encoding="utf-8"))["checks"]
+    }
+    assert set(ANCHORS) == recorded
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def test_public_names_resolve():
+    for info in pkgutil.iter_modules(minent.__path__):
+        module = importlib.import_module(f"minent.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"minent.{info.name}.{name}"
+    for name in minent.__all__:
+        assert hasattr(minent, name), name
+
+
+def test_benchmark_trace_targets_resolve():
+    # perfbench/tracing.py patches these names from outside the package;
+    # it is read as source, not imported, so nothing is written there
+    tree = ast.parse((REPO / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    (table,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "INSTRUMENTS" for t in node.targets)
+    ]
+    targets = [tuple(ast.literal_eval(e) for e in row.elts[:2]) for row in table.elts]
+    assert targets
+    for module_name, path in targets:
+        owner = importlib.import_module(module_name)
+        if "." in path:  # "Class.method": the tracer wraps the class's own entry
+            cls_name, meth = path.split(".")
+            owner = vars(getattr(owner, cls_name))
+            assert meth in owner, f"{module_name}.{path}"
+        else:
+            assert hasattr(owner, path), f"{module_name}.{path}"
 
 
 def test_env_output_dir(tmp_path, monkeypatch):

@@ -23,9 +23,7 @@ from scipy.sparse import csr_matrix
 from minent import ghkit
 from minent.ghkit import (
     ApproximationReport,
-    Correspondence,
     FiniteMetricSpace,
-    GhBounds,
     NetGraph,
     approximation_check,
     build_net_graph,
@@ -273,6 +271,21 @@ def test_space_rejects_bad_weights():
         FiniteMetricSpace(d, np.array([-0.2, 1.2]))
     with pytest.raises(ValueError, match="probability"):
         FiniteMetricSpace(d, np.array([1.0]))
+    # a NaN fails every comparison, so a check written as "reject if
+    # w < 0 or the sum is off" lets it through
+    with pytest.raises(ValueError, match="probability"):
+        FiniteMetricSpace(d, np.full(2, np.nan))
+    with pytest.raises(ValueError, match="probability"):
+        FiniteMetricSpace(d, np.array([1.0, np.nan]))
+
+
+def test_space_restrict_onto_zero_weight_rejected():
+    X = FiniteMetricSpace(circle_space(3).dist, np.array([1.0, 0.0, 0.0]))
+    # renormalizing would divide by 0 and leave NaN weights, and
+    # measure_compare of such a space with itself would report 0.0
+    with pytest.raises(ValueError, match="no weight"):
+        X.restrict([1, 2])
+    assert X.restrict([0, 2]).weights.tolist() == [1.0, 0.0]
 
 
 # -- greedy nets -----------------------------------------------------------
@@ -1119,16 +1132,6 @@ def test_measure_requires_target():
         measure_compare(X)
     with pytest.raises(ValueError, match="mapping"):
         measure_compare(X, circle_space(5))
-
-
-# -- correspondences -------------------------------------------------------
-
-
-def test_correspondence_must_cover():
-    with pytest.raises(ValueError, match="cover"):
-        Correspondence(pairs=((0, 0),), size_x=2, size_y=1)
-    c = Correspondence(pairs=((0, 0), (1, 0)), size_x=2, size_y=1)
-    assert c.distortion(two_point_space(1.0).dist, np.zeros((1, 1))) == 1.0
 
 
 # -- sample spaces ---------------------------------------------------------

@@ -490,19 +490,18 @@ def test_growth_estimate_keeps_fields_not_graphs():
 # -- diagonal region -------------------------------------------------------
 
 
-def region_defects_by_loop(model, c, samples=200, radius_lo=1.0):
-    """Reference for r_c_verify's sampling: one node lookup per sample."""
+def region_defects_by_loop(model, c):
+    """Reference for r_c_verify's sampling: one node lookup per sample,
+    28 quadrant angles plus 9 across the wedge, 7 radii from 1."""
     eng = _engine(model)
     dist = eng.field(eng.node_of((0.0, 0.0)))
-    n_ang = max(int(np.sqrt(samples)) * 2, 16)
-    n_rad = max(samples // n_ang, 4)
     band = np.clip(
         np.linspace(math.pi / 4 - c, math.pi / 4 + c, 9), 0.02, math.pi / 2 - 0.02
     )
     angles = np.unique(
-        np.concatenate([np.linspace(0.02, math.pi / 2 - 0.02, n_ang), band])
+        np.concatenate([np.linspace(0.02, math.pi / 2 - 0.02, 28), band])
     )
-    radii = np.linspace(radius_lo, 0.75 * model.extent, n_rad)
+    radii = np.linspace(1.0, 0.75 * model.extent, 7)
     worst = []
     for ang in angles:
         w = 0.0
@@ -510,7 +509,7 @@ def region_defects_by_loop(model, c, samples=200, radius_lo=1.0):
             node = eng.node_of((r * math.cos(ang), r * math.sin(ang)))
             snapped = eng.coords(np.array([node]))[0]
             euclid = math.hypot(snapped[0], snapped[1])
-            if euclid >= radius_lo / 2:
+            if euclid >= 0.5:
                 w = max(w, 1.0 - float(dist[node]) / euclid)
         worst.append(w)
     return angles, np.array(worst)
