@@ -77,10 +77,6 @@ __all__ = [
 class NearSingularError(ValueError):
     """A quadratic form is too close to singular for a determinant bound."""
 
-    def __init__(self, message: str, factor: int | None = None):
-        super().__init__(message)
-        self.factor = factor
-
 
 @dataclass(frozen=True)
 class WeightedConfiguration:
@@ -428,7 +424,6 @@ class JacobianReport:
     barycenter: ProductPoint
     gradient_norm: float
     h_eigen_max: float
-    factor_ratios: tuple[float, ...]
 
 
 def jacobian_bound_report(
@@ -451,17 +446,9 @@ def jacobian_bound_report(
             "near-singular complement: an eigenvalue of H reaches "
             f"{h_eigs[-1]:.8f}; the determinant ratio is unstable"
         )
-    factor_ratios = []
-    for i, (S_i, K_i) in enumerate(zip(pair.factor_h, pair.factor_k)):
-        ke = np.linalg.eigvalsh(K_i)
-        if ke[0] <= 0:
-            raise NearSingularError(
-                f"factor {i} complement is singular", factor=i
-            )
-        ni, hi = prof.dims[i], prof.entropies[i]
-        det_h = max(float(np.linalg.det(S_i)), 0.0)
-        det_k = float(np.linalg.det(K_i))
-        factor_ratios.append(np.sqrt(det_h) / det_k / (np.sqrt(ni) / hi) ** ni)
+    for i, K_i in enumerate(pair.factor_k):
+        if np.linalg.eigvalsh(K_i)[0] <= 0:
+            raise NearSingularError(f"factor {i} complement is singular")
     sign_k, logdet_k = np.linalg.slogdet(pair.K)
     if sign_k <= 0:
         raise NearSingularError("full complement form is singular")
@@ -480,7 +467,6 @@ def jacobian_bound_report(
         barycenter=solution.point,
         gradient_norm=solution.gradient_norm,
         h_eigen_max=float(h_eigs[-1]),
-        factor_ratios=tuple(float(r) for r in factor_ratios),
     )
 
 
@@ -492,7 +478,6 @@ class DifferentialEstimate:
     norm: float
     bound: float
     slack: float
-    step: float
 
 
 def bar_differential_fd(
@@ -522,7 +507,6 @@ def bar_differential_fd(
             norm=0.0,
             bound=float(np.sqrt(4.0 * config.profile.n / config.profile.h_min**2)),
             slack=-1.0,
-            step=step,
         )
     u = u / nrm
     if abs(float(u @ f)) > 1e-8:
@@ -536,7 +520,7 @@ def bar_differential_fd(
     norm = product_dist(base.point, shifted.point, config.profile) / step
     bound = float(np.sqrt(4.0 * config.profile.n / config.profile.h_min**2))
     return DifferentialEstimate(
-        norm=float(norm), bound=bound, slack=float(norm / bound - 1.0), step=step
+        norm=float(norm), bound=bound, slack=float(norm / bound - 1.0)
     )
 
 
@@ -583,34 +567,39 @@ def natural_map_energy(
 ) -> NaturalMapResult:
     """Energy and volume of the sphere map at x, in closed form.
 
-    With a_j the components, g_j = grad d(., p_j) (unit) and
-    v = sum_j a_j^2 g_j, da_j = -(c/2) a_j (g_j - v): the pullback metric
-    G = (c^2/4)(sum_j a_j^2 g_j (x) g_j - v (x) v) has trace
+    With a_j the components, g_j = grad d(., p_j) (unit, in the
+    orthonormal frame of the product metric that the factors'
+    :func:`tangent_frame` rows give) and v = sum_j a_j^2 g_j,
+    da_j = -(c/2) a_j (g_j - v): the pullback metric, the n x n form
+    G = (c^2/4)(sum_j a_j^2 g_j (x) g_j - v (x) v), has trace
     (c^2/4)(1 - |v|^2), ``deficit`` is |v|^2, and by AM-GM
     ``volume_ratio`` = det(G)^(1/2) / (c^2/4n)^(n/2) <= 1.
     """
-    d, u = [], []  # per factor: d_ij and the unit gradients u_ij of d_ij
-    for i, xc in enumerate(xf.coords for xf in x.factors):
+    d, u = [], []  # per factor: d_ij and the frame components u_ij of grad d_ij
+    for i, xf in enumerate(x.factors):
         # from the chord w = x - p, |w| = 2 sinh(d/2): exactly 0 where x = p
-        w = xc - np.stack([pt.factors[i].coords for pt in points])
+        w = xf.coords - np.stack([pt.factors[i].coords for pt in points])
         s = np.sqrt(np.maximum(minkowski_form(w, w), 0.0))[:, None]
         d.append(2.0 * np.arcsinh(s[:, 0] / 2.0))
         sh = s * np.sqrt(1.0 + s * s / 4.0)  # sinh d; sinh(d) u = w + (cosh d - 1) x
-        u.append(np.divide(w + s * s / 2.0 * xc, sh, out=np.zeros_like(w), where=s > 0))
+        # q(x, e) = 0 for the frame rows e, so q(u, e) = q(w, e) / sinh d
+        qw = minkowski_form(w[:, None], tangent_frame(xf))
+        u.append(np.divide(qw, sh, out=np.zeros_like(qw), where=s > 0))
     dist = np.sqrt(sum((a * di) ** 2 for a, di in zip(profile.alpha, d)))
     if not dist.all():  # x = p_j in every factor: d_j has no gradient
         j = np.argmin(dist)
         raise ValueError(f"x is reference point {j}, where d(., p_{j}) is not smooth")
     comps = _sphere_components(dist, c)
-    # g_j by factor, scaled so that the form q measures the product metric
-    g = [(a * di / dist)[:, None] * ui for a, di, ui in zip(profile.alpha, d, u)]
-    v = [(comps * comps) @ gi for gi in g]
-    deficit = float(sum(minkowski_form(vi, vi) for vi in v))
-    # G / (c^2/4) has the nonzero spectrum of the Gram matrix of a_j (g_j - v)
-    rows = [comps[:, None] * (gi - vi) for gi, vi in zip(g, v)]
-    lam = np.linalg.eigvalsh(sum(minkowski_form(r[:, None], r[None]) for r in rows))
+    # g_j in the orthonormal frame of the product metric
+    g = np.hstack(
+        [(a * di / dist)[:, None] * ui for a, di, ui in zip(profile.alpha, d, u)]
+    )
+    v = (comps * comps) @ g
+    deficit = float(v @ v)
+    r = comps[:, None] * (g - v)  # G / (c^2/4) = r^T r, an n x n form
+    lam = np.linalg.eigvalsh(r.T @ r)
     n = profile.n
-    volume = np.sqrt(np.prod(np.maximum(n * lam[-n:], 0.0))) if lam.size >= n else 0.0
+    volume = np.sqrt(np.prod(np.maximum(n * lam, 0.0)))
     bound = c * c / 4.0
     energy = bound * (1.0 - deficit)
     holds = bool(energy <= bound * (1.0 + 1e-12))

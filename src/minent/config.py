@@ -74,8 +74,8 @@ class RunConfig:
         if self.seed < 0:
             raise ConfigError("[run] seed must be nonnegative")
         if not (0 < self.spread <= 6):
-            # hyperboloid points hold |q(x, x) + 1| <= 1e-10 only up to
-            # a distance of about 8 from the base point
+            # spread 8 still solves; at 10 a first Newton trial step of
+            # length 18 leaves the sheet in exp_map and the solve stops
             raise ConfigError("[run] spread must lie in (0, 6]")
         for key in ("n_atoms", "draws", "bcg_count"):
             if getattr(self, key) < 1:

@@ -182,7 +182,6 @@ class GrowthEstimate:
     """
 
     slope: float
-    intercept: float
     residual_rms: float
     rho: np.ndarray
     log_volume: np.ndarray
@@ -223,7 +222,6 @@ def _fit_slope(rho, logv, method) -> GrowthEstimate:
     resid = logv - A @ coef
     return GrowthEstimate(
         slope=float(coef[0]),
-        intercept=float(coef[1]),
         residual_rms=float(np.sqrt(np.mean(resid**2))),
         rho=rho,
         log_volume=logv,

@@ -4,6 +4,7 @@ and the discrete sphere-valued map."""
 
 import dataclasses
 import math
+import time
 import warnings
 
 import numpy as np
@@ -32,6 +33,7 @@ from minent.hyperbolic import (
     base_point,
     boundary_quadrature,
     exp_map,
+    minkowski_form,
     random_boost,
     random_point,
     tangent_frame,
@@ -601,6 +603,56 @@ def test_natural_map_energy_matches_fd(dims, minimal, c_factor):
         assert res.energy == pytest.approx(res.bound * (1.0 - res.deficit), rel=1e-15)
         assert np.allclose(res.components, natural_map_discrete(pts, c, x, profile))
         assert res.holds and 0.0 < res.volume_ratio <= 1.0
+
+
+def gram_natural_map(points, c, x, profile):
+    """Oracle: energy and volume ratio of the sphere map from the J x J
+    Minkowski Gram matrix of a_j (g_j - v), with the gradients g_j kept
+    as ambient tangent vectors; G has its nonzero spectrum."""
+    d, u = [], []
+    for i, xc in enumerate(xf.coords for xf in x.factors):
+        w = xc - np.stack([pt.factors[i].coords for pt in points])
+        s = np.sqrt(np.maximum(minkowski_form(w, w), 0.0))[:, None]
+        d.append(2.0 * np.arcsinh(s[:, 0] / 2.0))
+        sh = s * np.sqrt(1.0 + s * s / 4.0)
+        u.append(np.divide(w + s * s / 2.0 * xc, sh, out=np.zeros_like(w), where=s > 0))
+    dist = np.sqrt(sum((a * di) ** 2 for a, di in zip(profile.alpha, d)))
+    comps = natural_map_discrete(points, c, x, profile)
+    g = [(a * di / dist)[:, None] * ui for a, di, ui in zip(profile.alpha, d, u)]
+    v = [(comps * comps) @ gi for gi in g]
+    deficit = sum(minkowski_form(vi, vi) for vi in v)
+    rows = [comps[:, None] * (gi - vi) for gi, vi in zip(g, v)]
+    lam = np.linalg.eigvalsh(sum(minkowski_form(r[:, None], r[None]) for r in rows))
+    n = profile.n
+    return c * c / 4.0 * (1.0 - deficit), math.sqrt(np.prod(n * lam[-n:]))
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (3, 4), (3, 3, 5)])
+def test_natural_map_frame_form_matches_gram_oracle(dims):
+    profile = min_entropy_profile(dims, [2.0 + 0.5 * i for i in range(len(dims))])
+    c = 1.1 * profile.h_min
+    gen = np.random.default_rng([*dims, 7])
+    pts = [random_product_point(gen, dims, 1.2) for _ in range(3 * sum(dims))]
+    for _ in range(3):
+        x = random_product_point(gen, dims, 1.0)
+        res = natural_map_energy(pts, c, x, profile)
+        energy, volume = gram_natural_map(pts, c, x, profile)
+        assert res.energy == pytest.approx(energy, rel=1e-12)
+        assert res.volume_ratio == pytest.approx(volume, rel=1e-12)
+
+
+def test_natural_map_energy_is_fast_at_2048_points(profile33):
+    # the J x J Gram route took 1.25 s here; the n x n form is O(J n^2)
+    gen = np.random.default_rng(41)
+    pts = [random_product_point(gen, (3, 3), 1.2) for _ in range(2048)]
+    x = random_product_point(gen, (3, 3), 1.0)
+    c = 1.1 * profile33.h_min
+    best = math.inf
+    for _ in range(5):
+        start = time.perf_counter()
+        natural_map_energy(pts, c, x, profile33)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.020
 
 
 def test_natural_map_energy_antipodal_pair(profile33):

@@ -332,21 +332,46 @@ def test_reports_are_byte_identical(tmp_path):
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def moved_paths(old, new, path="$"):
-    """JSON paths whose values differ between two parsed documents."""
+def moved_values(old, new, path="$"):
+    """(path, old, new) for each JSON path whose value differs between
+    two parsed documents."""
     if isinstance(old, dict) and isinstance(new, dict):
         return [
-            p
+            m
             for k in sorted(old.keys() | new.keys())
-            for p in moved_paths(old.get(k), new.get(k), f"{path}.{k}")
+            for m in moved_values(old.get(k), new.get(k), f"{path}.{k}")
         ]
     if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
         return [
-            p
+            m
             for i, (a, b) in enumerate(zip(old, new))
-            for p in moved_paths(a, b, f"{path}[{i}]")
+            for m in moved_values(a, b, f"{path}[{i}]")
         ]
-    return [] if type(old) is type(new) and old == new else [path]
+    return [] if type(old) is type(new) and old == new else [(path, old, new)]
+
+
+def describe_moves(moves):
+    """One line per moved value: path, old -> new, and for two floats
+    the relative change."""
+    lines = []
+    for path, old, new in moves:
+        line = f"{path}: {old!r} -> {new!r}"
+        if isinstance(old, float) and isinstance(new, float) and old != 0.0:
+            line += f" (relative {(new - old) / abs(old):+.3g})"
+        lines.append(line)
+    return "\n".join(lines) or "formatting only"
+
+
+def test_describe_moves_names_old_new_and_relative_change():
+    old = {"a": [1.0, 2], "b": {"c": True}, "d": 0.0}
+    new = {"a": [1.0 + 1e-12, 3], "b": {"c": False}, "d": 0.5}
+    assert describe_moves(moved_values(old, new)).splitlines() == [
+        "$.a[0]: 1.0 -> 1.000000000001 (relative +1e-12)",
+        "$.a[1]: 2 -> 3",
+        "$.b.c: True -> False",
+        "$.d: 0.0 -> 0.5",
+    ]
+    assert describe_moves(moved_values(old, old)) == "formatting only"
 
 
 @pytest.mark.parametrize(
@@ -360,8 +385,8 @@ def test_reports_match_golden(tmp_path, sub):
     got = (tmp_path / f"{sub}_report.json").read_bytes()
     want = (GOLDEN / f"{sub}_report.json").read_bytes()
     if got != want:
-        moved = moved_paths(json.loads(want), json.loads(got))
-        pytest.fail(f"{sub} report moved at {moved or 'formatting only'}")
+        moves = moved_values(json.loads(want), json.loads(got))
+        pytest.fail(f"{sub} report moved:\n{describe_moves(moves)}")
 
 
 def test_anchor_table_is_what_the_reports_record():
@@ -546,10 +571,32 @@ def test_natural_map_subcommand(tmp_path):
     assert main(["--config", quick, "natural-map"]) == EXIT_OK
 
 
+def test_natural_map_memory_is_linear_in_reference_points(tmp_path):
+    # 12000 reference points: a J x J Gram matrix of the differentials,
+    # with its (J, J, 3) temporary, needs over 3 GB; the n x n form fits
+    # a 1.5 GB address space next to the interpreter and its libraries
+    limit = 1536 * 2**20
+    ini = write_ini(tmp_path, "[run]\nn_atoms = 6000\ndraws = 1\n")
+    args = ["--config", ini, "--out", str(tmp_path), "natural-map"]
+    code = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+        "from minent.cli import main\n"
+        f"sys.exit(main({args!r}))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert out.returncode == EXIT_OK, out.stderr[-2000:]
+
+
 @pytest.mark.parametrize("sub", ["barycenter", "natural-map"])
 def test_largest_valid_spread_runs(tmp_path, sub):
-    # points at distance 6 from the base still hold the hyperboloid
-    # tolerance; at 8 a draw can fail its own assert
+    # the validator's largest spread: atoms up to distance 6 from o
     far = write_ini(tmp_path, "[run]\nspread = 6\ndraws = 20\n")
     assert main(["--config", far, sub]) == EXIT_OK
 

@@ -69,10 +69,13 @@ def test_far_points_build():
 def test_point_drift_tolerance_scales_with_x0():
     far = pt(9.0, [1, 2, 0]).coords
     # a relative drift of 1e-12 moves q(x, x) by about 3e-5 here, within
-    # 1e-6 x_0^2, so the point is renormalized
+    # 1e-6 x_0^2, so the point is accepted and x_0 recomputed
     p = HyperboloidPoint(far * np.r_[1.0, np.full(3, 1.0 + 1e-12)])
     qq = minkowski_form(p.coords, p.coords)
     assert abs(qq + 1.0) <= 1e-10 * p.coords[0] ** 2
+    # from its spatial part; rescaling the whole vector by sqrt(-q)
+    # moved it by about 1e-12 x_0^2 = 1.6e-5 in distance
+    assert abs(dist(o3, p) - 9.0) < 1e-9
     # a relative drift of 1e-6 is not
     with pytest.raises(ValueError, match="too far from -1"):
         HyperboloidPoint(far * np.r_[1.0, np.full(3, 1.0 + 1e-6)])
@@ -129,6 +132,20 @@ def test_triangle_inequality(r1, r2, r3, seed):
     gen = np.random.default_rng(seed)
     x, y, z = (random_point(gen, 3, r + 1e-6) for r in (r1, r2, r3))
     assert dist(x, z) <= dist(x, y) + dist(y, z) + 1e-12
+
+
+def test_tangent_frame_is_the_transported_axes():
+    axes = np.eye(3, 4, 1)
+    assert np.array_equal(tangent_frame(o3), axes)
+    for r in (1e-8, 0.7, 3.0, 8.0):
+        x = pt(r, [1, -2, 0.5])
+        frame = tangent_frame(x)
+        transported = np.array([parallel_transport(o3, x, e) for e in axes])
+        assert np.abs(frame - transported).max() <= 4e-15 * x.coords[0]
+        tol = 4e-15 * x.coords[0] ** 2
+        gram = minkowski_form(frame[:, None], frame[None])
+        assert np.abs(gram - np.eye(3)).max() <= tol
+        assert np.abs(minkowski_form(frame, x.coords)).max() <= tol
 
 
 def test_exp_map_t_zero_is_identity():
@@ -335,10 +352,13 @@ def test_quadrature_errors():
 
 
 def test_transvection_moves_base_to_target():
-    x = pt(2.3, [3, 1, 2])
-    M = transvection_to(x)
-    moved = apply_isometry(M, o3)
-    assert dist(moved, x) < 1e-10
+    # an identity shortcut near o left atoms within 4.5e-8 untranslated
+    J = np.diag([-1.0, 1.0, 1.0, 1.0])
+    for r in (0.0, 1e-8, 1e-6, 1.0, 2.3, 8.0):
+        p = pt(r, [3, 1, 2])
+        M = transvection_to(p)
+        assert np.array_equal(M @ o3.coords, p.coords)
+        assert np.abs(M.T @ J @ M - J).max() <= 4e-15 * p.coords[0] ** 2
 
 
 def test_transvection_preserves_form():
