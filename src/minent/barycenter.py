@@ -22,12 +22,12 @@ transporting one fixed boundary node set through the hyperbolic
 translation taking the base point to the atom.  This is the same
 integral as weighting fixed nodes by the visual density (the density
 is the boundary Jacobian of that translation); the transported form
-keeps the exact symmetries: node weights stay uniform, masses are
-exactly 1, single-atom gradients vanish at the atom to machine
-precision, and the whole computation is equivariant under factor
-isometries.  The density-weighted route stays available in
-:mod:`minent.hyperbolic` and the two routes are cross-checked in the
-test suite.
+keeps the exact symmetries: node weights stay uniform and sum to 1,
+so the quadrature mass is 1 by construction and enters no formula,
+single-atom gradients vanish at the atom to machine precision, and the
+whole computation is equivariant under factor isometries.  The
+density-weighted route stays available in :mod:`minent.hyperbolic` and
+the two routes are cross-checked in the test suite.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ import numpy as np
 from .hyperbolic import (
     BoundaryQuadrature,
     HyperboloidPoint,
-    TangentVector,
-    exp_map,
     minkowski_form,
     parallel_transport,
     random_point,
@@ -51,6 +49,7 @@ from .products import (
     ProductPoint,
     ScalingProfile,
     product_dist,
+    product_exp,
 )
 
 __all__ = [
@@ -115,20 +114,17 @@ class FormPair:
     the scaled product metric.
 
     H, K             full n x n matrices (K is block diagonal).
-    factor_h         per-factor second-moment matrices in the unscaled
-                     factor frames; blocks of H are these over k plus
-                     first-moment cross terms.
-    factor_k         per-factor complements (mass Id - factor_h).
-    masses           per-atom, per-factor quadrature masses (1 up to
-                     rounding by construction).
+    factor_h         per-factor second-moment matrices S_i in the
+                     unscaled factor frames; the diagonal blocks are
+                     H_ii = S_i / k and K_ii = (Id - S_i) / (alpha_i
+                     sqrt(k)), and the cross blocks of H are products
+                     of first moments.
     frames           per-factor orthonormal frames at the point.
     """
 
     H: np.ndarray
     K: np.ndarray
     factor_h: tuple[np.ndarray, ...]
-    factor_k: tuple[np.ndarray, ...]
-    masses: np.ndarray
     frames: tuple[np.ndarray, ...]
 
     def trace_h(self) -> float:
@@ -172,7 +168,6 @@ class BarycenterProblem:
         self.config = config
         self.profile = profile
         self.quads = tuple(quads)
-        self.metrics = [np.diag([-1.0] + [1.0] * m) for m in profile.dims]
         # Transported nodes: atom j, factor i -> (count_i, m_i + 1).
         self.nodes: list[list[np.ndarray]] = []
         for atom in config.atoms:
@@ -188,33 +183,31 @@ class BarycenterProblem:
     # -- raw per-factor moments ------------------------------------------
 
     def _moments(self, x: ProductPoint, need_forms: bool, frames=None):
-        """Per atom j and factor i: quadrature mass, mean horofunction
-        value, mean frame differential, and (optionally) its second
-        moment, at the factor point x_i.  Differentials are taken in
-        ``frames`` (per-factor orthonormal rows at x), by default the
-        tangent frames at x."""
+        """Per atom j and factor i: mean horofunction value, mean frame
+        differential, and (optionally) its second moment, at the factor
+        point x_i.  Differentials are taken in ``frames`` (per-factor
+        orthonormal rows at x), by default the tangent frames at x."""
         prof = self.profile
         if frames is None:
             frames = [tangent_frame(xf) for xf in x.factors]
         J = self.config.size
-        masses = np.zeros((J, len(prof.dims)))
         values = np.zeros((J, len(prof.dims)))
         means = [np.zeros((J, m)) for m in prof.dims]
         seconds = [np.zeros((J, m, m)) for m in prof.dims] if need_forms else None
-        for i, (xf, G) in enumerate(zip(x.factors, self.metrics)):
-            gx = G @ xf.coords
-            fg = frames[i] @ G  # (m_i, m_i+1)
+        for i, xf in enumerate(x.factors):
+            sign = np.r_[-1.0, np.ones(xf.m)]  # q(u, v) = u @ (sign * v)
+            gx = sign * xf.coords
+            fg = frames[i] * sign  # (m_i, m_i+1)
             wts = self.quads[i].weights
             for j in range(J):
                 nodes = self.nodes[j][i]
                 s = -(nodes @ gx)
                 b = -(nodes @ fg.T) / s[:, None]
-                masses[j, i] = float(wts.sum())
                 values[j, i] = float(wts @ np.log(s))
                 means[i][j] = wts @ b
                 if need_forms:
                     seconds[i][j] = (b * wts[:, None]).T @ b
-        return frames, masses, values, means, seconds
+        return frames, values, means, seconds
 
     # -- public evaluations ----------------------------------------------
 
@@ -224,7 +217,7 @@ class BarycenterProblem:
         the scaled metric (concatenate for the full vector)."""
         prof = self.profile
         rk = np.sqrt(prof.k)
-        frames, masses, values, means, _ = self._moments(x, need_forms=False)
+        frames, values, means, _ = self._moments(x, need_forms=False)
         value = float(
             sum(
                 (prof.alpha[i] / rk) * float(self.w @ values[:, i])
@@ -240,38 +233,21 @@ class BarycenterProblem:
         rows at x; the tangent frames at x by default)."""
         prof = self.profile
         k, rk = prof.k, np.sqrt(prof.k)
-        frames, masses, values, means, seconds = self._moments(
-            x, need_forms=True, frames=frames
-        )
-        n = prof.n
-        H = np.zeros((n, n))
-        K = np.zeros((n, n))
-        offsets = np.concatenate([[0], np.cumsum(prof.dims)])
+        frames, _, means, seconds = self._moments(x, need_forms=True, frames=frames)
+        mu = np.hstack(means)  # (J, n) first moments
+        H = (mu.T * self.w) @ mu / k
+        K = np.zeros_like(H)
+        offsets = np.cumsum((0,) + prof.dims)
         factor_h = []
-        factor_k = []
         for i, m in enumerate(prof.dims):
             sl = slice(offsets[i], offsets[i + 1])
             S_i = np.einsum("j,jab->ab", self.w, seconds[i])
-            mass_i = float(self.w @ masses[:, i])
             factor_h.append(S_i)
-            factor_k.append(mass_i * np.eye(m) - S_i)
             H[sl, sl] = S_i / k
-            K[sl, sl] = factor_k[-1] / (prof.alpha[i] * rk)
-            for i2 in range(i + 1, prof.k):
-                sl2 = slice(offsets[i2], offsets[i2 + 1])
-                cross = np.einsum("j,ja,jb->ab", self.w, means[i], means[i2]) / k
-                H[sl, sl2] = cross
-                H[sl2, sl] = cross.T
+            K[sl, sl] = (np.eye(m) - S_i) / (prof.alpha[i] * rk)
         H = (H + H.T) / 2.0
         K = (K + K.T) / 2.0
-        return FormPair(
-            H=H,
-            K=K,
-            factor_h=tuple(factor_h),
-            factor_k=tuple(factor_k),
-            masses=masses,
-            frames=tuple(frames),
-        )
+        return FormPair(H=H, K=K, factor_h=tuple(factor_h), frames=tuple(frames))
 
     # -- solver -----------------------------------------------------------
 
@@ -286,21 +262,6 @@ class BarycenterProblem:
             out.append(HyperboloidPoint(acc))
         return ProductPoint(tuple(out))
 
-    def retract(
-        self, x: ProductPoint, frames, step_comps: list[np.ndarray]
-    ) -> ProductPoint:
-        """Per-factor exponential update from frame components of the
-        scaled metric (components along frame / alpha_i)."""
-        prof = self.profile
-        new = []
-        for i, xf in enumerate(x.factors):
-            vec = (step_comps[i] @ frames[i]) / prof.alpha[i]
-            if np.allclose(vec, 0.0):
-                new.append(xf)
-            else:
-                new.append(exp_map(xf, TangentVector(xf, vec), 1.0))
-        return ProductPoint(tuple(new))
-
     def solve(
         self,
         tol: float = 1e-8,
@@ -312,7 +273,6 @@ class BarycenterProblem:
         prof = self.profile
         x = x0 if x0 is not None else self.initial_point()
         value, grad, gnorm, frames = self.value_and_grad(x)
-        offsets = np.concatenate([[0], np.cumsum(prof.dims)])
         for it in range(1, max_iter + 1):
             if gnorm <= tol:
                 return BarycenterSolution(x, gnorm, value, it - 1, True)
@@ -322,12 +282,14 @@ class BarycenterProblem:
                 delta = np.linalg.solve(pair.K, -g)
             except np.linalg.LinAlgError:
                 raise NearSingularError("second-derivative form is singular")
-            comps = [
-                delta[offsets[i] : offsets[i + 1]] for i in range(prof.k)
-            ]
+            comps = np.split(delta, np.cumsum(prof.dims)[:-1])
             t = 1.0
             for _ in range(30):
-                trial = self.retract(x, frames, [t * c for c in comps])
+                # c_i are components along the scaled frame F_i / alpha_i
+                steps = [
+                    (t * c) @ F / a for c, F, a in zip(comps, frames, prof.alpha)
+                ]
+                trial = product_exp(x, steps, prof)
                 tval, tgrad, tnorm, tframes = self.value_and_grad(trial)
                 if tval < value or tnorm < gnorm:
                     x, value, grad, gnorm, frames = trial, tval, tgrad, tnorm, tframes
@@ -446,8 +408,8 @@ def jacobian_bound_report(
             "near-singular complement: an eigenvalue of H reaches "
             f"{h_eigs[-1]:.8f}; the determinant ratio is unstable"
         )
-    for i, K_i in enumerate(pair.factor_k):
-        if np.linalg.eigvalsh(K_i)[0] <= 0:
+    for i, S_i in enumerate(pair.factor_h):
+        if np.linalg.eigvalsh(S_i)[-1] >= 1.0:
             raise NearSingularError(f"factor {i} complement is singular")
     sign_k, logdet_k = np.linalg.slogdet(pair.K)
     if sign_k <= 0:

@@ -74,8 +74,8 @@ class RunConfig:
         if self.seed < 0:
             raise ConfigError("[run] seed must be nonnegative")
         if not (0 < self.spread <= 6):
-            # spread 8 still solves; at 10 a first Newton trial step of
-            # length 18 leaves the sheet in exp_map and the solve stops
+            # spread 10 solves in 6 Newton steps; at 12 the first trial
+            # lands beyond x_0 ~ 1e8, where q(x, x) rounds to 0
             raise ConfigError("[run] spread must lie in (0, 6]")
         for key in ("n_atoms", "draws", "bcg_count"):
             if getattr(self, key) < 1:

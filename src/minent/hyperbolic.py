@@ -194,8 +194,12 @@ def dist(x: HyperboloidPoint, y: HyperboloidPoint) -> float:
 def exp_map(x: HyperboloidPoint, v: TangentVector, t: float = 1.0) -> HyperboloidPoint:
     """Geodesic exponential: follow the geodesic through x with velocity v.
 
-    Returns cosh(t |v|) x + sinh(t |v|) v / |v|, renormalized onto the
-    sheet.  A zero vector returns x for every t (degenerate ray).
+    Returns the spatial part of cosh(t |v|) x + sinh(t |v|) v / |v| with
+    x_0 = sqrt(1 + |x|^2).  The rounding of q(x, v) is multiplied by
+    about sinh(2 t |v|) in the full vector, which for steps beyond about
+    17 can leave the sheet; the spatial part alone stays a point until
+    x_0 reaches about 1e8, where q(x, x) rounds to 0.  A zero vector
+    returns x for every t (degenerate ray).
     """
     if v.base is not x and not np.array_equal(v.base.coords, x.coords):
         raise ValueError("tangent vector is based at a different point")
@@ -204,6 +208,7 @@ def exp_map(x: HyperboloidPoint, v: TangentVector, t: float = 1.0) -> Hyperboloi
         return x
     s = t * speed
     c = np.cosh(s) * x.coords + np.sinh(s) * (v.vec / speed)
+    c[0] = np.sqrt(1.0 + c[1:] @ c[1:])
     return HyperboloidPoint(c)
 
 

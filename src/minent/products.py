@@ -260,19 +260,17 @@ def entropy_growth_numeric(
         raise ValueError("grid_step must lie in (0, 0.1] for a trustworthy slope")
     rho = _rho_grid(radius_lo, radius_hi)
 
-    if len(dims) == 1:
-        r, logmass = _log_cell_masses_1d(dims[0], radius_hi, grid_step)
-        logv = _log_ball_volume(r, logmass, rho)
-        return _fit_slope(rho, logv, "grid-1d")
-
-    if len(dims) == 2:
-        r1, lm1 = _log_cell_masses_1d(dims[0], radius_hi, grid_step)
-        r2, lm2 = _log_cell_masses_1d(dims[1], radius_hi, grid_step)
-        rr = np.sqrt(r1[:, None] ** 2 + r2[None, :] ** 2).ravel()
-        lm = (lm1[:, None] + lm2[None, :]).ravel()
+    if len(dims) <= 2:
+        # midpoint cells of the radial box, one grid per factor, cut to
+        # the quarter disc
+        radii, logmass = zip(
+            *(_log_cell_masses_1d(d, radius_hi, grid_step) for d in dims)
+        )
+        rr = np.sqrt(sum(r**2 for r in np.ix_(*radii))).ravel()
+        lm = sum(np.ix_(*logmass)).ravel()
         keep = rr <= radius_hi + grid_step
         logv = _log_ball_volume(rr[keep], lm[keep], rho)
-        return _fit_slope(rho, logv, "grid-2d")
+        return _fit_slope(rho, logv, f"grid-{len(dims)}d")
 
     # k >= 3: Monte Carlo over radial directions with an exact
     # cumulative integral along each ray, in the log domain.

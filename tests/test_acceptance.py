@@ -129,6 +129,18 @@ def test_criterion_3_determinant_inequality_campaign(record_property):
 # -- 4: barycenter solver, forms, and the jacobian-type bound --------------
 
 
+def complement_error(pair, profile):
+    """Largest entry of alpha_i sqrt(k) K_ii - (Id - k H_ii) over the
+    diagonal factor blocks: the per-factor reduction K_i = Id - H_i."""
+    k, err, start = profile.k, 0.0, 0
+    for a, m in zip(profile.alpha, profile.dims):
+        sl = slice(start, start + m)
+        k_ii = a * np.sqrt(k) * pair.K[sl, sl]
+        err = max(err, np.abs(k_ii - (np.eye(m) - k * pair.H[sl, sl])).max())
+        start += m
+    return err
+
+
 def test_criterion_4_barycenter_suite(record_property, profile33, quads33):
     t0 = time.perf_counter()
 
@@ -163,8 +175,7 @@ def test_criterion_4_barycenter_suite(record_property, profile33, quads33):
     # form identities at the two-atom solution
     forms = problem.forms(mid.point)
     assert abs(np.trace(forms.H) - 1.0) <= 2e-3
-    for S_i, K_i in zip(forms.factor_h, forms.factor_k):
-        assert np.abs(K_i - (np.eye(3) - S_i)).max() <= 5e-3
+    assert complement_error(forms, profile33) <= 5e-3
 
     # bound holds across a 50-configuration sweep
     gen = np.random.default_rng(42)
@@ -182,8 +193,7 @@ def test_criterion_4_barycenter_suite(record_property, profile33, quads33):
         if idx < 10:
             fp = prob.forms(sol.point)
             assert abs(np.trace(fp.H) - 1.0) <= 2e-3
-            for S_i, K_i in zip(fp.factor_h, fp.factor_k):
-                assert np.abs(K_i - (np.eye(3) - S_i)).max() <= 5e-3
+            assert complement_error(fp, profile33) <= 5e-3
     assert max(ratios) <= 1.0
 
     # the single-atom symmetric configuration attains the bound

@@ -204,6 +204,27 @@ def test_solver_equivariance(profile33, quads33_fine):
     assert product_dist(sol_moved.point, expected, profile33) < 5e-5
 
 
+def test_solver_warm_start_near_answer_converges(profile33, quads33):
+    """A solve started within 1e-8 of its answer takes its small Newton
+    step instead of stalling on it."""
+    config = random_configuration(np.random.default_rng(0), profile33, 4, 1.2)
+    base = BarycenterProblem(config, quads33).solve(tol=1e-9)
+    w = np.array(config.weights)
+    w[0] += 1e-8
+    moved = BarycenterProblem(config.reweighted(w), quads33)
+    sol = moved.solve(tol=1e-9, x0=base.point)
+    assert sol.converged
+    assert sol.gradient_norm < 1e-12
+
+
+def test_solver_converges_at_spread_10(profile33, quads33):
+    """The first Newton trial steps are about 18 long; they stay on the
+    sheet and the solve converges."""
+    config = random_configuration(np.random.default_rng(0), profile33, 4, 10.0)
+    sol = BarycenterProblem(config, quads33).solve()
+    assert sol.converged
+
+
 def test_solver_non_convergence_reported(profile33, quads33, rng):
     config = random_configuration(rng, profile33, 4, spread=1.2)
     sol = BarycenterProblem(config, quads33).solve(tol=1e-9, max_iter=1)
@@ -229,10 +250,12 @@ def test_forms_exact_identities(profile33, quads33, rng):
     problem = BarycenterProblem(config, quads33)
     sol = problem.solve(tol=1e-8)
     pair = problem.forms(sol.point)
-    assert np.abs(pair.masses - 1.0).max() < 1e-12
     assert pair.trace_h() == pytest.approx(1.0, abs=1e-12)
-    for h_i, k_i in zip(pair.factor_h, pair.factor_k):
-        assert np.abs(k_i - (np.eye(3) - h_i)).max() < 1e-12
+    k = profile33.k
+    for i, (a, h_i) in enumerate(zip(profile33.alpha, pair.factor_h)):
+        sl = slice(3 * i, 3 * i + 3)
+        k_ii = a * math.sqrt(k) * pair.K[sl, sl]
+        assert np.abs(k_ii - (np.eye(3) - k * pair.H[sl, sl])).max() < 1e-12
         assert np.abs(h_i - h_i.T).max() < 1e-14
 
 
@@ -262,12 +285,12 @@ def test_second_moments_match_einsum_reference(profile33, quads33, rng):
     problem = BarycenterProblem(config, quads33)
     x = ProductPoint(tuple(random_point(rng, 3, 0.8) for _ in range(2)))
     pair = problem.forms(x)
-    for i, (xf, G) in enumerate(zip(x.factors, problem.metrics)):
+    for i, xf in enumerate(x.factors):
         wts = quads33[i].weights
         want = np.zeros((3, 3))
         for w_j, nodes in zip(problem.w, (per[i] for per in problem.nodes)):
-            s = -(nodes @ (G @ xf.coords))
-            b = -(nodes @ (pair.frames[i] @ G).T) / s[:, None]
+            s = -minkowski_form(nodes, xf.coords)
+            b = -minkowski_form(nodes[:, None], pair.frames[i]) / s[:, None]
             want += w_j * np.einsum("l,la,lb->ab", wts, b, b)
         assert np.abs(pair.factor_h[i] - want).max() < 1e-14
 

@@ -314,10 +314,10 @@ def test_entropy_mixed_profile(tmp_path):
 def test_json_flag_prints_document(capsys):
     code = main(["--json", "entropy"])
     assert code == EXIT_OK
-    out = capsys.readouterr().out
-    start = out.index("{")
-    doc = json.loads(out[start:])
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
     assert doc["subcommand"] == "entropy"
+    assert "[PASS] profile-identities" in captured.err
 
 
 def test_reports_are_byte_identical(tmp_path):

@@ -162,6 +162,25 @@ def test_exp_map_unit_speed():
     assert dist(x, exp_map(x, v, 1.0)) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_exp_map_long_steps_stay_on_sheet():
+    """Steps of length 8-20 from points within 6 of o: the full vector
+    cosh(s) x + sinh(s) u can leave the sheet, the spatial part with
+    x_0 recomputed cannot while the endpoint lies within 17 of o."""
+    gen = np.random.default_rng(7)
+    kept = 0
+    for _ in range(2000):
+        x = random_point(gen, 3, 6.0)
+        g = gen.standard_normal(3)
+        u = (g / np.linalg.norm(g)) @ tangent_frame(x)
+        s = gen.uniform(8.0, 20.0)
+        if math.cosh(s) * x.coords[0] + math.sinh(s) * u[0] > math.cosh(17.0):
+            continue
+        kept += 1
+        y = exp_map(x, TangentVector(x, s * u))
+        assert dist(x, y) == pytest.approx(s, rel=1e-6)
+    assert kept > 1000
+
+
 def test_exp_map_flow_additivity():
     # exp(x, v, s+t) == exp(exp(x, v, s), transported v, t)
     x = pt(0.9, [1, 0, 1])
