@@ -289,7 +289,12 @@ class BarycenterProblem:
                 steps = [
                     (t * c) @ F / a for c, F, a in zip(comps, frames, prof.alpha)
                 ]
-                trial = product_exp(x, steps, prof)
+                try:
+                    trial = product_exp(x, steps, prof)
+                except ValueError:
+                    # beyond what a float hyperboloid point holds
+                    t *= 0.5
+                    continue
                 tval, tgrad, tnorm, tframes = self.value_and_grad(trial)
                 if tval < value or tnorm < gnorm:
                     x, value, grad, gnorm, frames = trial, tval, tgrad, tnorm, tframes

@@ -410,7 +410,7 @@ def _run_shortcut(cfg: RunConfig, doc: ReportDocument, csv_dir):
         eta=eta_rc, spacing=cfg.sc_spacing, extent=min(cfg.sc_extent, 12.0)
     )
     rc = r_c_verify(rc_model, cfg.region_c)
-    rc_assert = eta_rc >= 0.95 or eta_rc == 1.0
+    rc_assert = eta_rc >= 0.95
     rc_ok = rc.equal_within_slack if rc_assert else True
     doc.add(
         "region",

@@ -534,7 +534,7 @@ def epsilon_isometry_check(
 
 def measure_compare(
     X: FiniteMetricSpace,
-    Y: FiniteMetricSpace | None = None,
+    Y: FiniteMetricSpace,
     mapping=None,
 ) -> float:
     """Exact first Wasserstein distance W1 between the weights of X and
@@ -556,8 +556,6 @@ def measure_compare(
     duals certify that the restricted optimum is the full LP's.
     """
     mu = X.effective_weights()
-    if Y is None:
-        raise ValueError("need a second weighted space or weight vector")
     if mapping is None:
         if Y.size != X.size:
             raise ValueError("sizes differ; provide a mapping into X")

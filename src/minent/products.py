@@ -235,7 +235,6 @@ def entropy_growth_numeric(
     radius_hi: float,
     grid_step: float = 0.05,
     *,
-    mc_samples: int = 200_000,
     seed: int = 0,
 ) -> GrowthEstimate:
     """Volume-growth entropy of H^{n_1} x ... x H^{n_k} (unscaled metric).
@@ -244,9 +243,9 @@ def entropy_growth_numeric(
     prod_i sinh^{n_i - 1}(r_i) over the quarter-disc r_1^2 + ... <= rho^2
     (angular factors are constants and do not move the slope).  One and
     two factors use a deterministic midpoint grid accumulated in the
-    log domain; three or more factors fall back to seeded importance
-    sampling with exponential tilting, and the residual of the fit
-    should be read together with the Monte Carlo noise.
+    log domain; three or more factors average exact integrals along
+    2000 seeded rays in the positive orthant, and the residual of the
+    fit should be read together with the Monte Carlo noise.
 
     Returns the least-squares slope of log V(rho) for rho in
     [radius_lo, radius_hi] sampled every 0.25.
@@ -276,7 +275,7 @@ def entropy_growth_numeric(
     # cumulative integral along each ray, in the log domain.
     rng = np.random.default_rng(seed)
     h = np.array([d - 1 for d in dims], dtype=float)
-    n_dir = max(200, mc_samples // 100)
+    n_dir = 2000
     omega = np.abs(rng.standard_normal((n_dir, len(dims))))
     omega /= np.linalg.norm(omega, axis=1, keepdims=True)
     s = (np.arange(int(np.ceil(radius_hi / grid_step))) + 0.5) * grid_step

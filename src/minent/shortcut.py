@@ -71,10 +71,9 @@ class ShortcutModel:
     eta          cost multiplier squared along the segment: movement in
                  the cheap direction costs sqrt(eta) per unit length.
     segment      (r1_lo, r1_hi, offset): the segment spans r1 in
-                 [r1_lo, r1_hi].  Horizontal orientation puts it at
-                 height r2 = offset with cheap direction (1, 0);
-                 diagonal orientation puts it on the line
-                 r2 = r1 + offset with cheap direction (1, 1)/sqrt(2).
+                 [r1_lo, r1_hi] on the line r2 = rise r1 + offset, and
+                 the cheap move is (1, rise).  Horizontal orientation
+                 has rise 0, diagonal orientation rise 1.
     spacing      grid spacing delta, at most 0.05.
     extent       the grid covers [0, extent]^2.
 
@@ -101,25 +100,19 @@ class ShortcutModel:
         if self.orientation not in ("horizontal", "diagonal"):
             raise ValueError("orientation must be horizontal or diagonal")
         lo, hi, off = self.segment
-        if self.orientation == "horizontal":
-            inside = 0.0 <= lo < hi <= self.extent and 0.0 <= off <= self.extent
-        else:
-            inside = (
-                0.0 <= lo < hi <= self.extent
-                and 0.0 <= lo + off
-                and hi + off <= self.extent
-            )
-        if not inside:
+        rise = self._rise
+        if not (
+            0.0 <= lo < hi <= self.extent
+            and 0.0 <= rise * lo + off
+            and rise * hi + off <= self.extent
+        ):
             raise ValueError("segment must lie within the grid extent")
         if abs(off / self.spacing - round(off / self.spacing)) > 1e-9:
             raise ValueError("segment offset must lie on the grid")
 
     @property
-    def cheap_direction(self) -> tuple[float, float]:
-        if self.orientation == "horizontal":
-            return (1.0, 0.0)
-        r = math.sqrt(0.5)
-        return (r, r)
+    def _rise(self) -> int:
+        return int(self.orientation == "diagonal")
 
     @property
     def side(self) -> int:
@@ -129,14 +122,11 @@ class ShortcutModel:
         """Support line of the segment: (origin, unit along, unit
         normal, length along)."""
         lo, hi, off = self.segment
-        if self.orientation == "horizontal":
-            origin = np.array([lo, off])
-            along = np.array([1.0, 0.0])
-            length = hi - lo
-        else:
-            origin = np.array([lo, lo + off])
-            along = np.array([1.0, 1.0]) / math.sqrt(2.0)
-            length = (hi - lo) * math.sqrt(2.0)
+        rise = self._rise
+        step = math.sqrt(1.0 + rise * rise)
+        origin = np.array([lo, rise * lo + off])
+        along = np.array([1.0, rise]) / step
+        length = (hi - lo) * step
         normal = np.array([-along[1], along[0]])
         return origin, along, normal, length
 
@@ -147,46 +137,33 @@ class CornerPath:
 
     vertices: tuple[tuple[float, float], ...]
     multipliers: tuple[float, ...]
-    total_length: float
-    turning_angles: tuple[float, ...]
 
     def __post_init__(self):
         if len(self.vertices) < 2:
             raise ValueError("a path needs at least two vertices")
         if len(self.multipliers) != len(self.vertices) - 1:
             raise ValueError("one multiplier per segment")
-        v = np.asarray(self.vertices, dtype=float)
-        seg = np.diff(v, axis=0)
-        lengths = np.hypot(seg[:, 0], seg[:, 1])
-        total = float(np.dot(lengths, self.multipliers))
-        if abs(total - self.total_length) > 1e-12 * max(1.0, total):
-            raise ValueError("total length does not match the segments")
-        for a in self.turning_angles:
-            if not (0.0 <= a <= math.pi + 1e-12):
-                raise ValueError("turning angles must lie in [0, pi]")
 
-    @classmethod
-    def from_vertices(cls, vertices, multipliers) -> "CornerPath":
-        v = np.asarray(vertices, dtype=float)
-        seg = np.diff(v, axis=0)
-        lengths = np.hypot(seg[:, 0], seg[:, 1])
-        mult = np.asarray(multipliers, dtype=float)
-        total = float(np.dot(lengths, mult))
+    def _segments(self) -> np.ndarray:
+        return np.diff(np.asarray(self.vertices, dtype=float), axis=0)
+
+    @property
+    def total_length(self) -> float:
+        seg = self._segments()
+        return float(np.dot(np.hypot(seg[:, 0], seg[:, 1]), self.multipliers))
+
+    @property
+    def turning_angles(self) -> tuple[float, ...]:
+        seg = self._segments()
         angles = []
-        for s in range(len(seg) - 1):
-            a, b = seg[s], seg[s + 1]
+        for a, b in zip(seg[:-1], seg[1:]):
             na, nb = np.hypot(*a), np.hypot(*b)
             if na == 0 or nb == 0:
                 angles.append(0.0)
                 continue
             c = float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
             angles.append(math.acos(c))
-        return cls(
-            vertices=tuple(map(tuple, v.tolist())),
-            multipliers=tuple(mult.tolist()),
-            total_length=total,
-            turning_angles=tuple(angles),
-        )
+        return tuple(angles)
 
 
 @functools.lru_cache(maxsize=4)
@@ -242,8 +219,8 @@ class _GridEngine:
         lo, hi, off = model.segment
         # cheap edges: the unit moves whose both ends lie on the segment
         ii = np.arange(int(math.ceil(lo / d - 1e-9)), int(math.floor(hi / d + 1e-9)))
-        jj = int(round(off / d)) + (ii if model.orientation == "diagonal" else 0)
-        dx, dy = (1, 0) if model.orientation == "horizontal" else (1, 1)
+        jj = int(round(off / d)) + model._rise * ii
+        dx, dy = 1, model._rise
         src = ii * N + jj
         row = stencil.indptr
         self._cheap_pos = np.array(
@@ -330,9 +307,10 @@ def turning_angle_threshold(eta: float) -> float:
 
 @dataclass(frozen=True)
 class Witness:
+    """A cut from the start P = (-1, 0), one unit before the corner
+    A = (0, 0), to the point `end` on the cheap line."""
+
     theta: float
-    corner: tuple[float, float]
-    start: tuple[float, float]
     end: tuple[float, float]
     savings: float
 
@@ -361,17 +339,16 @@ def shorter_path_witness(eta: float, alpha: float) -> Witness | None:
         return None
     t_mid = (eta - ca) / (2.0 * sa)
     theta = 2.0 * math.atan(t_mid)
-    # Triangle P -> A -> Q, P one unit before the corner, exit angle
-    # alpha, cut angle theta at P; law of sines fixes the lengths.
-    P = (-1.0, 0.0)
-    A = (0.0, 0.0)
+    # Triangle P -> A -> Q, P = (-1, 0) one unit before the corner
+    # A = (0, 0), exit angle alpha, cut angle theta at P; law of sines
+    # fixes the lengths.
     aq = math.sin(theta) / math.sin(alpha - theta)
     Q = (aq * ca, aq * sa)
-    pq = math.hypot(Q[0] - P[0], Q[1] - P[1])
+    pq = math.hypot(Q[0] + 1.0, Q[1])
     savings = 1.0 + eta * aq - pq
     if savings <= 0.0:
         return None
-    return Witness(theta=theta, corner=A, start=P, end=Q, savings=savings)
+    return Witness(theta=theta, end=Q, savings=savings)
 
 
 # -- grid metric -----------------------------------------------------------
@@ -418,8 +395,9 @@ def extract_grid_path(model: ShortcutModel, a, b) -> CornerPath:
         if abs(cross) > 1e-12 or abs(mults[s] - mults[s - 1]) > 1e-12:
             keep.append(s)
     keep.append(len(verts) - 1)
-    kept_mults = [mults[s] for s in keep[:-1]]
-    return CornerPath.from_vertices(verts[keep], kept_mults)
+    return CornerPath(
+        tuple(map(tuple, verts[keep].tolist())), tuple(mults[s] for s in keep[:-1])
+    )
 
 
 # -- diagonal region -------------------------------------------------------
@@ -429,10 +407,13 @@ def extract_grid_path(model: ShortcutModel, a, b) -> CornerPath:
 class RegionReport:
     c: float
     samples: int
-    equal_within_slack: bool
     max_ratio_defect: float
     c_max: float
     violations: tuple[tuple[float, float], ...]
+
+    @property
+    def equal_within_slack(self) -> bool:
+        return not self.violations
 
 
 def r_c_verify(model: ShortcutModel, c: float) -> RegionReport:
@@ -480,7 +461,6 @@ def r_c_verify(model: ShortcutModel, c: float) -> RegionReport:
     return RegionReport(
         c=c,
         samples=int(angles.size * radii.size),
-        equal_within_slack=not violations,
         max_ratio_defect=float(ratio_defect[in_wedge].max()),
         c_max=c_max,
         violations=violations,
@@ -530,13 +510,30 @@ def eta_entropy_estimate(
 
 @dataclass(frozen=True)
 class BranchingReport:
-    used: bool
+    """The corner path for (p, q) and the one for the reflected pair;
+    used (conclusive) exactly when both exist."""
+
     path: CornerPath | None
     reflected_path: CornerPath | None
     straight_length: float
-    shared_segment: tuple[tuple[float, float], tuple[float, float]] | None
-    shared_length: float
-    length_difference: float
+
+    @property
+    def used(self) -> bool:
+        return self.reflected_path is not None
+
+    @property
+    def shared_segment(self):
+        return (self.path.vertices[1], self.path.vertices[2]) if self.used else None
+
+    @property
+    def shared_length(self) -> float:
+        return math.dist(*self.shared_segment) if self.used else 0.0
+
+    @property
+    def length_difference(self) -> float:
+        if not self.used:
+            return float("nan")
+        return abs(self.path.total_length - self.reflected_path.total_length)
 
 
 def corner_path_between(model: ShortcutModel, p, q) -> CornerPath | None:
@@ -572,8 +569,8 @@ def corner_path_between(model: ShortcutModel, p, q) -> CornerPath | None:
     )
     if length >= math.dist(p, q):
         return None
-    return CornerPath.from_vertices(
-        [tuple(p), tuple(entry), tuple(leave), tuple(q)], [1.0, mu, 1.0]
+    return CornerPath(
+        tuple(map(tuple, np.stack([p, entry, leave, q]).tolist())), (1.0, mu, 1.0)
     )
 
 
@@ -585,34 +582,13 @@ def branching_geodesic_demo(model: ShortcutModel, p, q) -> BranchingReport:
     If the straight line beats every corner path the report comes back
     with used=False (inconclusive), not an error.
     """
-    origin, along, normal, _ = model.line_frame()
-    straight = math.dist(p, q)
+    origin, _, normal, _ = model.line_frame()
     path = corner_path_between(model, p, q)
     ref = None
     if path is not None:
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        p_ref = tuple(p - 2.0 * float((p - origin) @ normal) * normal)
-        q_ref = tuple(q - 2.0 * float((q - origin) @ normal) * normal)
-        ref = corner_path_between(model, p_ref, q_ref)
-    if ref is None:
-        return BranchingReport(
-            used=False,
-            path=path,
-            reflected_path=None,
-            straight_length=straight,
-            shared_segment=None,
-            shared_length=0.0,
-            length_difference=float("nan"),
+        p_ref, q_ref = (
+            tuple(x - 2.0 * float((x - origin) @ normal) * normal)
+            for x in np.asarray([p, q], dtype=float)
         )
-    seg = (path.vertices[1], path.vertices[2])
-    shared = math.dist(seg[0], seg[1])
-    return BranchingReport(
-        used=True,
-        path=path,
-        reflected_path=ref,
-        straight_length=straight,
-        shared_segment=seg,
-        shared_length=shared,
-        length_difference=abs(path.total_length - ref.total_length),
-    )
+        ref = corner_path_between(model, p_ref, q_ref)
+    return BranchingReport(path, ref, math.dist(p, q))

@@ -225,6 +225,16 @@ def test_solver_converges_at_spread_10(profile33, quads33):
     assert sol.converged
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_solver_halves_unrepresentable_trial_at_spread_12(profile33, quads33, seed):
+    """The first Newton trial lands beyond x_0 ~ 1e8, where q(x, x)
+    rounds to 0 and no hyperboloid point can be built; the line search
+    halves the step instead of stopping."""
+    config = random_configuration(np.random.default_rng(seed), profile33, 4, 12.0)
+    sol = BarycenterProblem(config, quads33).solve()
+    assert sol.converged
+
+
 def test_solver_non_convergence_reported(profile33, quads33, rng):
     config = random_configuration(rng, profile33, 4, spread=1.2)
     sol = BarycenterProblem(config, quads33).solve(tol=1e-9, max_iter=1)

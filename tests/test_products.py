@@ -158,9 +158,7 @@ def test_growth_monotone_in_entropy():
 
 
 def test_growth_monte_carlo_route():
-    est = entropy_growth_numeric(
-        (3, 3, 3), 8.0, 14.0, mc_samples=100_000, seed=0
-    )
+    est = entropy_growth_numeric((3, 3, 3), 8.0, 14.0, seed=0)
     assert est.method == "monte-carlo"
     assert est.mc_slope_std is not None
     target = math.sqrt(12.0)

@@ -53,7 +53,7 @@ def corner_cost(eta, alpha):
 def test_model_defaults_valid():
     m = ShortcutModel()
     assert m.side == 241
-    assert m.cheap_direction == (1.0, 0.0)
+    assert tuple(m.line_frame()[1]) == (1.0, 0.0)
 
 
 def test_model_rejects_low_dimension():
@@ -95,47 +95,71 @@ def test_model_rejects_off_grid_offset():
 
 def test_diagonal_cheap_direction():
     m = ShortcutModel(segment=(1.0, 11.0, 0.0), orientation="diagonal")
-    assert m.cheap_direction == pytest.approx((ROOT2 / 2, ROOT2 / 2))
+    assert m.line_frame()[1] == pytest.approx((ROOT2 / 2, ROOT2 / 2))
 
 
 # -- corner paths ----------------------------------------------------------
 
 
 def test_corner_path_from_vertices():
-    p = CornerPath.from_vertices([(0, 0), (1, 0), (1, 1)], [1.0, 1.0])
+    p = CornerPath(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)), (1.0, 1.0))
     assert p.total_length == pytest.approx(2.0, abs=1e-12)
     assert p.turning_angles == pytest.approx((math.pi / 2,), abs=1e-12)
 
 
-def test_corner_path_validates_total():
-    with pytest.raises(ValueError, match="total length"):
-        CornerPath(
-            vertices=((0.0, 0.0), (1.0, 0.0)),
-            multipliers=(1.0,),
-            total_length=2.0,
-            turning_angles=(),
-        )
-
-
 def test_corner_path_validates_shape():
     with pytest.raises(ValueError, match="two vertices"):
-        CornerPath.from_vertices([(0, 0)], [])
+        CornerPath(((0.0, 0.0),), ())
     with pytest.raises(ValueError, match="one multiplier"):
-        CornerPath(
-            vertices=((0.0, 0.0), (1.0, 0.0)),
-            multipliers=(1.0, 1.0),
-            total_length=1.0,
-            turning_angles=(),
-        )
+        CornerPath(((0.0, 0.0), (1.0, 0.0)), (1.0, 1.0))
 
 
-def test_corner_path_validates_angle_range():
-    with pytest.raises(ValueError, match="angles"):
-        CornerPath(
-            vertices=((0.0, 0.0), (1.0, 0.0)),
-            multipliers=(1.0,),
-            total_length=1.0,
-            turning_angles=(4.0,),
+def stored_path_quantities(vertices, multipliers):
+    """Total length and turning angles as the path constructor used to
+    compute and store them."""
+    v = np.asarray(vertices, dtype=float)
+    seg = np.diff(v, axis=0)
+    lengths = np.hypot(seg[:, 0], seg[:, 1])
+    total = float(np.dot(lengths, np.asarray(multipliers, dtype=float)))
+    angles = []
+    for s in range(len(seg) - 1):
+        a, b = seg[s], seg[s + 1]
+        na, nb = np.hypot(*a), np.hypot(*b)
+        if na == 0 or nb == 0:
+            angles.append(0.0)
+            continue
+        c = float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
+        angles.append(math.acos(c))
+    return total, tuple(angles)
+
+
+@pytest.mark.parametrize(
+    "orientation, segment, pairs",
+    [
+        (
+            "horizontal",
+            (1.0, 4.0, 1.0),
+            [((1.2, 0.9), (4.3, 1.05)), ((2.5, 0.5), (3.9, 1.6))],
+        ),
+        (
+            "diagonal",
+            (1.0, 4.0, 0.5),
+            [((1.2, 1.5), (4.0, 4.6)), ((1.5, 2.5), (3.5, 3.6))],
+        ),
+    ],
+)
+def test_corner_path_properties_match_stored_arithmetic(orientation, segment, pairs):
+    # bit for bit, on extracted grid paths and on refraction paths
+    m = ShortcutModel(eta=0.5, segment=segment, extent=6.0, orientation=orientation)
+    paths = []
+    for a, b in pairs:
+        paths.append(extract_grid_path(m, a, b))
+        paths.append(corner_path_between(m, a, b))
+    assert None not in paths
+    assert any(len(p.turning_angles) > 1 for p in paths)
+    for p in paths:
+        assert (p.total_length, p.turning_angles) == stored_path_quantities(
+            p.vertices, p.multipliers
         )
 
 
@@ -164,14 +188,15 @@ def test_threshold_domain(eta):
 
 def test_witness_exists_and_checks_out():
     eta, alpha = 0.95, 0.4
+    start, corner = (-1.0, 0.0), (0.0, 0.0)
     w = shorter_path_witness(eta, alpha)
     assert isinstance(w, Witness)
     assert 0.0 < w.theta < alpha
     # the cut must genuinely beat the cornered route, by Euclidean
-    # arithmetic on the returned points alone
-    pa = math.dist(w.start, w.corner)
-    aq = math.dist(w.corner, w.end)
-    pq = math.dist(w.start, w.end)
+    # arithmetic on the returned end point and the fixed start and corner
+    pa = math.dist(start, corner)
+    aq = math.dist(corner, w.end)
+    pq = math.dist(start, w.end)
     assert pa == pytest.approx(1.0, abs=1e-12)
     assert pq < pa + eta * aq
     assert w.savings == pytest.approx(pa + eta * aq - pq, abs=1e-12)
