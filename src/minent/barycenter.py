@@ -28,6 +28,15 @@ single-atom gradients vanish at the atom to machine precision, and the
 whole computation is equivariant under factor isometries.  The
 density-weighted route stays available in :mod:`minent.hyperbolic` and
 the two routes are cross-checked in the test suite.
+
+Evaluation.  The transported nodes of factor i are stored as one
+(J, Q_i, m_i + 1) array over atoms and nodes.  One pass at a point gives
+the value, the gradient and both forms: per factor, the horofunction
+values and frame differentials at all J Q_i nodes, their first moments
+per atom, and the weighted second moment S_i as one product over all
+(atom, node) rows.  The Newton solver evaluates each point it visits
+once and steps with the K of the last accepted point; the
+:class:`BarycenterSolution` carries the forms at its point.
 """
 
 from __future__ import annotations
@@ -133,19 +142,24 @@ class FormPair:
 
 @dataclass(frozen=True)
 class BarycenterSolution:
+    """Where a solve stopped, with the forms at that point (in the
+    tangent frames there)."""
+
     point: ProductPoint
     gradient_norm: float
     value: float
     iterations: int
     converged: bool
+    forms: FormPair
 
 
 class BarycenterProblem:
     """One configuration with its transported quadrature nodes.
 
-    Prepares, per atom and factor, the node set representing the atom's
-    visual measure, and evaluates the functional, gradient and forms at
-    arbitrary points.  All evaluations share the preparation.
+    Prepares, per factor, the node sets representing the atoms' visual
+    measures, stacked as one (J, Q_i, m_i + 1) array, and evaluates the
+    functional, gradient and forms at arbitrary points.  All
+    evaluations share the preparation.
     """
 
     def __init__(
@@ -168,86 +182,65 @@ class BarycenterProblem:
         self.config = config
         self.profile = profile
         self.quads = tuple(quads)
-        # Transported nodes: atom j, factor i -> (count_i, m_i + 1).
-        self.nodes: list[list[np.ndarray]] = []
-        for atom in config.atoms:
-            per_factor = []
-            for i, xf in enumerate(atom.factors):
-                M = transvection_to(xf)
-                moved = self.quads[i].nodes @ M.T
-                moved = moved / moved[:, :1]
-                per_factor.append(moved)
-            self.nodes.append(per_factor)
         self.w = np.array(config.weights)
+        # Transported nodes per factor: (J, Q_i, m_i + 1), atom j's node
+        # set in row j, each node rescaled to first coordinate 1.
+        self.nodes = []
+        for i, q in enumerate(self.quads):
+            M = np.stack([transvection_to(atom.factors[i]) for atom in config.atoms])
+            moved = q.nodes @ M.transpose(0, 2, 1)
+            moved /= moved[..., :1]
+            self.nodes.append(moved)
 
-    # -- raw per-factor moments ------------------------------------------
-
-    def _moments(self, x: ProductPoint, need_forms: bool, frames=None):
-        """Per atom j and factor i: mean horofunction value, mean frame
-        differential, and (optionally) its second moment, at the factor
-        point x_i.  Differentials are taken in ``frames`` (per-factor
-        orthonormal rows at x), by default the tangent frames at x."""
+    def value_and_grad(self, x: ProductPoint, frames=None):
+        """Value, gradient, gradient norm and forms at x, in one pass
+        over the nodes.  The gradient is per-factor components in the
+        orthonormal frame of the scaled metric (concatenate for the full
+        vector); it and the :class:`FormPair` are expressed in
+        ``frames`` (per-factor orthonormal rows at x), by default the
+        tangent frames at x."""
         prof = self.profile
+        k, rk = prof.k, np.sqrt(prof.k)
         if frames is None:
             frames = [tangent_frame(xf) for xf in x.factors]
-        J = self.config.size
-        values = np.zeros((J, len(prof.dims)))
-        means = [np.zeros((J, m)) for m in prof.dims]
-        seconds = [np.zeros((J, m, m)) for m in prof.dims] if need_forms else None
-        for i, xf in enumerate(x.factors):
+        value, means, factor_h = 0.0, [], []
+        per_factor = zip(prof.alpha, x.factors, frames, self.nodes, self.quads)
+        for a, xf, F, nodes, q in per_factor:
             sign = np.r_[-1.0, np.ones(xf.m)]  # q(u, v) = u @ (sign * v)
-            gx = sign * xf.coords
-            fg = frames[i] * sign  # (m_i, m_i+1)
-            wts = self.quads[i].weights
-            for j in range(J):
-                nodes = self.nodes[j][i]
-                s = -(nodes @ gx)
-                b = -(nodes @ fg.T) / s[:, None]
-                values[j, i] = float(wts @ np.log(s))
-                means[i][j] = wts @ b
-                if need_forms:
-                    seconds[i][j] = (b * wts[:, None]).T @ b
-        return frames, values, means, seconds
-
-    # -- public evaluations ----------------------------------------------
-
-    def value_and_grad(self, x: ProductPoint):
-        """Value, gradient, gradient norm and tangent frames at x.  The
-        gradient is per-factor components in the orthonormal frame of
-        the scaled metric (concatenate for the full vector)."""
-        prof = self.profile
-        rk = np.sqrt(prof.k)
-        frames, values, means, _ = self._moments(x, need_forms=False)
-        value = float(
-            sum(
-                (prof.alpha[i] / rk) * float(self.w @ values[:, i])
-                for i in range(prof.k)
-            )
-        )
-        grad = [np.asarray(self.w @ means[i]) / rk for i in range(prof.k)]
+            s = -(nodes @ (sign * xf.coords))  # (J, Q): horofunction exp(B)
+            b = nodes @ (F * sign).T  # (J, Q, m): frame differentials of B
+            b /= -s[..., None]
+            value += a / rk * float(self.w @ (np.log(s) @ q.weights))
+            means.append(q.weights @ b)  # (J, m) first moments per atom
+            # S_i = sum_j w_j sum_q wts_q b b^T: one product over all
+            # (atom, node) rows once each row carries sqrt(w_j wts_q)
+            b *= np.sqrt(q.weights)[:, None]
+            b *= np.sqrt(self.w)[:, None, None]
+            rows = b.reshape(-1, xf.m)
+            factor_h.append(rows.T @ rows)
+            del s, b, rows  # one factor's (J, Q) arrays alive at a time
+        grad = [self.w @ mu / rk for mu in means]
         gnorm = float(np.sqrt(sum(float(g @ g) for g in grad)))
-        return value, grad, gnorm, frames
+        mu = np.hstack(means)  # (J, n)
+        H = (mu.T * self.w) @ mu / k
+        K = np.zeros_like(H)
+        end = np.cumsum(prof.dims)
+        for a, m, e, S_i in zip(prof.alpha, prof.dims, end, factor_h):
+            sl = slice(e - m, e)
+            H[sl, sl] = S_i / k
+            K[sl, sl] = (np.eye(m) - S_i) / (a * rk)
+        pair = FormPair(
+            H=(H + H.T) / 2.0,
+            K=(K + K.T) / 2.0,
+            factor_h=tuple(factor_h),
+            frames=tuple(frames),
+        )
+        return value, grad, gnorm, pair
 
     def forms(self, x: ProductPoint, frames=None) -> FormPair:
         """H and K at x, expressed in ``frames`` (per-factor orthonormal
         rows at x; the tangent frames at x by default)."""
-        prof = self.profile
-        k, rk = prof.k, np.sqrt(prof.k)
-        frames, _, means, seconds = self._moments(x, need_forms=True, frames=frames)
-        mu = np.hstack(means)  # (J, n) first moments
-        H = (mu.T * self.w) @ mu / k
-        K = np.zeros_like(H)
-        offsets = np.cumsum((0,) + prof.dims)
-        factor_h = []
-        for i, m in enumerate(prof.dims):
-            sl = slice(offsets[i], offsets[i + 1])
-            S_i = np.einsum("j,jab->ab", self.w, seconds[i])
-            factor_h.append(S_i)
-            H[sl, sl] = S_i / k
-            K[sl, sl] = (np.eye(m) - S_i) / (prof.alpha[i] * rk)
-        H = (H + H.T) / 2.0
-        K = (K + K.T) / 2.0
-        return FormPair(H=H, K=K, factor_h=tuple(factor_h), frames=tuple(frames))
+        return self.value_and_grad(x, frames)[3]
 
     # -- solver -----------------------------------------------------------
 
@@ -255,11 +248,9 @@ class BarycenterProblem:
         """Weighted ambient average per factor, renormalized to the sheet."""
         out = []
         for i in range(self.profile.k):
-            acc = np.zeros(self.profile.dims[i] + 1)
-            for w, atom in zip(self.w, self.config.atoms):
-                acc += w * atom.factors[i].coords
-            acc = acc / np.sqrt(-minkowski_form(acc, acc))
-            out.append(HyperboloidPoint(acc))
+            coords = np.stack([atom.factors[i].coords for atom in self.config.atoms])
+            acc = self.w @ coords
+            out.append(HyperboloidPoint(acc / np.sqrt(-minkowski_form(acc, acc))))
         return ProductPoint(tuple(out))
 
     def solve(
@@ -268,15 +259,17 @@ class BarycenterProblem:
         max_iter: int = 100,
         x0: ProductPoint | None = None,
     ) -> BarycenterSolution:
+        """Damped Newton iteration on the forms K of the evaluated
+        points: each point is evaluated once, and an accepted trial's
+        forms give the next step."""
         if tol < 1e-10:
             raise ValueError("tolerances below 1e-10 are not resolvable here")
         prof = self.profile
         x = x0 if x0 is not None else self.initial_point()
-        value, grad, gnorm, frames = self.value_and_grad(x)
+        value, grad, gnorm, pair = self.value_and_grad(x)
         for it in range(1, max_iter + 1):
             if gnorm <= tol:
-                return BarycenterSolution(x, gnorm, value, it - 1, True)
-            pair = self.forms(x)
+                return BarycenterSolution(x, gnorm, value, it - 1, True, pair)
             g = np.concatenate(grad)
             try:
                 delta = np.linalg.solve(pair.K, -g)
@@ -287,7 +280,7 @@ class BarycenterProblem:
             for _ in range(30):
                 # c_i are components along the scaled frame F_i / alpha_i
                 steps = [
-                    (t * c) @ F / a for c, F, a in zip(comps, frames, prof.alpha)
+                    (t * c) @ F / a for c, F, a in zip(comps, pair.frames, prof.alpha)
                 ]
                 try:
                     trial = product_exp(x, steps, prof)
@@ -295,15 +288,15 @@ class BarycenterProblem:
                     # beyond what a float hyperboloid point holds
                     t *= 0.5
                     continue
-                tval, tgrad, tnorm, tframes = self.value_and_grad(trial)
+                tval, tgrad, tnorm, tpair = self.value_and_grad(trial)
                 if tval < value or tnorm < gnorm:
-                    x, value, grad, gnorm, frames = trial, tval, tgrad, tnorm, tframes
+                    x, value, grad, gnorm, pair = trial, tval, tgrad, tnorm, tpair
                     break
                 t *= 0.5
             else:
                 # no progress at the smallest damping: report where we are
-                return BarycenterSolution(x, gnorm, value, it, False)
-        return BarycenterSolution(x, gnorm, value, max_iter, gnorm <= tol)
+                return BarycenterSolution(x, gnorm, value, it, False, pair)
+        return BarycenterSolution(x, gnorm, value, max_iter, gnorm <= tol, pair)
 
 
 # -- determinant inequalities ---------------------------------------------
@@ -400,13 +393,13 @@ def jacobian_bound_report(
     """Both sides of the volume-distortion bound at the barycenter:
     estimate 2^n det(H)^{1/2} / det(K) against (4 n / h_min^2)^{n/2}.
     ``solution`` must come from ``problem``; it is solved here at the
-    default tolerance if absent."""
+    default tolerance if absent.  The forms are the solution's own."""
     prof = problem.profile
     if solution is None:
         solution = problem.solve()
     if not solution.converged:
         raise NearSingularError("barycenter solve did not converge; no report")
-    pair = problem.forms(solution.point)
+    pair = solution.forms
     h_eigs = np.linalg.eigvalsh(pair.H)
     if h_eigs[-1] >= 1.0 - 1e-6:
         raise NearSingularError(
@@ -468,13 +461,10 @@ def bar_differential_fd(
     f = np.sqrt(np.array(config.weights))
     if u.shape != f.shape:
         raise ValueError("direction length must match the number of atoms")
+    bound = float(np.sqrt(4.0 * config.profile.n / config.profile.h_min**2))
     nrm = np.linalg.norm(u)
     if nrm == 0.0:
-        return DifferentialEstimate(
-            norm=0.0,
-            bound=float(np.sqrt(4.0 * config.profile.n / config.profile.h_min**2)),
-            slack=-1.0,
-        )
+        return DifferentialEstimate(norm=0.0, bound=bound, slack=-1.0)
     u = u / nrm
     if abs(float(u @ f)) > 1e-8:
         u = u - (u @ f) * f
@@ -485,7 +475,6 @@ def bar_differential_fd(
     if not (base.converged and shifted.converged):
         raise NearSingularError("barycenter solve did not converge")
     norm = product_dist(base.point, shifted.point, config.profile) / step
-    bound = float(np.sqrt(4.0 * config.profile.n / config.profile.h_min**2))
     return DifferentialEstimate(
         norm=float(norm), bound=bound, slack=float(norm / bound - 1.0)
     )
@@ -592,11 +581,10 @@ def form_lipschitz_ratio(
     if config_a.profile is not config_b.profile and config_a.profile != config_b.profile:
         raise ValueError("configurations must share a profile")
     prof = config_a.profile
-    problem_a = BarycenterProblem(config_a, quads)
+    sol_a = BarycenterProblem(config_a, quads).solve(tol=1e-9)
     problem_b = BarycenterProblem(config_b, quads)
-    sol_a = problem_a.solve(tol=1e-9)
     sol_b = problem_b.solve(tol=1e-9, x0=sol_a.point)
-    pair_a = problem_a.forms(sol_a.point)
+    pair_a = sol_a.forms
     # Transport the frame at Bar(a) to Bar(b) factor by factor and
     # express H_b in the transported frame.
     transported = [

@@ -231,7 +231,7 @@ def _run_barycenter(cfg: RunConfig, doc: ReportDocument, csv_dir) -> int | None:
     )
     if not sol.converged:
         return EXIT_NOCONV
-    pair = problem.forms(sol.point)
+    pair = sol.forms
     tr_err = abs(pair.trace_h() - 1.0)
     # the per-factor reduction K_i = Id - H_i on the blocks Newton and
     # the bound use: alpha_i sqrt(k) K_ii = Id - k H_ii

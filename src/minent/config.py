@@ -71,11 +71,19 @@ class RunConfig:
                               "deterministic-sphere or monte-carlo")
         if self.quad_count < 12:
             raise ConfigError("[quadrature] count must be at least 12")
+        deterministic_s2 = self.quad_scheme == "deterministic-sphere" and 3 in self.dims
+        if deterministic_s2 and self.quad_count < 200:
+            # the barycenter solver takes deterministic S^2 nodes from 200 on
+            raise ConfigError(
+                "[quadrature] count must be at least 200 for the "
+                "deterministic nodes of a 3-dimensional factor"
+            )
         if self.seed < 0:
             raise ConfigError("[run] seed must be nonnegative")
         if not (0 < self.spread <= 6):
             # spread 12 converges by halving trials beyond x_0 ~ 1e8; at
-            # 14 exp_map can overflow cosh and the solve stops unconverged
+            # 14 exp_map rejects overflowing trials and the line search
+            # halves them, but seed 1 still stops unconverged
             raise ConfigError("[run] spread must lie in (0, 6]")
         for key in ("n_atoms", "draws", "bcg_count"):
             if getattr(self, key) < 1:
@@ -86,8 +94,8 @@ class RunConfig:
             raise ConfigError("[solver] max_iter must be positive")
         if not (0 < self.rho_lo < self.rho_hi):
             raise ConfigError("[growth] need 0 < rho_lo < rho_hi")
-        if not (0 < self.grid_step <= 0.2):
-            raise ConfigError("[growth] grid_step must lie in (0, 0.2]")
+        if not (0 < self.grid_step <= 0.1):
+            raise ConfigError("[growth] grid_step must lie in (0, 0.1]")
         if any(not 0 < e <= 1 for e in self.etas):
             raise ConfigError("[shortcut] etas must lie in (0, 1]")
         if not (0 < self.sc_spacing <= 0.05):

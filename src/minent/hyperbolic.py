@@ -198,8 +198,11 @@ def exp_map(x: HyperboloidPoint, v: TangentVector, t: float = 1.0) -> Hyperboloi
     x_0 = sqrt(1 + |x|^2).  The rounding of q(x, v) is multiplied by
     about sinh(2 t |v|) in the full vector, which for steps beyond about
     17 can leave the sheet; the spatial part alone stays a point until
-    x_0 reaches about 1e8, where q(x, x) rounds to 0.  A zero vector
-    returns x for every t (degenerate ray).
+    x_0 reaches about 1e8, where q(x, x) rounds to 0.  A step whose
+    coordinates or their squared norm overflow (from o, t |v| beyond
+    about 355) raises ValueError, without a warning, so that a line
+    search can shorten it.  A zero vector returns x for every t
+    (degenerate ray).
     """
     if v.base is not x and not np.array_equal(v.base.coords, x.coords):
         raise ValueError("tangent vector is based at a different point")
@@ -207,8 +210,12 @@ def exp_map(x: HyperboloidPoint, v: TangentVector, t: float = 1.0) -> Hyperboloi
     if speed == 0.0:
         return x
     s = t * speed
-    c = np.cosh(s) * x.coords + np.sinh(s) * (v.vec / speed)
-    c[0] = np.sqrt(1.0 + c[1:] @ c[1:])
+    try:
+        with np.errstate(over="raise"):
+            c = np.cosh(s) * x.coords + np.sinh(s) * (v.vec / speed)
+            c[0] = np.sqrt(1.0 + c[1:] @ c[1:])
+    except FloatingPointError:
+        raise ValueError(f"a step of length {s!r} overflows the coordinates") from None
     return HyperboloidPoint(c)
 
 

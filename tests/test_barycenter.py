@@ -87,14 +87,14 @@ def test_gradient_matches_value_finite_differences(profile33, quads33, rng):
     config = random_configuration(rng, profile33, 3, spread=1.0)
     problem = BarycenterProblem(config, quads33)
     x = ProductPoint(tuple(random_point(rng, 3, 0.8) for _ in range(2)))
-    value, grad, gnorm, frames = problem.value_and_grad(x)
+    value, grad, gnorm, pair = problem.value_and_grad(x)
     h = 1e-3
     for i in range(2):
         for a in range(3):
             vecs = [np.zeros(4), np.zeros(4)]
-            vecs[i] = h * frames[i][a]
+            vecs[i] = h * pair.frames[i][a]
             vp = problem.value_and_grad(product_exp(x, vecs, profile33))[0]
-            vecs[i] = -h * frames[i][a]
+            vecs[i] = -h * pair.frames[i][a]
             vm = problem.value_and_grad(product_exp(x, vecs, profile33))[0]
             assert (vp - vm) / (2 * h) == pytest.approx(
                 grad[i][a], abs=1e-4
@@ -235,6 +235,21 @@ def test_solver_halves_unrepresentable_trial_at_spread_12(profile33, quads33, se
     assert sol.converged
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_solver_halves_overflowing_trial_at_spread_14(profile33, quads33, seed):
+    """Newton trials thousands long overflow cosh; exp_map rejects them
+    without a warning and the line search halves them.  Seed 1 still
+    stops unconverged: it accepts a far trial whose value rose but whose
+    gradient norm barely fell, and every halving of the next step
+    overflows too."""
+    config = random_configuration(np.random.default_rng(seed), profile33, 4, 14.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = BarycenterProblem(config, quads33).solve()
+    assert np.isfinite(sol.value) and np.isfinite(sol.gradient_norm)
+    assert sol.converged or seed == 1
+
+
 def test_solver_non_convergence_reported(profile33, quads33, rng):
     config = random_configuration(rng, profile33, 4, spread=1.2)
     sol = BarycenterProblem(config, quads33).solve(tol=1e-9, max_iter=1)
@@ -289,20 +304,29 @@ def test_single_atom_forms_are_isotropic(profile33, quads33):
 
 
 def test_second_moments_match_einsum_reference(profile33, quads33, rng):
-    """The per-atom second moment is a weighted matmul; the summation
-    order differs from the explicit three-index sum only by rounding."""
+    """The weighted second moment is one matmul over all (atom, node)
+    rows of the stacked nodes; the summation order differs from the
+    explicit three-index sum, atom by atom, only by rounding.  The value
+    and the gradient of the same pass match the per-atom sums too."""
     config = random_configuration(rng, profile33, 3, spread=1.0)
     problem = BarycenterProblem(config, quads33)
     x = ProductPoint(tuple(random_point(rng, 3, 0.8) for _ in range(2)))
-    pair = problem.forms(x)
+    value, grad, _, pair = problem.value_and_grad(x)
+    rk = math.sqrt(profile33.k)
+    want_value = 0.0
     for i, xf in enumerate(x.factors):
         wts = quads33[i].weights
-        want = np.zeros((3, 3))
-        for w_j, nodes in zip(problem.w, (per[i] for per in problem.nodes)):
+        assert problem.nodes[i].shape == (3, wts.size, 4)
+        want, want_grad = np.zeros((3, 3)), np.zeros(3)
+        for w_j, nodes in zip(problem.w, problem.nodes[i]):
             s = -minkowski_form(nodes, xf.coords)
             b = -minkowski_form(nodes[:, None], pair.frames[i]) / s[:, None]
             want += w_j * np.einsum("l,la,lb->ab", wts, b, b)
+            want_grad += w_j * np.einsum("l,la->a", wts, b) / rk
+            want_value += w_j * profile33.alpha[i] / rk * np.sum(wts * np.log(s))
         assert np.abs(pair.factor_h[i] - want).max() < 1e-14
+        assert np.abs(grad[i] - want_grad).max() < 1e-14
+    assert value == pytest.approx(want_value, abs=1e-14)
 
 
 def test_forms_in_default_frames_match_exactly(profile33, quads33, rng):

@@ -168,6 +168,33 @@ def test_validation_names_the_section(field, value, section):
         cfg.validate()
 
 
+@pytest.mark.parametrize(
+    "sub,section,key,at_bound,past_bound",
+    [
+        ("growth", "growth", "grid_step", "0.1", "0.10000000000000002"),
+        ("barycenter", "quadrature", "count", "200", "199"),
+    ],
+)
+def test_validator_bounds_match_the_library(
+    tmp_path, capsys, sub, section, key, at_bound, past_bound
+):
+    """The largest grid_step and the smallest deterministic node count
+    that the validator admits run; one step past them is a config error
+    naming the section and key, not a library error."""
+    ok = write_ini(tmp_path, f"[{section}]\n{key} = {at_bound}\n", "ok.ini")
+    assert main(["--config", ok, "--out", str(tmp_path), sub]) == EXIT_OK
+    capsys.readouterr()
+    bad = write_ini(tmp_path, f"[{section}]\n{key} = {past_bound}\n", "bad.ini")
+    assert main(["--config", bad, "--out", str(tmp_path), sub]) == EXIT_CONFIG
+    assert f"[{section}] {key}" in capsys.readouterr().err
+
+
+def test_monte_carlo_quadrature_admits_small_counts():
+    # the 200-node floor is the deterministic S^2 layout's
+    cfg = RunConfig(quad_scheme="monte-carlo", quad_count=12)
+    assert cfg.validate() is cfg
+
+
 def test_shortcut_grid_bound_admits_side_1001():
     cfg = RunConfig(sc_extent=50.0, sc_spacing=0.05)
     assert cfg.validate() is cfg
@@ -510,6 +537,35 @@ def test_barycenter_subcommand(tmp_path):
     jac = by_name["jacobian"]
     assert jac["passed"] is True
     assert jac["outputs"]["estimate"] <= jac["outputs"]["bound"]
+
+
+def test_barycenter_evaluates_each_point_once(tmp_path, monkeypatch):
+    """A pass over the nodes is an outermost call of value_and_grad or
+    forms.  The default solve evaluates its start and two accepted
+    Newton trials, once each, and the report reads the forms that the
+    solve already has."""
+    from minent.barycenter import BarycenterProblem
+
+    points, depth = [], [0]
+
+    def counted(method):
+        def wrapper(self, x, *args, **kwargs):
+            if not depth[0]:
+                points.append(np.concatenate([f.coords for f in x.factors]).tobytes())
+            depth[0] += 1
+            try:
+                return method(self, x, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        return wrapper
+
+    for name in ("value_and_grad", "forms"):
+        method = getattr(BarycenterProblem, name)
+        monkeypatch.setattr(BarycenterProblem, name, counted(method))
+    assert main(["--out", str(tmp_path), "barycenter"]) == EXIT_OK
+    assert len(points) == 3
+    assert len(set(points)) == 3
 
 
 def test_barycenter_nonconvergence_exit(tmp_path):

@@ -3,6 +3,7 @@ boundary quadrature, and the isometry machinery everything else leans
 on."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -179,6 +180,19 @@ def test_exp_map_long_steps_stay_on_sheet():
         y = exp_map(x, TangentVector(x, s * u))
         assert dist(x, y) == pytest.approx(s, rel=1e-6)
     assert kept > 1000
+
+
+def test_exp_map_rejects_overflowing_step():
+    """A step whose coordinates or their squared norm overflow raises
+    ValueError, which a line search can catch, and warns about nothing."""
+    away = random_point(np.random.default_rng(3), 3, 10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (o3, away):
+            u = tangent_frame(x)[0]
+            for s in (360.0, 711.0, 1e4, 1e300):
+                with pytest.raises(ValueError, match="overflows"):
+                    exp_map(x, TangentVector(x, u), s)
 
 
 def test_exp_map_flow_additivity():
