@@ -260,8 +260,9 @@ class BarycenterProblem:
         x0: ProductPoint | None = None,
     ) -> BarycenterSolution:
         """Damped Newton iteration on the forms K of the evaluated
-        points: each point is evaluated once, and an accepted trial's
-        forms give the next step."""
+        points: a trial is accepted when the value falls, each point is
+        evaluated once, and an accepted trial's forms give the next
+        step."""
         if tol < 1e-10:
             raise ValueError("tolerances below 1e-10 are not resolvable here")
         prof = self.profile
@@ -289,7 +290,7 @@ class BarycenterProblem:
                     t *= 0.5
                     continue
                 tval, tgrad, tnorm, tpair = self.value_and_grad(trial)
-                if tval < value or tnorm < gnorm:
+                if tval < value:
                     x, value, grad, gnorm, pair = trial, tval, tgrad, tnorm, tpair
                     break
                 t *= 0.5

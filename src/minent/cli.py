@@ -351,6 +351,7 @@ def _run_shortcut(cfg: RunConfig, doc: ReportDocument, csv_dir):
         eta_entropy_estimate,
         metric_slack,
         r_c_verify,
+        reduced_distance,
         shorter_path_witness,
         turning_angle_threshold,
     )
@@ -381,19 +382,19 @@ def _run_shortcut(cfg: RunConfig, doc: ReportDocument, csv_dir):
         spacing=cfg.sc_spacing,
         extent=min(cfg.sc_extent, 12.0),
     )
+    # grid distances against the closed form at the same grid nodes
     slack = metric_slack(base)
-    d_plain = d_eta_reduced(
-        ShortcutModel(eta=1.0, spacing=cfg.sc_spacing, extent=base.extent),
-        (0.5, 0.5),
-        (5.5, 4.0),
-    )
-    euclid = math.dist((0.5, 0.5), (5.5, 4.0))
+    plain = ShortcutModel(eta=1.0, spacing=cfg.sc_spacing, extent=base.extent)
+    a, b = base.snap((0.5, 0.5)), base.snap((5.5, 4.0))
+    d_plain = d_eta_reduced(plain, a, b)
+    euclid = float(reduced_distance(plain, a, b))
     spot_ok = d_plain <= euclid * (1 + slack) + 1e-12 and d_plain >= euclid - 1e-12
     if min(etas) < 1.0:
-        a, b = (2.5, 1.0), (5.5, 1.0)
+        a, b = base.snap((2.5, 1.0)), base.snap((5.5, 1.0))
         d_cheap = d_eta_reduced(base, a, b)
-        margin = math.dist(a, b) - d_cheap
-        want = (1 - math.sqrt(base.eta)) * 3.0 * (1 - slack)
+        straight = float(reduced_distance(plain, a, b))
+        margin = straight - d_cheap
+        want = (straight - float(reduced_distance(base, a, b))) * (1 - slack)
         spot_ok = spot_ok and margin >= want
     doc.add(
         "metric-spot",

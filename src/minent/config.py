@@ -83,7 +83,7 @@ class RunConfig:
         if not (0 < self.spread <= 6):
             # spread 12 converges by halving trials beyond x_0 ~ 1e8; at
             # 14 exp_map rejects overflowing trials and the line search
-            # halves them, but seed 1 still stops unconverged
+            # halves them, and seeds 0-2 converge
             raise ConfigError("[run] spread must lie in (0, 6]")
         for key in ("n_atoms", "draws", "bcg_count"):
             if getattr(self, key) < 1:
@@ -100,8 +100,16 @@ class RunConfig:
             raise ConfigError("[shortcut] etas must lie in (0, 1]")
         if not (0 < self.sc_spacing <= 0.05):
             raise ConfigError("[shortcut] spacing must lie in (0, 0.05]")
+        if abs(1.0 / self.sc_spacing - round(1.0 / self.sc_spacing)) > 1e-9:
+            # the base model's segment sits at offset 1.0, on a grid line
+            raise ConfigError("[shortcut] spacing must divide 1.0")
+        if self.sc_extent < 6.0:
+            raise ConfigError("[shortcut] extent must be at least 6, "
+                              "the end of the base model's segment")
         if self.sc_extent / self.sc_spacing > 1000:
-            # grid memory grows with side^2, about 0.55 KB per node at peak
+            # the growth sweep's cells cost about 0.1 KB per node of this
+            # grid, the metric-spot searches about 0.55 KB per node of the
+            # grid over [0, min(extent, 12)]^2 at peak
             raise ConfigError(
                 "[shortcut] extent / spacing must be at most 1000 "
                 "(a grid of at most 1001 x 1001 nodes)"

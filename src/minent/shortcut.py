@@ -5,17 +5,24 @@ frozen angular coordinates, is the Euclidean quarter-plane in the
 radial coordinates (r1, r2).  The shortcut model places a segment in
 that plane along which travel in a designated cheap direction costs
 sqrt(eta) per unit length, eta in (0, 1].  This module computes the
-induced path metric on a grid, the turning-angle condition for
-minimizers meeting a cheap line, volume growth of metric balls under
-the radial density sinh^(n-1)(r1) sinh^(n-1)(r2), the diagonal region
-on which the shortcut does not shorten anything, and the reflection
-construction producing two distinct minimizers that share a segment.
+induced path metric in closed form and on a grid, the turning-angle
+condition for minimizers meeting a cheap line, volume growth of metric
+balls under the radial density sinh^(n-1)(r1) sinh^(n-1)(r2), the
+diagonal region on which the shortcut does not shorten anything, and
+the reflection construction producing two distinct minimizers that
+share a segment.
 
-Grid metric.  Distances come from Dijkstra on a grid graph whose moves
+Closed form.  The quarter-plane is convex and a minimizer meets the
+segment in at most one interval, so the distance is the smaller of the
+straight length and the refracted corner length (`reduced_distance`).
+The growth sweep and the region check read it.
+
+Grid metric.  The grid brackets the closed form from above and is kept
+as its oracle.  Distances come from Dijkstra on a grid graph whose moves
 are the primitive integer vectors of infinity-norm at most 3 (32
 directions).  The worst-case metric distortion of that stencil is
 sec(theta_gap / 2) - 1 with theta_gap = atan(1/3), about 1.3 percent;
-the model measures the distortion on its own grid once and every
+the model measures the distortion on its own grid once and every grid
 tolerance folds it in.  A plain 8-neighbor stencil distorts by up to
 8 percent, which would drown the effects measured here.
 """
@@ -41,6 +48,7 @@ __all__ = [
     "turning_angle_threshold",
     "shorter_path_witness",
     "d_eta_reduced",
+    "reduced_distance",
     "extract_grid_path",
     "r_c_verify",
     "eta_entropy_estimate",
@@ -117,6 +125,22 @@ class ShortcutModel:
     @property
     def side(self) -> int:
         return int(round(self.extent / self.spacing)) + 1
+
+    def grid_index(self, point) -> np.ndarray:
+        """Integer (i, j) of the grid node nearest a point, as floats,
+        for a point or an (..., 2) array of them."""
+        ij = np.rint(np.asarray(point, dtype=float) / self.spacing)
+        if not np.all((ij >= 0) & (ij < self.side)):
+            raise ValueError(
+                f"point {np.asarray(point).tolist()} lies outside the grid "
+                f"extent [0, {self.extent}]"
+            )
+        return ij
+
+    def snap(self, point) -> np.ndarray:
+        """Coordinates of the grid node nearest a point, or of those
+        nearest an (..., 2) array of points."""
+        return self.grid_index(point) * self.spacing
 
     def line_frame(self):
         """Support line of the segment: (origin, unit along, unit
@@ -231,7 +255,7 @@ class _GridEngine:
             dtype=np.int64,
         )
         self._cheap_cost = math.sqrt(model.eta) * (d * math.hypot(dx, dy))
-        self._fields: dict[tuple[int, float], np.ndarray] = {}
+        self._fields: dict[int, np.ndarray] = {}
 
     @property
     def graph(self) -> csr_matrix:
@@ -243,32 +267,20 @@ class _GridEngine:
         data[self._cheap_pos] = self._cheap_cost
         return csr_matrix((data, stencil.indices, stencil.indptr), shape=stencil.shape)
 
-    def node_of(self, point):
-        """Flat index of the grid node nearest a point, or an array of
-        them for an (..., 2) array of points."""
-        ij = np.rint(np.asarray(point, dtype=float) / self.model.spacing)
-        if not np.all((ij >= 0) & (ij < self.N)):
-            raise ValueError(
-                f"point {np.asarray(point).tolist()} lies outside the grid "
-                f"extent [0, {self.model.extent}]"
-            )
-        flat = ij[..., 0].astype(np.int64) * self.N + ij[..., 1].astype(np.int64)
-        return int(flat) if flat.ndim == 0 else flat
+    def node_of(self, point) -> int:
+        """Flat index of the grid node nearest a point."""
+        i, j = self.model.grid_index(point)
+        return int(i) * self.N + int(j)
 
     def coords(self, flat: np.ndarray) -> np.ndarray:
         d = self.model.spacing
         return np.stack([(flat // self.N) * d, (flat % self.N) * d], axis=-1)
 
-    def field(self, src: int, limit: float = math.inf) -> np.ndarray:
-        """Grid distances from node src.  With a finite limit the search
-        stops there and farther nodes read inf; such fields are cached
-        apart from full ones, keyed by (src, limit)."""
-        key = (src, limit)
-        if key not in self._fields:
-            self._fields[key] = _dijkstra(
-                self.graph, directed=False, indices=src, limit=limit
-            )
-        return self._fields[key]
+    def field(self, src: int) -> np.ndarray:
+        """Grid distances from node src."""
+        if src not in self._fields:
+            self._fields[src] = _dijkstra(self.graph, directed=False, indices=src)
+        return self._fields[src]
 
 
 @functools.lru_cache(maxsize=8)
@@ -351,6 +363,54 @@ def shorter_path_witness(eta: float, alpha: float) -> Witness | None:
     return Witness(theta=theta, end=Q, savings=savings)
 
 
+# -- closed-form metric ----------------------------------------------------
+
+
+def _refraction_offsets(model: ShortcutModel, s_in, h_in, s_out, h_out):
+    """Where the optimal path through the cheap segment enters and
+    leaves it, as offsets along the segment from its start, for a path
+    from offset s_in at clearance h_in to offset s_out >= s_in at
+    clearance h_out.
+
+    Refraction rule: each offset lies h sqrt(eta / (1 - eta)) past the
+    foot of the perpendicular from its endpoint at clearance h, as the
+    one-dimensional optimization gives, clamped to the segment ends.
+    The path uses the segment only if it leaves past where it enters.
+    """
+    length = model.line_frame()[3]
+    shift = math.sqrt(model.eta / (1.0 - model.eta))
+    return (
+        np.clip(s_in + h_in * shift, 0.0, length),
+        np.clip(s_out - h_out * shift, 0.0, length),
+    )
+
+
+def reduced_distance(model: ShortcutModel, p, X) -> np.ndarray:
+    """Exact distances of the model's metric from the point p to each
+    point of an (..., 2) array X: the smaller of the straight length and
+    the corner length through the cheap segment, which the path enters
+    and leaves by the refraction rule."""
+    p = np.asarray(p, dtype=float)
+    X = np.asarray(X, dtype=float)
+    straight = np.hypot(X[..., 0] - p[0], X[..., 1] - p[1])
+    if model.eta >= 1.0:
+        return straight
+    origin, along, normal, _ = model.line_frame()
+    s_p, h_p = (p - origin) @ along, abs((p - origin) @ normal)
+    s_x, h_x = (X - origin) @ along, np.abs((X - origin) @ normal)
+    # order each pair along the line: the path enters from the first
+    first = s_x < s_p
+    s_in, h_in = np.where(first, s_x, s_p), np.where(first, h_x, h_p)
+    s_out, h_out = np.where(first, s_p, s_x), np.where(first, h_p, h_x)
+    u, v = _refraction_offsets(model, s_in, h_in, s_out, h_out)
+    corner = (
+        np.hypot(s_in - u, h_in)
+        + math.sqrt(model.eta) * (v - u)
+        + np.hypot(s_out - v, h_out)
+    )
+    return np.where(v > u, np.minimum(straight, corner), straight)
+
+
 # -- grid metric -----------------------------------------------------------
 
 
@@ -421,16 +481,13 @@ def r_c_verify(model: ShortcutModel, c: float) -> RegionReport:
     origin inside the diagonal wedge |angle - pi/4| <= c.
 
     Samples 7 radii from 1 to three quarters of the extent on each
-    sampled angle; at x in the wedge, asserts grid distance >= Euclidean
-    times (1 - metric_slack(model)); failures are collected, not raised.
-    Also reports c_max: the widest wedge (on the sampled angle grid)
-    with no failure anywhere inside.
+    sampled angle, snapped to the grid; at x in the wedge, asserts that
+    reduced_distance equals the Euclidean distance; failures are
+    collected, not raised.  Also reports c_max: the widest wedge (on
+    the sampled angle grid) with no failure anywhere inside.
     """
     if c <= 0:
         raise ValueError("the wedge half-width c must be positive")
-    eng = _engine(model)
-    slack = metric_slack(model)
-    dist = eng.field(eng.node_of((0.0, 0.0)))
     # coarse full-quadrant sweep of 28 angles plus a fine band across
     # the wedge, so the wedge always holds samples and c_max is
     # measured, not clipped
@@ -444,14 +501,14 @@ def r_c_verify(model: ShortcutModel, c: float) -> RegionReport:
     )
     radii = np.linspace(1.0, 0.75 * model.extent, 7)
     direction = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    nodes = eng.node_of(radii[None, :, None] * direction[:, None, :])
-    snapped = eng.coords(nodes)
+    snapped = model.snap(radii[None, :, None] * direction[:, None, :])
     euclid = np.hypot(snapped[..., 0], snapped[..., 1])
-    # samples snapped closer than half the smallest radius count as defect 0
-    ratio = np.divide(dist[nodes], euclid, out=np.ones_like(euclid), where=euclid >= 0.5)
-    ratio_defect = (1.0 - ratio).max(axis=1, initial=0.0)
+    # the closed form returns the straight length itself wherever the
+    # segment does not help, so an unshortened sample has defect 0
+    dist = reduced_distance(model, (0.0, 0.0), snapped)
+    ratio_defect = (1.0 - dist / euclid).max(axis=1)
     in_wedge = np.abs(angles - math.pi / 4) <= c + 1e-12
-    bad = ratio_defect > slack
+    bad = ratio_defect > 0.0
     violations = tuple(
         zip(angles[in_wedge & bad].tolist(), ratio_defect[in_wedge & bad].tolist())
     )
@@ -476,23 +533,25 @@ def eta_entropy_estimate(
     radius_hi: float,
 ) -> GrowthEstimate:
     """Least-squares slope of log V(rho), where V(rho) is the mass of
-    the grid ball of radius rho around the origin under the density
+    the ball of radius rho around the origin under the density
     sinh^(n-1)(r1) sinh^(n-1)(r2), for rho every 0.25 in
     [radius_lo, radius_hi].
 
-    Cell masses accumulate in the log domain, sorted by grid distance,
-    so sinh overflow never occurs.  The search stops at the largest rho:
-    only the cells it reaches carry mass.
+    The ball is the set of grid cells whose node lies within rho by
+    `reduced_distance`.  Cell masses accumulate in the log domain,
+    sorted by distance, so sinh overflow never occurs; only the cells
+    within the largest rho carry mass.
     """
     if not (0 < radius_lo < radius_hi):
         raise ValueError("need 0 < radius_lo < radius_hi")
     if radius_hi > model.extent:
         raise ValueError("radius range exceeds the grid extent")
     rho = _rho_grid(radius_lo, radius_hi)
-    eng = _engine(model)
-    dist = eng.field(eng.node_of((0.0, 0.0)), limit=float(rho[-1]))
-    reached = np.flatnonzero(np.isfinite(dist))
-    pts = eng.coords(reached)
+    axis = np.arange(model.side) * model.spacing
+    pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    dist = reduced_distance(model, (0.0, 0.0), pts)
+    reached = dist <= rho[-1]
+    pts, dist = pts[reached], dist[reached]
     p = model.n - 1
     with np.errstate(divide="ignore"):
         log_mass = (
@@ -501,7 +560,7 @@ def eta_entropy_estimate(
             + p * np.log(np.sinh(pts[:, 1]))
         )
     finite = np.isfinite(log_mass)
-    log_v = _log_ball_volume(dist[reached][finite], log_mass[finite], rho)
+    log_v = _log_ball_volume(dist[finite], log_mass[finite], rho)
     return _fit_slope(rho, log_v, "shortcut-grid")
 
 
@@ -540,14 +599,11 @@ def corner_path_between(model: ShortcutModel, p, q) -> CornerPath | None:
     """Optimal path p -> q through the cheap segment, or None if the
     straight line is at least as good.
 
-    Entry and exit obey the refraction rule: the offset from the foot
-    of the perpendicular is h sqrt(eta / (1 - eta)) for clearance h, as
-    the one-dimensional optimization gives; offsets are clamped to the
-    segment ends.
+    Entry and exit obey the refraction rule (`_refraction_offsets`).
     """
     if model.eta >= 1.0:
         return None
-    origin, along, normal, length_total = model.line_frame()
+    origin, along, normal, _ = model.line_frame()
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     sp, sq = float((p - origin) @ along), float((q - origin) @ along)
@@ -557,9 +613,7 @@ def corner_path_between(model: ShortcutModel, p, q) -> CornerPath | None:
     hp = abs(float((p - origin) @ normal))
     hq = abs(float((q - origin) @ normal))
     mu = math.sqrt(model.eta)
-    shift = math.sqrt(model.eta / (1.0 - model.eta))
-    u = min(max(sp + hp * shift, 0.0), length_total)
-    v = min(max(sq - hq * shift, 0.0), length_total)
+    u, v = _refraction_offsets(model, sp, hp, sq, hq)
     if v <= u:
         return None
     entry = origin + u * along

@@ -173,18 +173,27 @@ def test_validation_names_the_section(field, value, section):
     [
         ("growth", "growth", "grid_step", "0.1", "0.10000000000000002"),
         ("barycenter", "quadrature", "count", "200", "199"),
+        ("shortcut", "shortcut", "spacing", "0.04", "0.03"),
+        ("shortcut", "shortcut", "extent", "6", "5.95"),
     ],
 )
 def test_validator_bounds_match_the_library(
     tmp_path, capsys, sub, section, key, at_bound, past_bound
 ):
-    """The largest grid_step and the smallest deterministic node count
-    that the validator admits run; one step past them is a config error
-    naming the section and key, not a library error."""
-    ok = write_ini(tmp_path, f"[{section}]\n{key} = {at_bound}\n", "ok.ini")
+    """The largest grid_step, the smallest deterministic node count, a
+    shortcut spacing that divides the base segment's offset 1.0 and the
+    extent 6 where that segment ends, as the validator admits them, run;
+    past them is a config error naming the section and key, not a
+    library error."""
+    # the shortcut window fits the smallest extent; without eta = 1 the
+    # sweep's band, which a window this near the origin misses, is off
+    context = {"shortcut": "etas = 0.99 0.5\nrho_lo = 3\nrho_hi = 5\n"}.get(sub, "")
+    ok = write_ini(tmp_path, f"[{section}]\n{context}{key} = {at_bound}\n", "ok.ini")
     assert main(["--config", ok, "--out", str(tmp_path), sub]) == EXIT_OK
     capsys.readouterr()
-    bad = write_ini(tmp_path, f"[{section}]\n{key} = {past_bound}\n", "bad.ini")
+    bad = write_ini(
+        tmp_path, f"[{section}]\n{context}{key} = {past_bound}\n", "bad.ini"
+    )
     assert main(["--config", bad, "--out", str(tmp_path), sub]) == EXIT_CONFIG
     assert f"[{section}] {key}" in capsys.readouterr().err
 
@@ -671,6 +680,41 @@ def test_shortcut_subcommand(tmp_path):
     assert sweep[0] == "eta,slope,slope_rms,predicted"
     eta, *_, predicted = map(float, sweep[1].split(","))
     assert predicted == pytest.approx(2.0 * math.sqrt(2.0) / math.sqrt(eta))
+
+
+def test_shortcut_runs_no_dijkstra_over_the_sweep_grid(tmp_path, monkeypatch):
+    """The growth sweep and the region check read the closed form.  The
+    grid runs only for the stencil slack and the metric-spot record's
+    two extent-12 fields, never on the extent-18 grid."""
+    import minent.shortcut as shortcut
+
+    # forget fields and slacks that other tests left cached
+    shortcut._engine.cache_clear()
+    shortcut._stencil_slack.cache_clear()
+    nodes = []
+    dijkstra = shortcut._dijkstra
+
+    def counted(graph, *args, **kwargs):
+        nodes.append(graph.shape[0])
+        return dijkstra(graph, *args, **kwargs)
+
+    monkeypatch.setattr(shortcut, "_dijkstra", counted)
+    assert main(["--out", str(tmp_path), "shortcut"]) == EXIT_OK
+    assert 0 < len(nodes) <= 3
+    assert max(nodes) <= 241**2
+
+
+def test_metric_spot_compares_snapped_nodes(tmp_path):
+    """At spacing 0.04 the spot points 2.5 and 5.5 snap to 2.48 and
+    5.52; the grid distance between those nodes is compared with the
+    closed form between the same nodes, not with the unsnapped points."""
+    ini = write_ini(
+        tmp_path, "[shortcut]\nspacing = 0.04\netas = 0.99 0.5\nrho_lo = 3\nrho_hi = 5\n"
+    )
+    out = tmp_path / "out"
+    assert main(["--config", ini, "--out", str(out), "shortcut"]) == EXIT_OK
+    spot = {c["name"]: c for c in read_report(out, "shortcut")["checks"]}["metric-spot"]
+    assert spot["passed"] is True
 
 
 def test_shortcut_eta_override(tmp_path):
