@@ -25,9 +25,8 @@ is the boundary Jacobian of that translation); the transported form
 keeps the exact symmetries: node weights stay uniform and sum to 1,
 so the quadrature mass is 1 by construction and enters no formula,
 single-atom gradients vanish at the atom to machine precision, and the
-whole computation is equivariant under factor isometries.  The
-density-weighted route stays available in :mod:`minent.hyperbolic` and
-the two routes are cross-checked in the test suite.
+whole computation is equivariant under factor isometries.  The test
+suite keeps the density-weighted route as the oracle of this one.
 
 Evaluation.  The transported nodes of factor i are stored as one
 (J, Q_i, m_i + 1) array over atoms and nodes.  One pass at a point gives
@@ -49,17 +48,11 @@ from .hyperbolic import (
     BoundaryQuadrature,
     HyperboloidPoint,
     minkowski_form,
-    parallel_transport,
     random_point,
     tangent_frame,
     transvection_to,
 )
-from .products import (
-    ProductPoint,
-    ScalingProfile,
-    product_dist,
-    product_exp,
-)
+from .products import ProductPoint, ScalingProfile, product_exp
 
 __all__ = [
     "WeightedConfiguration",
@@ -72,12 +65,8 @@ __all__ = [
     "bcg_campaign",
     "JacobianReport",
     "jacobian_bound_report",
-    "DifferentialEstimate",
-    "bar_differential_fd",
     "NaturalMapResult",
-    "natural_map_discrete",
     "natural_map_energy",
-    "form_lipschitz_ratio",
     "random_configuration",
 ]
 
@@ -110,11 +99,6 @@ class WeightedConfiguration:
     @property
     def size(self) -> int:
         return len(self.atoms)
-
-    def reweighted(self, weights) -> "WeightedConfiguration":
-        w = np.asarray(weights, dtype=float)
-        w = w / w.sum()
-        return WeightedConfiguration(self.atoms, tuple(w), self.profile)
 
 
 @dataclass(frozen=True)
@@ -192,17 +176,15 @@ class BarycenterProblem:
             moved /= moved[..., :1]
             self.nodes.append(moved)
 
-    def value_and_grad(self, x: ProductPoint, frames=None):
+    def value_and_grad(self, x: ProductPoint):
         """Value, gradient, gradient norm and forms at x, in one pass
         over the nodes.  The gradient is per-factor components in the
         orthonormal frame of the scaled metric (concatenate for the full
-        vector); it and the :class:`FormPair` are expressed in
-        ``frames`` (per-factor orthonormal rows at x), by default the
+        vector); it and the :class:`FormPair` are expressed in the
         tangent frames at x."""
         prof = self.profile
         k, rk = prof.k, np.sqrt(prof.k)
-        if frames is None:
-            frames = [tangent_frame(xf) for xf in x.factors]
+        frames = [tangent_frame(xf) for xf in x.factors]
         value, means, factor_h = 0.0, [], []
         per_factor = zip(prof.alpha, x.factors, frames, self.nodes, self.quads)
         for a, xf, F, nodes, q in per_factor:
@@ -237,10 +219,9 @@ class BarycenterProblem:
         )
         return value, grad, gnorm, pair
 
-    def forms(self, x: ProductPoint, frames=None) -> FormPair:
-        """H and K at x, expressed in ``frames`` (per-factor orthonormal
-        rows at x; the tangent frames at x by default)."""
-        return self.value_and_grad(x, frames)[3]
+    def forms(self, x: ProductPoint) -> FormPair:
+        """H and K at x, in the tangent frames at x."""
+        return self.value_and_grad(x)[3]
 
     # -- solver -----------------------------------------------------------
 
@@ -431,56 +412,6 @@ def jacobian_bound_report(
     )
 
 
-# -- differential of the barycenter map ------------------------------------
-
-
-@dataclass(frozen=True)
-class DifferentialEstimate:
-    norm: float
-    bound: float
-    slack: float
-
-
-def bar_differential_fd(
-    config: WeightedConfiguration,
-    quads,
-    direction,
-    step: float = 1e-3,
-    tol: float = 1e-9,
-) -> DifferentialEstimate:
-    """Finite-difference norm of the barycenter differential along a
-    unit tangent direction of the square-root weight sphere.
-
-    The direction u must satisfy <u, sqrt(w)> = 0; it is normalized
-    here.  Perturbed weights are (sqrt(w) + step u)^2 renormalized.
-    The norm is compared against sqrt(4 n / h_min^2); the signed slack
-    (norm / bound - 1) is reported, not asserted.
-    """
-    if step > 1e-3 or step <= 0:
-        raise ValueError("step must lie in (0, 1e-3]")
-    u = np.asarray(direction, dtype=float)
-    f = np.sqrt(np.array(config.weights))
-    if u.shape != f.shape:
-        raise ValueError("direction length must match the number of atoms")
-    bound = float(np.sqrt(4.0 * config.profile.n / config.profile.h_min**2))
-    nrm = np.linalg.norm(u)
-    if nrm == 0.0:
-        return DifferentialEstimate(norm=0.0, bound=bound, slack=-1.0)
-    u = u / nrm
-    if abs(float(u @ f)) > 1e-8:
-        u = u - (u @ f) * f
-        u = u / np.linalg.norm(u)
-    base = BarycenterProblem(config, quads).solve(tol=tol)
-    moved = config.reweighted((f + step * u) ** 2)
-    shifted = BarycenterProblem(moved, quads).solve(tol=tol, x0=base.point)
-    if not (base.converged and shifted.converged):
-        raise NearSingularError("barycenter solve did not converge")
-    norm = product_dist(base.point, shifted.point, config.profile) / step
-    return DifferentialEstimate(
-        norm=float(norm), bound=bound, slack=float(norm / bound - 1.0)
-    )
-
-
 # -- discrete sphere-valued map --------------------------------------------
 
 
@@ -509,14 +440,6 @@ def _sphere_components(d: np.ndarray, c: float) -> np.ndarray:
         )
     logz = loga.max() + 0.5 * np.log(np.sum(np.exp(2.0 * (loga - loga.max()))))
     return np.exp(loga - logz)
-
-
-def natural_map_discrete(
-    points: list[ProductPoint], c: float, x: ProductPoint, profile: ScalingProfile
-) -> np.ndarray:
-    """The sphere map at x: components proportional to exp(-c/2 d(x, p_j))."""
-    d = np.array([product_dist(x, p, profile) for p in points])
-    return _sphere_components(d, c)
 
 
 def natural_map_energy(
@@ -561,54 +484,6 @@ def natural_map_energy(
     energy = bound * (1.0 - deficit)
     holds = bool(energy <= bound * (1.0 + 1e-12))
     return NaturalMapResult(comps, energy, bound, deficit, float(volume), holds)
-
-
-# -- empirical Lipschitz data for the second form --------------------------
-
-
-def form_lipschitz_ratio(
-    config_a: WeightedConfiguration,
-    config_b: WeightedConfiguration,
-    quads,
-) -> dict:
-    """Compare the H forms of two configurations after parallel
-    transport between their barycenters.
-
-    Returns the ratio of the form deviation to the configuration
-    distance (barycenter distance plus square-root-weight distance).
-    The family sampled in the tests shares its atom set, so the weight
-    term is the natural configuration distance.
-    """
-    if config_a.profile is not config_b.profile and config_a.profile != config_b.profile:
-        raise ValueError("configurations must share a profile")
-    prof = config_a.profile
-    sol_a = BarycenterProblem(config_a, quads).solve(tol=1e-9)
-    problem_b = BarycenterProblem(config_b, quads)
-    sol_b = problem_b.solve(tol=1e-9, x0=sol_a.point)
-    pair_a = sol_a.forms
-    # Transport the frame at Bar(a) to Bar(b) factor by factor and
-    # express H_b in the transported frame.
-    transported = [
-        np.vstack([parallel_transport(xa, xb, row) for row in fa])
-        for fa, xa, xb in zip(
-            pair_a.frames, sol_a.point.factors, sol_b.point.factors
-        )
-    ]
-    h_b = problem_b.forms(sol_b.point, transported).H
-    dev = float(np.abs(h_b - pair_a.H).max())
-    w_dist = float(
-        np.linalg.norm(
-            np.sqrt(np.array(config_a.weights)) - np.sqrt(np.array(config_b.weights))
-        )
-    )
-    b_dist = product_dist(sol_a.point, sol_b.point, prof)
-    denom = b_dist + w_dist
-    return {
-        "deviation": dev,
-        "barycenter_distance": b_dist,
-        "weight_distance": w_dist,
-        "ratio": dev / denom if denom > 0 else 0.0,
-    }
 
 
 # -- sampling helpers ------------------------------------------------------

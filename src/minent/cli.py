@@ -345,11 +345,11 @@ def _run_natural_map(cfg: RunConfig, doc: ReportDocument, csv_dir):
 
 def _run_shortcut(cfg: RunConfig, doc: ReportDocument, csv_dir):
     from .shortcut import (
+        METRIC_SLACK,
         ShortcutModel,
         branching_geodesic_demo,
         d_eta_reduced,
         eta_entropy_estimate,
-        metric_slack,
         r_c_verify,
         reduced_distance,
         shorter_path_witness,
@@ -383,7 +383,7 @@ def _run_shortcut(cfg: RunConfig, doc: ReportDocument, csv_dir):
         extent=min(cfg.sc_extent, 12.0),
     )
     # grid distances against the closed form at the same grid nodes
-    slack = metric_slack(base)
+    slack = METRIC_SLACK
     plain = ShortcutModel(eta=1.0, spacing=cfg.sc_spacing, extent=base.extent)
     a, b = base.snap((0.5, 0.5)), base.snap((5.5, 4.0))
     d_plain = d_eta_reduced(plain, a, b)

@@ -80,11 +80,11 @@ class RunConfig:
             )
         if self.seed < 0:
             raise ConfigError("[run] seed must be nonnegative")
-        if not (0 < self.spread <= 6):
-            # spread 12 converges by halving trials beyond x_0 ~ 1e8; at
-            # 14 exp_map rejects overflowing trials and the line search
-            # halves them, and seeds 0-2 converge
-            raise ConfigError("[run] spread must lie in (0, 6]")
+        if not (0 < self.spread <= 18):
+            # the line search halves trials that leave what a float point
+            # holds, so solves converge up to 18; beyond it random_point
+            # itself draws atoms whose q(x, x) rounds away from -1
+            raise ConfigError("[run] spread must lie in (0, 18]")
         for key in ("n_atoms", "draws", "bcg_count"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"[run] {key} must be at least 1")

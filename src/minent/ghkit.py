@@ -4,9 +4,9 @@ The stability argument approximates a manifold by a graph: choose an
 epsilon-net, join net points whose images are closer than epsilon,
 assign each edge its target distance, and compare the graph metric
 with the target metric.  This module provides that pipeline on finite
-metric spaces, plus distortion-based GH distance bounds, epsilon
-isometry certification, and the exact first Wasserstein distance W1
-between weighted spaces, solved as a primal transport LP.
+metric spaces, plus distortion-based GH distance bounds and the exact
+first Wasserstein distance W1 between weighted spaces, solved as a
+primal transport LP.
 
 Everything here is synthetic: edge lengths are assigned numbers, not
 lengths of realizable paths in a manifold.  The graph construction and
@@ -29,20 +29,16 @@ __all__ = [
     "FiniteMetricSpace",
     "NetGraph",
     "GraphMetricResult",
-    "IsometryCheck",
     "greedy_net",
     "build_net_graph",
     "graph_metric",
     "approximation_check",
     "ApproximationReport",
     "gh_bounds",
-    "epsilon_isometry_check",
     "measure_compare",
     "circle_space",
     "torus_grid_space",
     "random_tree_space",
-    "read_space_csv",
-    "write_space_csv",
 ]
 
 _EXACT_CAP = 9
@@ -498,37 +494,6 @@ def gh_bounds(X: FiniteMetricSpace, Y: FiniteMetricSpace) -> GhBounds:
     return GhBounds(lower=float(lower), upper=float(upper), exact=exact)
 
 
-@dataclass(frozen=True)
-class IsometryCheck:
-    passed: bool
-    distortion: float
-    covering_radius: float
-    witness: tuple[int, int] | None
-
-
-def epsilon_isometry_check(
-    f, X: FiniteMetricSpace, Y: FiniteMetricSpace, eps: float
-) -> IsometryCheck:
-    """f is an eps-isometry iff its metric distortion is at most eps
-    and its image is an eps-net of Y."""
-    f = np.asarray(tuple(f), dtype=int)
-    if f.shape != (X.size,):
-        raise ValueError("f must assign a target index to every point of X")
-    diff = np.abs(X.dist - Y.dist[np.ix_(f, f)])
-    distortion = float(diff.max())
-    witness = None
-    if distortion > eps:
-        i, j = np.unravel_index(int(np.argmax(diff)), diff.shape)
-        witness = (int(i), int(j))
-    covering = float(Y.dist[:, np.unique(f)].min(axis=1).max())
-    return IsometryCheck(
-        passed=bool(distortion <= eps and covering <= eps),
-        distortion=distortion,
-        covering_radius=covering,
-        witness=witness,
-    )
-
-
 # -- weighted comparison ---------------------------------------------------
 
 
@@ -692,39 +657,3 @@ def random_tree_space(n: int, seed: int = 0) -> FiniteMetricSpace:
     _symmetrize(d, d - d.T)
     return FiniteMetricSpace._trusted(d)
 
-
-# -- CSV interchange -------------------------------------------------------
-
-
-def write_space_csv(path, X: FiniteMetricSpace):
-    """N on the first line, the N x N matrix, then an optional weight
-    row prefixed with 'w'."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{X.size}\n")
-        for row in X.dist:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        if X.weights is not None:
-            fh.write("w," + ",".join(f"{v:.17g}" for v in X.weights) + "\n")
-
-
-def read_space_csv(path) -> FiniteMetricSpace:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty space file")
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise ValueError(f"{path}: first line must be the point count")
-    if len(lines) < n + 1:
-        raise ValueError(f"{path}: expected {n} matrix rows")
-    rows = []
-    for ln in lines[1 : n + 1]:
-        vals = [float(v) for v in ln.split(",")]
-        if len(vals) != n:
-            raise ValueError(f"{path}: matrix row of length {len(vals)}, want {n}")
-        rows.append(vals)
-    weights = None
-    if len(lines) > n + 1 and lines[n + 1].startswith("w"):
-        weights = [float(v) for v in lines[n + 1].split(",")[1:]]
-    return FiniteMetricSpace(np.array(rows), None if weights is None else np.array(weights))

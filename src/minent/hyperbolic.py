@@ -5,10 +5,10 @@ hyperboloid in Minkowski space R^{m,1}, where
 
     q(x, y) = -x_0 y_0 + x_1 y_1 + ... + x_m y_m.
 
-Boundary directions are future-pointing null rays.  A stored ideal point
-is normalized against the base point o = (1, 0, ..., 0) so that
+Boundary directions are future-pointing null rays.  A boundary node is
+stored normalized against the base point o = (1, 0, ..., 0) so that
 q(o, xi) = -1, which pins the representative (first coordinate 1) and
-anchors every horofunction at the base point: busemann value 0 at o.
+anchors every horofunction at the base point: B(o, xi) = 0.
 
 The closed forms used here are exact in this model:
 
@@ -34,28 +34,18 @@ import numpy as np
 
 __all__ = [
     "minkowski_form",
-    "base_point",
     "HyperboloidPoint",
-    "IdealPoint",
     "TangentVector",
-    "BusemannData",
     "BoundaryQuadrature",
     "dist",
     "exp_map",
     "tangent_frame",
-    "busemann",
-    "visual_density",
     "boundary_quadrature",
     "transvection_to",
-    "apply_isometry",
-    "apply_isometry_ideal",
-    "parallel_transport",
-    "random_boost",
     "random_point",
 ]
 
 # Tolerances fixed by the data-type contracts.
-_NULL_TOL = 1e-9
 _DIST_CLAMP = 1e-9
 
 
@@ -64,13 +54,6 @@ def minkowski_form(x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     return -x[..., 0] * y[..., 0] + np.sum(x[..., 1:] * y[..., 1:], axis=-1)
-
-
-def base_point(m: int) -> "HyperboloidPoint":
-    """The base point o = (1, 0, ..., 0) of H^m."""
-    c = np.zeros(m + 1)
-    c[0] = 1.0
-    return HyperboloidPoint(c)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -107,45 +90,6 @@ class HyperboloidPoint:
             )
         c[0] = np.sqrt(1.0 + c[1:] @ c[1:])
         object.__setattr__(self, "coords", _readonly(c))
-
-    @property
-    def m(self) -> int:
-        return self.coords.size - 1
-
-
-@dataclass(frozen=True)
-class IdealPoint:
-    """A boundary direction of H^m: a null vector with q(o, xi) = -1.
-
-    The normalization means the stored representative has first
-    coordinate exactly 1, i.e. xi = (1, n) with n a unit vector.
-    """
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float)
-        if c.ndim != 1 or c.size < 3:
-            raise ValueError("ideal point needs m+1 coordinates with m >= 2")
-        if c[0] <= 0:
-            raise ValueError("ideal point must be future pointing")
-        if abs(minkowski_form(c, c)) > _NULL_TOL * max(1.0, c[0] ** 2):
-            raise ValueError("ideal point must be a null vector: q(xi, xi) = 0")
-        if abs(c[0] - 1.0) > _NULL_TOL:
-            raise ValueError(
-                "ideal point not normalized against the base point; "
-                "divide the representative by q(o, xi) sign-corrected, "
-                "e.g. IdealPoint.normalized(coords)"
-            )
-        object.__setattr__(self, "coords", _readonly(c))
-
-    @classmethod
-    def normalized(cls, coords: np.ndarray) -> "IdealPoint":
-        """Rescale a future-pointing null vector to the q(o, .) = -1 gauge."""
-        c = np.asarray(coords, dtype=float)
-        if c[0] <= 0:
-            raise ValueError("ideal point must be future pointing")
-        return cls(c / c[0])
 
     @property
     def m(self) -> int:
@@ -233,62 +177,6 @@ def tangent_frame(x: HyperboloidPoint) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BusemannData:
-    """Value, gradient and Hessian of a horofunction at one point.
-
-    ``hessian`` is the m x m matrix of the second covariant derivative
-    in the orthonormal frame ``frame`` (the output of
-    :func:`tangent_frame` at the same point).
-    """
-
-    value: float
-    gradient: TangentVector
-    hessian: np.ndarray
-    frame: np.ndarray
-
-
-def busemann(x: HyperboloidPoint, xi: IdealPoint) -> BusemannData:
-    """Horofunction data of the boundary direction xi at the point x.
-
-    value    log(-q(x, xi)); zero at the base point by normalization.
-    gradient the unit tangent x - xi / (-q(x, xi)); the value grows
-             fastest walking away from xi.
-    hessian  identity minus the squared differential, in the frame
-             returned by :func:`tangent_frame`; this is the second
-             derivative of value along geodesics, computed in closed
-             form from the model.
-    """
-    if x.m != xi.m:
-        raise ValueError(f"dimension mismatch: H^{x.m} vs boundary of H^{xi.m}")
-    s = -minkowski_form(x.coords, xi.coords)
-    if s <= 0:
-        raise ValueError("q(x, xi) must be negative for a future null direction")
-    value = float(np.log(s))
-    grad_vec = x.coords - xi.coords / s
-    grad = TangentVector(x, grad_vec)
-    frame = tangent_frame(x)
-    # dB(e_a) in the frame; the Hessian of log(-q(., xi)) along the
-    # geodesic exp(x, t e) is 1 - dB(e)^2, so polarization gives
-    # delta_ab - b_a b_b with b_a = q(grad, e_a).
-    b = np.array([minkowski_form(grad_vec, frame[a]) for a in range(x.m)])
-    hess = np.eye(x.m) - np.outer(b, b)
-    return BusemannData(value=value, gradient=grad, hessian=hess, frame=frame)
-
-
-def visual_density(x: HyperboloidPoint, xi: IdealPoint, h: float) -> float:
-    """Radon-Nikodym density exp(-h B(x, xi)) of the visual family.
-
-    For h equal to the volume-growth rate m - 1 of H^m this is the
-    density of the visual probability measure seen from x against the
-    one seen from o; its boundary integral is 1 exactly at that h.
-    """
-    if h < 0:
-        raise ValueError("the exponent h must be nonnegative")
-    s = -minkowski_form(x.coords, xi.coords)
-    return float(s ** (-h))
-
-
-@dataclass(frozen=True)
 class BoundaryQuadrature:
     """Nodes and weights approximating the round probability measure
     on the boundary sphere of H^m.
@@ -324,9 +212,6 @@ class BoundaryQuadrature:
     @property
     def count(self) -> int:
         return self.weights.size
-
-    def ideal_points(self) -> list[IdealPoint]:
-        return [IdealPoint(row) for row in self.nodes]
 
 
 def _uniform_weights(count: int) -> np.ndarray:
@@ -412,41 +297,6 @@ def transvection_to(p: HyperboloidPoint) -> np.ndarray:
     to p: the pushforward of the round measure at o.
     """
     return np.column_stack([p.coords, tangent_frame(p).T])
-
-
-def apply_isometry(L: np.ndarray, x: HyperboloidPoint) -> HyperboloidPoint:
-    """Apply a Lorentz matrix to a point (renormalizing drift)."""
-    return HyperboloidPoint(L @ x.coords)
-
-
-def apply_isometry_ideal(L: np.ndarray, xi: IdealPoint) -> IdealPoint:
-    """Apply a Lorentz matrix to an ideal point, restoring the gauge."""
-    return IdealPoint.normalized(L @ xi.coords)
-
-
-def parallel_transport(
-    x: HyperboloidPoint, y: HyperboloidPoint, v: np.ndarray
-) -> np.ndarray:
-    """Parallel transport of the tangent vector v along the geodesic x -> y.
-
-    Closed form in the hyperboloid model:
-        v + q(y, v) / (1 - q(x, y)) * (x + y).
-    Preserves the Minkowski form; the identity map when x = y.
-    """
-    if x.m != y.m:
-        raise ValueError("points live in different dimensions")
-    denom = 1.0 - minkowski_form(x.coords, y.coords)
-    return v + (minkowski_form(y.coords, v) / denom) * (x.coords + y.coords)
-
-
-def random_boost(rng: np.random.Generator, m: int, scale: float = 0.5) -> np.ndarray:
-    """A random Lorentz matrix: exponential of a random so(m,1) element."""
-    from scipy.linalg import expm
-
-    a = scale * rng.standard_normal((m + 1, m + 1))
-    # so(m,1) elements are G S with S antisymmetric: then A^T G + G A = 0.
-    G = np.diag([-1.0] + [1.0] * m)
-    return expm(G @ (a - a.T) / 2.0)
 
 
 def random_point(

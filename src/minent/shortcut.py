@@ -21,10 +21,10 @@ Grid metric.  The grid brackets the closed form from above and is kept
 as its oracle.  Distances come from Dijkstra on a grid graph whose moves
 are the primitive integer vectors of infinity-norm at most 3 (32
 directions).  The worst-case metric distortion of that stencil is
-sec(theta_gap / 2) - 1 with theta_gap = atan(1/3), about 1.3 percent;
-the model measures the distortion on its own grid once and every grid
-tolerance folds it in.  A plain 8-neighbor stencil distorts by up to
-8 percent, which would drown the effects measured here.
+sec(theta_gap / 2) - 1 with theta_gap = atan(1/3), about 1.3 percent,
+at every node (`METRIC_SLACK`); every grid tolerance folds it in.  A
+plain 8-neighbor stencil distorts by up to 8 percent, which would drown
+the effects measured here.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ __all__ = [
     "shorter_path_witness",
     "d_eta_reduced",
     "reduced_distance",
-    "extract_grid_path",
     "r_c_verify",
     "eta_entropy_estimate",
     "branching_geodesic_demo",
@@ -68,6 +67,13 @@ _HALF_STENCIL = tuple(
 
 # Largest angular gap between adjacent stencil directions.
 ANGULAR_RESOLUTION = math.atan(1.0 / 3.0)
+
+# Worst-case metric distortion of the stencil, grid / Euclidean - 1.
+# Adjacent moves u, v span a unimodular cone, so a node in it is
+# a u + b v with integers a, b >= 0 and its grid distance is
+# a |u| + b |v|; the ratio peaks where the direction bisects the widest
+# gap.  The bound holds at every node of every grid.
+METRIC_SLACK = 1.0 / math.cos(ANGULAR_RESOLUTION / 2.0) - 1.0
 
 
 @dataclass(frozen=True)
@@ -288,24 +294,6 @@ def _engine(model: ShortcutModel) -> _GridEngine:
     return _GridEngine(model)
 
 
-@functools.lru_cache(maxsize=None)
-def _stencil_slack(spacing: float, extent: float) -> float:
-    side = int(round(extent / spacing)) + 1
-    dist = _dijkstra(_stencil(side, spacing), directed=False, indices=0)
-    i, j = np.divmod(np.arange(side * side), side)
-    euclid = np.hypot(i * spacing, j * spacing)
-    mask = euclid >= 2.0
-    return float((dist[mask] / euclid[mask]).max() - 1.0)
-
-
-def metric_slack(model: ShortcutModel) -> float:
-    """Measured stencil distortion of the model's grid: max over grid
-    nodes at radius at least 2 of grid distance from the origin over
-    Euclidean distance, minus 1, on the shortcut-free stencil at the
-    model's spacing over [0, min(extent, 6)]^2."""
-    return _stencil_slack(model.spacing, min(model.extent, 6.0))
-
-
 # -- turning angles and the corner witness ---------------------------------
 
 
@@ -419,45 +407,6 @@ def d_eta_reduced(model: ShortcutModel, a, b) -> float:
     eng = _engine(model)
     na, nb = eng.node_of(a), eng.node_of(b)
     return float(eng.field(na)[nb])
-
-
-def extract_grid_path(model: ShortcutModel, a, b) -> CornerPath:
-    """Minimizing grid path a -> b as a corner path, with multipliers
-    read off the graph edge costs."""
-    eng = _engine(model)
-    na, nb = eng.node_of(a), eng.node_of(b)
-    if na == nb:
-        raise ValueError(
-            f"points {tuple(a)} and {tuple(b)} snap to the same grid node; "
-            "a path needs two"
-        )
-    graph = eng.graph
-    _, pred = _dijkstra(graph, directed=False, indices=na, return_predecessors=True)
-    chain = [nb]
-    while chain[-1] != na:
-        p = pred[chain[-1]]
-        if p < 0:
-            raise ValueError("no path between the requested points")
-        chain.append(int(p))
-    chain.reverse()
-    verts = eng.coords(np.array(chain))
-    # the graph stores each edge once, from the lower node index
-    mults = [
-        float(graph[min(u, v), max(u, v)]) / math.dist(verts[k], verts[k + 1])
-        for k, (u, v) in enumerate(zip(chain[:-1], chain[1:]))
-    ]
-    # merge collinear same-cost steps so turning angles are meaningful
-    keep = [0]
-    for s in range(1, len(verts) - 1):
-        prev = verts[s] - verts[keep[-1]]
-        nxt = verts[s + 1] - verts[s]
-        cross = prev[0] * nxt[1] - prev[1] * nxt[0]
-        if abs(cross) > 1e-12 or abs(mults[s] - mults[s - 1]) > 1e-12:
-            keep.append(s)
-    keep.append(len(verts) - 1)
-    return CornerPath(
-        tuple(map(tuple, verts[keep].tolist())), tuple(mults[s] for s in keep[:-1])
-    )
 
 
 # -- diagonal region -------------------------------------------------------

@@ -1,0 +1,227 @@
+"""Reference routes that tests compare the library against, and helpers
+that build test inputs; no report reaches them.  The density-weighted
+route (ideal points, Busemann data, visual density) checks the
+barycenter's transported nodes, parallel transport checks the tangent
+frame, and the per-point sphere map checks the natural map's closed form.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from minent.barycenter import _sphere_components
+from minent.hyperbolic import (
+    BoundaryQuadrature,
+    HyperboloidPoint,
+    TangentVector,
+    _readonly,
+    minkowski_form,
+    tangent_frame,
+)
+from minent.products import ProductPoint, ScalingProfile, product_dist
+from minent.shortcut import CornerPath, ShortcutModel, _dijkstra, _engine
+
+_NULL_TOL = 1e-9
+
+
+# -- hyperbolic space: the base point and the density-weighted route ----
+
+
+def base_point(m: int) -> HyperboloidPoint:
+    """The base point o = (1, 0, ..., 0) of H^m."""
+    c = np.zeros(m + 1)
+    c[0] = 1.0
+    return HyperboloidPoint(c)
+
+
+@dataclass(frozen=True)
+class IdealPoint:
+    """A boundary direction of H^m: a null vector with q(o, xi) = -1.
+
+    The normalization means the stored representative has first
+    coordinate exactly 1, i.e. xi = (1, n) with n a unit vector.
+    """
+
+    coords: np.ndarray
+
+    def __post_init__(self):
+        c = np.asarray(self.coords, dtype=float)
+        if c.ndim != 1 or c.size < 3:
+            raise ValueError("ideal point needs m+1 coordinates with m >= 2")
+        if c[0] <= 0:
+            raise ValueError("ideal point must be future pointing")
+        if abs(minkowski_form(c, c)) > _NULL_TOL * max(1.0, c[0] ** 2):
+            raise ValueError("ideal point must be a null vector: q(xi, xi) = 0")
+        if abs(c[0] - 1.0) > _NULL_TOL:
+            raise ValueError(
+                "ideal point not normalized against the base point; "
+                "divide the representative by q(o, xi) sign-corrected, "
+                "e.g. IdealPoint.normalized(coords)"
+            )
+        object.__setattr__(self, "coords", _readonly(c))
+
+    @classmethod
+    def normalized(cls, coords: np.ndarray) -> "IdealPoint":
+        """Rescale a future-pointing null vector to the q(o, .) = -1 gauge."""
+        c = np.asarray(coords, dtype=float)
+        if c[0] <= 0:
+            raise ValueError("ideal point must be future pointing")
+        return cls(c / c[0])
+
+    @property
+    def m(self) -> int:
+        return self.coords.size - 1
+
+
+def ideal_points(quad: BoundaryQuadrature) -> list[IdealPoint]:
+    return [IdealPoint(row) for row in quad.nodes]
+
+
+@dataclass(frozen=True)
+class BusemannData:
+    """Value, gradient and Hessian of a horofunction at one point.
+
+    ``hessian`` is the m x m matrix of the second covariant derivative
+    in the orthonormal frame ``frame`` (the output of
+    :func:`tangent_frame` at the same point).
+    """
+
+    value: float
+    gradient: TangentVector
+    hessian: np.ndarray
+    frame: np.ndarray
+
+
+def busemann(x: HyperboloidPoint, xi: IdealPoint) -> BusemannData:
+    """Horofunction data of the boundary direction xi at the point x.
+
+    value    log(-q(x, xi)); zero at the base point by normalization.
+    gradient the unit tangent x - xi / (-q(x, xi)); the value grows
+             fastest walking away from xi.
+    hessian  identity minus the squared differential, in the frame
+             returned by :func:`tangent_frame`; this is the second
+             derivative of value along geodesics, computed in closed
+             form from the model.
+    """
+    if x.m != xi.m:
+        raise ValueError(f"dimension mismatch: H^{x.m} vs boundary of H^{xi.m}")
+    s = -minkowski_form(x.coords, xi.coords)
+    if s <= 0:
+        raise ValueError("q(x, xi) must be negative for a future null direction")
+    value = float(np.log(s))
+    grad_vec = x.coords - xi.coords / s
+    grad = TangentVector(x, grad_vec)
+    frame = tangent_frame(x)
+    # dB(e_a) in the frame; the Hessian of log(-q(., xi)) along the
+    # geodesic exp(x, t e) is 1 - dB(e)^2, so polarization gives
+    # delta_ab - b_a b_b with b_a = q(grad, e_a).
+    b = np.array([minkowski_form(grad_vec, frame[a]) for a in range(x.m)])
+    hess = np.eye(x.m) - np.outer(b, b)
+    return BusemannData(value=value, gradient=grad, hessian=hess, frame=frame)
+
+
+def visual_density(x: HyperboloidPoint, xi: IdealPoint, h: float) -> float:
+    """Radon-Nikodym density exp(-h B(x, xi)) of the visual family.
+
+    For h equal to the volume-growth rate m - 1 of H^m this is the
+    density of the visual probability measure seen from x against the
+    one seen from o; its boundary integral is 1 exactly at that h.
+    """
+    if h < 0:
+        raise ValueError("the exponent h must be nonnegative")
+    s = -minkowski_form(x.coords, xi.coords)
+    return float(s ** (-h))
+
+
+# -- hyperbolic space: isometries and transport ----------------------------
+
+
+def apply_isometry(L: np.ndarray, x: HyperboloidPoint) -> HyperboloidPoint:
+    """Apply a Lorentz matrix to a point (renormalizing drift)."""
+    return HyperboloidPoint(L @ x.coords)
+
+
+def apply_isometry_ideal(L: np.ndarray, xi: IdealPoint) -> IdealPoint:
+    """Apply a Lorentz matrix to an ideal point, restoring the gauge."""
+    return IdealPoint.normalized(L @ xi.coords)
+
+
+def parallel_transport(
+    x: HyperboloidPoint, y: HyperboloidPoint, v: np.ndarray
+) -> np.ndarray:
+    """Parallel transport of the tangent vector v along the geodesic x -> y.
+
+    Closed form in the hyperboloid model:
+        v + q(y, v) / (1 - q(x, y)) * (x + y).
+    Preserves the Minkowski form; the identity map when x = y.
+    """
+    if x.m != y.m:
+        raise ValueError("points live in different dimensions")
+    denom = 1.0 - minkowski_form(x.coords, y.coords)
+    return v + (minkowski_form(y.coords, v) / denom) * (x.coords + y.coords)
+
+
+def random_boost(rng: np.random.Generator, m: int, scale: float = 0.5) -> np.ndarray:
+    """A random Lorentz matrix: exponential of a random so(m,1) element."""
+    from scipy.linalg import expm
+
+    a = scale * rng.standard_normal((m + 1, m + 1))
+    # so(m,1) elements are G S with S antisymmetric: then A^T G + G A = 0.
+    G = np.diag([-1.0] + [1.0] * m)
+    return expm(G @ (a - a.T) / 2.0)
+
+
+# -- the sphere map, point by point ----------------------------------------
+
+
+def natural_map_discrete(
+    points: list[ProductPoint], c: float, x: ProductPoint, profile: ScalingProfile
+) -> np.ndarray:
+    """The sphere map at x: components proportional to exp(-c/2 d(x, p_j))."""
+    d = np.array([product_dist(x, p, profile) for p in points])
+    return _sphere_components(d, c)
+
+
+# -- shortcut grid paths ---------------------------------------------------
+
+
+def extract_grid_path(model: ShortcutModel, a, b) -> CornerPath:
+    """Minimizing grid path a -> b as a corner path, with multipliers
+    read off the graph edge costs."""
+    eng = _engine(model)
+    na, nb = eng.node_of(a), eng.node_of(b)
+    if na == nb:
+        raise ValueError(
+            f"points {tuple(a)} and {tuple(b)} snap to the same grid node; "
+            "a path needs two"
+        )
+    graph = eng.graph
+    _, pred = _dijkstra(graph, directed=False, indices=na, return_predecessors=True)
+    chain = [nb]
+    while chain[-1] != na:
+        p = pred[chain[-1]]
+        if p < 0:
+            raise ValueError("no path between the requested points")
+        chain.append(int(p))
+    chain.reverse()
+    verts = eng.coords(np.array(chain))
+    # the graph stores each edge once, from the lower node index
+    mults = [
+        float(graph[min(u, v), max(u, v)]) / math.dist(verts[k], verts[k + 1])
+        for k, (u, v) in enumerate(zip(chain[:-1], chain[1:]))
+    ]
+    # merge collinear same-cost steps so turning angles are meaningful
+    keep = [0]
+    for s in range(1, len(verts) - 1):
+        prev = verts[s] - verts[keep[-1]]
+        nxt = verts[s + 1] - verts[s]
+        cross = prev[0] * nxt[1] - prev[1] * nxt[0]
+        if abs(cross) > 1e-12 or abs(mults[s] - mults[s - 1]) > 1e-12:
+            keep.append(s)
+    keep.append(len(verts) - 1)
+    return CornerPath(
+        tuple(map(tuple, verts[keep].tolist())), tuple(mults[s] for s in keep[:-1])
+    )

@@ -33,7 +33,7 @@ from minent.ghkit import (
     greedy_net,
     torus_grid_space,
 )
-from minent.hyperbolic import HyperboloidPoint, base_point, random_point
+from minent.hyperbolic import HyperboloidPoint, random_point
 from minent.products import (
     ProductPoint,
     entropy_growth_numeric,
@@ -46,6 +46,7 @@ from minent.shortcut import (
     r_c_verify,
     shorter_path_witness,
 )
+from oracles import base_point
 
 ROOT8 = 2.0 * math.sqrt(2.0)
 o3 = base_point(3)

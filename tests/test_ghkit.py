@@ -28,15 +28,12 @@ from minent.ghkit import (
     approximation_check,
     build_net_graph,
     circle_space,
-    epsilon_isometry_check,
     gh_bounds,
     graph_metric,
     greedy_net,
     measure_compare,
     random_tree_space,
-    read_space_csv,
     torus_grid_space,
-    write_space_csv,
 )
 
 
@@ -126,16 +123,12 @@ def test_space_rejects_bad_matrices():
         FiniteMetricSpace(np.array([[0.0, -1.0], [-1.0, 0.0]]))
 
 
-def test_space_rejects_nonfinite_distances(tmp_path):
+def test_space_rejects_nonfinite_distances():
     # NaN fails every comparison and inf - inf is NaN, so both slipped
     # past the symmetry, sign and triangle checks
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             FiniteMetricSpace(np.array([[0.0, bad], [bad, 0.0]]))
-    path = tmp_path / "nan.csv"
-    path.write_text("2\n0,nan\nnan,0\n")
-    with pytest.raises(ValueError, match="finite"):
-        read_space_csv(path)
 
 
 def test_space_rejects_triangle_violation():
@@ -772,58 +765,6 @@ def test_greedy_search_matches_full_recompute():
             assert ghkit._greedy_upper(X.dist, dy) == value
 
 
-# -- epsilon isometries ----------------------------------------------------
-
-
-def test_isometry_identity():
-    X = circle_space(10)
-    chk = epsilon_isometry_check(range(10), X, X, 0.0)
-    assert chk.passed
-    assert chk.distortion == 0.0
-    assert chk.covering_radius == 0.0
-    assert chk.witness is None
-
-
-def test_isometry_uniform_scaling():
-    # a relative rescaling keeps the triangle inequality, unlike raw
-    # additive noise, and its distortion is lam times the diameter
-    rng = np.random.default_rng(21)
-    X = plane_space(rng, 8)
-    lam = 0.01 / X.diameter
-    Y = FiniteMetricSpace(X.dist * (1.0 + lam))
-    chk = epsilon_isometry_check(range(8), X, Y, 0.011)
-    assert chk.passed
-    assert chk.distortion <= 0.011
-
-
-def test_isometry_collapse_reports_witness():
-    X = circle_space(8)
-    f = list(range(8))
-    far = int(np.argmax(X.dist[0]))
-    f[far] = 0
-    chk = epsilon_isometry_check(f, X, X, 0.1)
-    assert not chk.passed
-    assert chk.witness is not None
-    i, j = chk.witness
-    assert chk.distortion == pytest.approx(abs(X.dist[i, j] - X.dist[f[i], f[j]]))
-
-
-def test_isometry_covering_failure():
-    Y = circle_space(12)
-    X = Y.restrict([0, 1, 2])
-    chk = epsilon_isometry_check((0, 1, 2), X, Y, 0.3)
-    assert not chk.passed
-    assert chk.distortion == 0.0
-    assert chk.covering_radius == pytest.approx(Y.dist[:, :3].min(axis=1).max())
-    assert chk.witness is None
-
-
-def test_isometry_requires_total_map():
-    X = circle_space(5)
-    with pytest.raises(ValueError, match="every point"):
-        epsilon_isometry_check((0, 1), X, X, 0.1)
-
-
 # -- weighted discrepancy --------------------------------------------------
 
 
@@ -1209,43 +1150,3 @@ def test_tree_space_deterministic():
     assert np.array_equal(A.dist, B.dist)
     assert not np.array_equal(A.dist, C.dist)
 
-
-# -- CSV interchange -------------------------------------------------------
-
-
-def test_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(31)
-    X = FiniteMetricSpace(plane_space(rng, 6).dist, rng.dirichlet(np.ones(6)))
-    path = tmp_path / "space.csv"
-    write_space_csv(path, X)
-    Y = read_space_csv(path)
-    assert np.array_equal(X.dist, Y.dist)
-    assert np.array_equal(X.weights, Y.weights)
-
-
-def test_csv_round_trip_without_weights(tmp_path):
-    X = circle_space(5)
-    path = tmp_path / "plain.csv"
-    write_space_csv(path, X)
-    Y = read_space_csv(path)
-    assert np.array_equal(X.dist, Y.dist)
-    assert Y.weights is None
-
-
-def test_csv_error_paths(tmp_path):
-    empty = tmp_path / "empty.csv"
-    empty.write_text("")
-    with pytest.raises(ValueError, match="empty"):
-        read_space_csv(empty)
-    bad_head = tmp_path / "head.csv"
-    bad_head.write_text("spam\n")
-    with pytest.raises(ValueError, match="point count"):
-        read_space_csv(bad_head)
-    short = tmp_path / "short.csv"
-    short.write_text("3\n0,1,1\n1,0,1\n")
-    with pytest.raises(ValueError, match="matrix rows"):
-        read_space_csv(short)
-    ragged = tmp_path / "ragged.csv"
-    ragged.write_text("2\n0,1\n1,0,0\n")
-    with pytest.raises(ValueError, match="row of length"):
-        read_space_csv(ragged)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minent.hyperbolic import base_point, random_point
+from minent.hyperbolic import random_point
 from minent.products import (
     ProductPoint,
     entropy_growth_numeric,
@@ -16,6 +16,7 @@ from minent.products import (
     product_dist,
     product_exp,
 )
+from oracles import base_point
 
 ROOT8 = 2.0 * math.sqrt(2.0)
 

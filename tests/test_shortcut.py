@@ -13,6 +13,7 @@ from scipy.sparse import SparseEfficiencyWarning, csr_matrix
 from minent.products import entropy_growth_numeric
 from minent.shortcut import (
     ANGULAR_RESOLUTION,
+    METRIC_SLACK,
     BranchingReport,
     CornerPath,
     RegionReport,
@@ -22,14 +23,13 @@ from minent.shortcut import (
     corner_path_between,
     d_eta_reduced,
     eta_entropy_estimate,
-    extract_grid_path,
-    metric_slack,
     r_c_verify,
     reduced_distance,
     shorter_path_witness,
     turning_angle_threshold,
 )
 from minent.shortcut import _HALF_STENCIL, _GridEngine, _engine, _stencil
+from oracles import extract_grid_path
 
 ROOT2 = math.sqrt(2.0)
 
@@ -258,22 +258,37 @@ def test_witness_domain():
 # -- grid metric -----------------------------------------------------------
 
 
+def worst_stencil_ratio(model):
+    """Largest grid distance from the origin over the closed form, at
+    the nodes at radius at least 2."""
+    eng = _GridEngine(model)
+    nodes = eng.coords(np.arange(model.side**2))
+    far = np.hypot(*nodes.T) >= 2.0
+    exact = reduced_distance(model, (0.0, 0.0), nodes[far])
+    return float((eng.field(0)[far] / exact).max())
+
+
 def test_slack_matches_stencil_geometry():
     # worst direction bisects the largest angular gap of the stencil,
-    # so the distortion is sec(atan(1/3)/2) - 1
-    slack = metric_slack(ShortcutModel())
+    # so the distortion is sec(atan(1/3)/2) - 1; an extent-12 field
+    # comes within 1e-8 of it, from below
+    slack = worst_stencil_ratio(ShortcutModel(eta=1.0)) - 1.0
+    assert slack <= METRIC_SLACK
     assert abs(slack - (1.0 / math.cos(ANGULAR_RESOLUTION / 2.0) - 1.0)) < 1e-7
-    assert slack == pytest.approx(0.01308145, abs=1e-7)
-    assert slack < 0.02
+    assert METRIC_SLACK == pytest.approx(0.01308145, abs=1e-7)
+    assert METRIC_SLACK < 0.02
 
 
 def test_slack_ignores_the_shortcut():
-    assert metric_slack(ShortcutModel()) == metric_slack(ShortcutModel(eta=0.5))
+    # the cheap segment changes distances, not the stencil's distortion
+    # of them
+    assert worst_stencil_ratio(ShortcutModel(eta=0.5)) == worst_stencil_ratio(
+        ShortcutModel(eta=1.0)
+    )
 
 
 def test_plain_grid_tracks_euclidean():
     m = small_model(eta=1.0)
-    slack = metric_slack(m)
     rng = np.random.default_rng(7)
     checked = 0
     while checked < 12:
@@ -284,7 +299,7 @@ def test_plain_grid_tracks_euclidean():
             continue
         d = d_eta_reduced(m, a, b)
         assert d >= e * (1.0 - 1e-12)
-        assert d <= e * (1.0 + slack) * (1.0 + 1e-9)
+        assert d <= e * (1.0 + METRIC_SLACK) * (1.0 + 1e-9)
         checked += 1
 
 
@@ -333,19 +348,17 @@ def test_on_segment_discount():
     # unit, so the margin over Euclidean is (1 - sqrt(eta)) times the
     # separation, less stencil slack
     m = ShortcutModel(eta=0.5)
-    slack = metric_slack(m)
     d = d_eta_reduced(m, (2.5, 1.0), (5.5, 1.0))
     assert d <= math.sqrt(0.5) * 3.0 + 1e-9
-    assert 3.0 - d >= (1.0 - math.sqrt(0.5)) * 3.0 * (1.0 - slack)
+    assert 3.0 - d >= (1.0 - math.sqrt(0.5)) * 3.0 * (1.0 - METRIC_SLACK)
 
 
 def test_on_line_discount_beyond_ends():
     # collinear points past the segment ends pick up the discount on
     # the full overlap with the segment
     m = ShortcutModel(eta=0.5)
-    slack = metric_slack(m)
     d = d_eta_reduced(m, (1.5, 1.0), (6.5, 1.0))
-    assert 5.0 - d >= (1.0 - math.sqrt(0.5)) * 4.0 * (1.0 - slack)
+    assert 5.0 - d >= (1.0 - math.sqrt(0.5)) * 4.0 * (1.0 - METRIC_SLACK)
 
 
 def test_across_segment_discount_vs_refraction_oracle():
@@ -355,16 +368,15 @@ def test_across_segment_discount_vs_refraction_oracle():
     # value itself must match the hand-built refraction path
     eta, h = 0.5, 0.05
     m = ShortcutModel(eta=eta)
-    slack = metric_slack(m)
     a, b = (2.5, 1.0 - h), (5.5, 1.0 + h)
     e = math.dist(a, b)
     d = d_eta_reduced(m, a, b)
     oracle = corner_path_between(m, a, b)
     assert oracle is not None
     assert d >= oracle.total_length * (1.0 - 1e-12)
-    assert d <= oracle.total_length * (1.0 + slack)
+    assert d <= oracle.total_length * (1.0 + METRIC_SLACK)
     overlap = math.dist(oracle.vertices[1], oracle.vertices[2])
-    ideal = (1.0 - math.sqrt(eta)) * overlap * (1.0 - slack)
+    ideal = (1.0 - math.sqrt(eta)) * overlap * (1.0 - METRIC_SLACK)
     legs = 2.0 * h * (1.0 - math.sqrt(eta)) / math.sqrt(1.0 - eta)
     assert e - d >= ideal - legs
     assert d < e
@@ -405,10 +417,8 @@ ORACLE_MODELS = [
 )
 def test_reduced_distance_brackets_grid_fields(model):
     """Node by node, a grid distance lies between the closed form and
-    the closed form times the stencil's closed-form distortion.  The
-    bound is not 1 + metric_slack: that slack is measured on a 6 x 6
-    grid, and on these extent-12 fields the ratio exceeds it in the
-    ninth digit."""
+    the closed form times the stencil's closed-form distortion, which
+    is 1 + METRIC_SLACK."""
     eng = _GridEngine(model)
     nodes = eng.coords(np.arange(model.side**2))
     shortened = 0
@@ -633,15 +643,14 @@ def test_region_sees_shortening_below_the_stencil_slack():
     rep = r_c_verify(m, 0.05)
     assert not rep.equal_within_slack
     assert 0.0 < rep.max_ratio_defect <= 1.0 - math.sqrt(0.99)
-    assert rep.max_ratio_defect < metric_slack(m)
+    assert rep.max_ratio_defect < METRIC_SLACK
 
 
 def test_region_holds_on_the_diagonal():
     m = ShortcutModel(eta=0.99)
-    slack = metric_slack(m)
     for r in (3.0, 6.0):
         x = (r / ROOT2, r / ROOT2)
-        assert d_eta_reduced(m, (0.0, 0.0), x) >= r * (1.0 - slack)
+        assert d_eta_reduced(m, (0.0, 0.0), x) >= r * (1.0 - METRIC_SLACK)
 
 
 def test_region_breaks_far_from_one():
@@ -651,7 +660,7 @@ def test_region_breaks_far_from_one():
     rep = r_c_verify(m, 1.0)
     assert not rep.equal_within_slack
     assert len(rep.violations) > 0
-    assert rep.max_ratio_defect > metric_slack(m)
+    assert rep.max_ratio_defect > METRIC_SLACK
     assert rep.c_max < 0.45
     # the segment sits below the diagonal, so that is where rays break
     assert min(ang for ang, _ in rep.violations) < math.pi / 4
