@@ -18,7 +18,6 @@ import contextlib
 import math
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -67,7 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
     command("bcg", _run_bcg, "determinant inequality campaign")
     command("natural-map", _run_natural_map, "sphere-map energy campaign")
     s = command("shortcut", _run_shortcut, "shortcut-metric lab")
-    s.add_argument("--eta", type=float, action="append", help="add an eta value")
+    s.add_argument(
+        "--eta", type=float, action="append", help="values replacing [shortcut] etas"
+    )
     s.add_argument("--rho-max", type=float, help="override the sweep upper radius")
     command("ghnet", _run_ghnet, "net-graph approximation toolkit")
     return p
@@ -134,7 +135,6 @@ def _run_entropy(cfg: RunConfig, doc: ReportDocument, csv_dir):
 def _run_growth(cfg: RunConfig, doc: ReportDocument, csv_dir) -> int | None:
     from .products import entropy_growth_numeric
 
-    t0 = time.time()
     est = entropy_growth_numeric(
         cfg.dims,
         cfg.rho_lo,
@@ -142,7 +142,6 @@ def _run_growth(cfg: RunConfig, doc: ReportDocument, csv_dir) -> int | None:
         grid_step=cfg.grid_step,
         seed=cfg.seed,
     )
-    doc.time("growth", time.time() - t0)
     target = math.sqrt(sum((d - 1) ** 2 for d in cfg.dims))
     band = cfg.slope_band
     if est.mc_slope_std is not None:
@@ -206,13 +205,11 @@ def _run_barycenter(cfg: RunConfig, doc: ReportDocument, csv_dir) -> int | None:
     config = random_configuration(rng, prof, cfg.n_atoms, spread=cfg.spread)
     quads = _quads_for(cfg, prof.dims)
     problem = BarycenterProblem(config, quads)
-    t0 = time.time()
     try:
         sol = problem.solve(tol=cfg.tol, max_iter=cfg.max_iter)
     except NearSingularError as e:
         doc.add("solve", "barycenter-fixed-point", {}, {"rejected": str(e)}, False)
         return EXIT_NOCONV
-    doc.time("solve", time.time() - t0)
     print(
         f"atoms={cfg.n_atoms} converged={sol.converged} "
         f"iterations={sol.iterations} grad={sol.gradient_norm:.3e}"
@@ -567,7 +564,6 @@ def main(argv=None) -> int:
 
     # under --json stdout carries the report document alone
     with contextlib.redirect_stdout(sys.stderr if args.json else sys.stdout):
-        t0 = time.time()
         try:
             # a runner only records checks; it returns EXIT_NOCONV when its
             # solver or estimator did not converge, None otherwise
@@ -579,7 +575,6 @@ def main(argv=None) -> int:
             # an LP that fails, bounds that cross, a broken identity
             print(f"numerical failure: {type(e).__name__}: {e}", file=sys.stderr)
             return EXIT_NOCONV
-        doc.time("total", time.time() - t0)
         for rec in doc.records[1:]:
             print(f"[{'PASS' if rec.passed else 'FAIL'}] {rec.name}")
         if out_dir:

@@ -22,13 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.sparse.csgraph import dijkstra
 from scipy.spatial.distance import pdist, squareform
 
 __all__ = [
     "FiniteMetricSpace",
     "NetGraph",
-    "GraphMetricResult",
     "greedy_net",
     "build_net_graph",
     "graph_metric",
@@ -256,28 +255,16 @@ def build_net_graph(
     return graph
 
 
-@dataclass(frozen=True)
-class GraphMetricResult:
-    matrix: np.ndarray
-    connected: bool
-    components: int
-
-    def space(self) -> FiniteMetricSpace:
-        if not self.connected:
-            raise ValueError("graph is disconnected; no finite metric")
-        return FiniteMetricSpace._trusted(self.matrix)
-
-
-def graph_metric(G: NetGraph) -> GraphMetricResult:
-    """All-pairs shortest path lengths of the net graph."""
+def graph_metric(G: NetGraph) -> np.ndarray:
+    """All-pairs shortest path lengths of the net graph; inf between
+    points in different components."""
     n = len(G.vertices)
     rows, cols, vals = G._columns()
     sp = csr_matrix((vals, (rows, cols)), shape=(n, n))
-    ncomp, _ = connected_components(sp, directed=False)
     mat = dijkstra(sp, directed=False)
     mat = np.minimum(mat, mat.T)
     np.fill_diagonal(mat, 0.0)
-    return GraphMetricResult(matrix=mat, connected=(ncomp == 1), components=ncomp)
+    return mat
 
 
 @dataclass(frozen=True)
@@ -301,10 +288,10 @@ def approximation_check(
     the check regardless of the metric comparison.
     """
     interval_ok = not G.interval_violations()
-    res = graph_metric(G)
+    mat = graph_metric(G)
     phi = tuple(phi)
     sub = target.dist[np.ix_(phi, phi)]
-    if not res.connected:
+    if not np.isfinite(mat).all():
         return ApproximationReport(
             max_deviation=float("inf"),
             passed=False,
@@ -313,7 +300,7 @@ def approximation_check(
             connected=False,
             interval_ok=interval_ok,
         )
-    diff = res.matrix - sub
+    diff = mat - sub
     step1 = float(diff.max())   # graph exceeding target
     step2 = float((-diff).max())  # target exceeding graph
     dev = float(np.abs(diff).max())
@@ -605,38 +592,26 @@ def _starting_routes(cost, supply, demand) -> np.ndarray:
 # -- sample spaces ---------------------------------------------------------
 
 
-def circle_space(
-    n: int, radius: float = 1.0, metric: str = "geodesic"
-) -> FiniteMetricSpace:
-    """n equally spaced points on a circle, geodesic (arc length) or
-    chord metric."""
-    if n < 1 or not 0.0 <= radius < math.inf:
-        raise ValueError("need n >= 1 points and a finite radius >= 0")
+def circle_space(n: int) -> FiniteMetricSpace:
+    """n equally spaced points on the unit circle, arc-length metric."""
+    if n < 1:
+        raise ValueError("need n >= 1 points")
     ang = 2.0 * math.pi * np.arange(n) / n
     gap = np.abs(ang[:, None] - ang[None, :])
-    gap = np.minimum(gap, 2.0 * math.pi - gap)
-    if metric == "geodesic":
-        d = radius * gap
-    elif metric == "chord":
-        d = 2.0 * radius * np.sin(gap / 2.0)
-    else:
-        raise ValueError("metric must be geodesic or chord")
-    return FiniteMetricSpace._trusted(d)
+    return FiniteMetricSpace._trusted(np.minimum(gap, 2.0 * math.pi - gap))
 
 
-def torus_grid_space(a: int, b: int, lx: float = 1.0, ly: float = 1.0) -> FiniteMetricSpace:
-    """a x b grid on the flat torus of circumferences lx, ly, with the
-    quotient Euclidean metric."""
-    if a < 1 or b < 1 or not (0.0 <= lx < math.inf and 0.0 <= ly < math.inf):
-        raise ValueError("need a, b >= 1 and finite circumferences >= 0")
-    xs = lx * np.arange(a) / a
-    ys = ly * np.arange(b) / b
-    px, py = np.meshgrid(xs, ys, indexing="ij")
+def torus_grid_space(a: int, b: int) -> FiniteMetricSpace:
+    """a x b grid on the flat unit torus, with the quotient Euclidean
+    metric."""
+    if a < 1 or b < 1:
+        raise ValueError("need a, b >= 1")
+    px, py = np.meshgrid(np.arange(a) / a, np.arange(b) / b, indexing="ij")
     p = np.stack([px.ravel(), py.ravel()], axis=1)
     dx = np.abs(p[:, None, 0] - p[None, :, 0])
-    dx = np.minimum(dx, lx - dx)
+    dx = np.minimum(dx, 1.0 - dx)
     dy = np.abs(p[:, None, 1] - p[None, :, 1])
-    dy = np.minimum(dy, ly - dy)
+    dy = np.minimum(dy, 1.0 - dy)
     return FiniteMetricSpace._trusted(np.hypot(dx, dy))
 
 

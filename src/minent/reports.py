@@ -5,8 +5,7 @@ mathematical fact it exercises (drawn from a fixed anchor table), its
 inputs, outputs, tolerance, and verdict.  Serialization is canonical:
 keys sorted, floats through repr, LF line endings, no timestamps, so a
 rerun with the same configuration and seed produces byte-identical
-output.  Wall-clock timings are collected alongside but stay out of
-the canonical form; request them explicitly for profiling.
+output.
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ class ReportDocument:
     subcommand: str
     config: dict
     records: list[CheckRecord] = field(default_factory=list)
-    timings: dict = field(default_factory=dict)
     version: str = __version__
 
     def add(
@@ -85,15 +83,12 @@ class ReportDocument:
         self.records.append(rec)
         return rec
 
-    def time(self, name: str, seconds: float):
-        self.timings[name] = seconds
-
     @property
     def all_passed(self) -> bool:
         return all(r.passed for r in self.records)
 
-    def to_dict(self, include_timings: bool = False) -> dict:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "version": self.version,
             "subcommand": self.subcommand,
             "config": _plain(self.config),
@@ -111,13 +106,10 @@ class ReportDocument:
             ],
             "passed": self.all_passed,
         }
-        if include_timings:
-            doc["timings"] = {k: round(v, 3) for k, v in self.timings.items()}
-        return doc
 
-    def to_json(self, include_timings: bool = False) -> str:
+    def to_json(self) -> str:
         return json.dumps(
-            self.to_dict(include_timings),
+            self.to_dict(),
             sort_keys=True,
             indent=2,
             ensure_ascii=False,

@@ -182,19 +182,6 @@ class CornerPath:
         seg = self._segments()
         return float(np.dot(np.hypot(seg[:, 0], seg[:, 1]), self.multipliers))
 
-    @property
-    def turning_angles(self) -> tuple[float, ...]:
-        seg = self._segments()
-        angles = []
-        for a, b in zip(seg[:-1], seg[1:]):
-            na, nb = np.hypot(*a), np.hypot(*b)
-            if na == 0 or nb == 0:
-                angles.append(0.0)
-                continue
-            c = float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
-            angles.append(math.acos(c))
-        return tuple(angles)
-
 
 @functools.lru_cache(maxsize=4)
 def _stencil(side: int, spacing: float) -> csr_matrix:
@@ -277,10 +264,6 @@ class _GridEngine:
         """Flat index of the grid node nearest a point."""
         i, j = self.model.grid_index(point)
         return int(i) * self.N + int(j)
-
-    def coords(self, flat: np.ndarray) -> np.ndarray:
-        d = self.model.spacing
-        return np.stack([(flat // self.N) * d, (flat % self.N) * d], axis=-1)
 
     def field(self, src: int) -> np.ndarray:
         """Grid distances from node src."""

@@ -3,6 +3,8 @@ that build test inputs; no report reaches them.  The density-weighted
 route (ideal points, Busemann data, visual density) checks the
 barycenter's transported nodes, parallel transport checks the tangent
 frame, and the per-point sphere map checks the natural map's closed form.
+Grid coordinates and turning angles read shortcut grid paths, and the
+chord-metric circle is a net test input.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from minent.barycenter import _sphere_components
+from minent.ghkit import FiniteMetricSpace, circle_space
 from minent.hyperbolic import (
     BoundaryQuadrature,
     HyperboloidPoint,
@@ -188,6 +191,26 @@ def natural_map_discrete(
 # -- shortcut grid paths ---------------------------------------------------
 
 
+def grid_coords(model: ShortcutModel, flat: np.ndarray) -> np.ndarray:
+    """Plane coordinates of the model's grid nodes with flat indices flat."""
+    d = model.spacing
+    return np.stack([(flat // model.side) * d, (flat % model.side) * d], axis=-1)
+
+
+def turning_angles(path: CornerPath) -> tuple[float, ...]:
+    """Angle between consecutive segments at each interior vertex."""
+    seg = path._segments()
+    angles = []
+    for a, b in zip(seg[:-1], seg[1:]):
+        na, nb = np.hypot(*a), np.hypot(*b)
+        if na == 0 or nb == 0:
+            angles.append(0.0)
+            continue
+        c = float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
+        angles.append(math.acos(c))
+    return tuple(angles)
+
+
 def extract_grid_path(model: ShortcutModel, a, b) -> CornerPath:
     """Minimizing grid path a -> b as a corner path, with multipliers
     read off the graph edge costs."""
@@ -207,7 +230,7 @@ def extract_grid_path(model: ShortcutModel, a, b) -> CornerPath:
             raise ValueError("no path between the requested points")
         chain.append(int(p))
     chain.reverse()
-    verts = eng.coords(np.array(chain))
+    verts = grid_coords(model, np.array(chain))
     # the graph stores each edge once, from the lower node index
     mults = [
         float(graph[min(u, v), max(u, v)]) / math.dist(verts[k], verts[k + 1])
@@ -225,3 +248,12 @@ def extract_grid_path(model: ShortcutModel, a, b) -> CornerPath:
     return CornerPath(
         tuple(map(tuple, verts[keep].tolist())), tuple(mults[s] for s in keep[:-1])
     )
+
+
+# -- finite metric spaces --------------------------------------------------
+
+
+def chord_circle(n: int) -> FiniteMetricSpace:
+    """n equally spaced points on the unit circle, chord metric, through
+    the validating constructor."""
+    return FiniteMetricSpace(2.0 * np.sin(circle_space(n).dist / 2.0))

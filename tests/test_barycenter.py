@@ -378,41 +378,39 @@ def test_bcg_campaign_no_violations():
         out = bcg_campaign(n, 2000, seed=11)
         assert out["violations"] == 0
         assert out["max_ratio"] <= out["bound"]
-        assert out["matrix_route_error"] < 1e-12
 
 
 def bcg_campaign_full_qr(n, count, seed):
-    """Reference campaign: a QR of every drawn frame, of which only the
-    first eight reach the matrix route."""
-    rng = np.random.default_rng(seed)
-    lam = rng.dirichlet(np.ones(n), size=count)
-    gauss = rng.standard_normal((count, n, n))
-    q, r = np.linalg.qr(gauss)
-    q = q * np.sign(np.einsum("cii->ci", r))[:, None, :]
+    """Reference campaign on the spectra alone."""
+    lam = np.random.default_rng(seed).dirichlet(np.ones(n), size=count)
     ratios = np.sqrt(np.prod(lam, axis=1)) / np.prod(1.0 - lam, axis=1)
     bound = (np.sqrt(n) / (n - 1)) ** n
-    spot_err = 0.0
-    for c in range(min(8, count)):
-        Hc = (q[c] * lam[c][None, :]) @ q[c].T
-        Hc = (Hc + Hc.T) / 2
-        res = bcg_inequality_check(Hc, n, n - 1)
-        spot_err = max(spot_err, abs(res.ratio - ratios[c]))
     return {
         "count": int(count),
         "violations": int(np.sum(ratios > bound * (1 + 1e-12))),
         "max_ratio": float(ratios.max()),
         "bound": float(bound),
-        "min_gap": float(bound - ratios.max()),
-        "matrix_route_error": float(spot_err),
-        "seed": int(seed),
     }
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("count", [5, 10_000])
 def test_bcg_campaign_matches_full_qr(n, count):
-    # every output, the matrix route's error included, bit for bit
+    # every output, bit for bit
     assert bcg_campaign(n, count, seed=n) == bcg_campaign_full_qr(n, count, n)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_bcg_spectral_ratio_matches_matrix_route(n):
+    # the spectral ratio is the scalar check's ratio of the full matrix
+    # Q diag(lam) Q^T, on QR frames
+    rng = np.random.default_rng(11)
+    lam = rng.dirichlet(np.ones(n), size=8)
+    for lam_c, q in zip(lam, np.linalg.qr(rng.standard_normal((8, n, n)))[0]):
+        H = (q * lam_c[None, :]) @ q.T
+        res = bcg_inequality_check((H + H.T) / 2, n, n - 1)
+        spectral = np.sqrt(np.prod(lam_c)) / np.prod(1.0 - lam_c)
+        assert abs(res.ratio - spectral) < 1e-12
 
 
 # -- the Jacobian-type bound ----------------------------------------------

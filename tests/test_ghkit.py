@@ -35,6 +35,7 @@ from minent.ghkit import (
     random_tree_space,
     torus_grid_space,
 )
+from oracles import chord_circle
 
 
 def plane_space(rng, n, scale=1.0):
@@ -300,7 +301,7 @@ def test_net_covering_and_separation():
     # least ceil(pi / (2 asin(0.1))) / 2 -ish points and a 0.2-separated
     # set holds at most floor(2 pi / (2 asin(0.1))); the nearest-first
     # greedy lands at 25, denser than a farthest-point sweep would
-    X = circle_space(100, metric="chord")
+    X = chord_circle(100)
     eps = 0.2
     net = greedy_net(X, eps)
     sub = X.dist[np.ix_(net, net)]
@@ -487,15 +488,15 @@ def make_graph(n, edges):
 
 
 def test_graph_metric_single_edge():
-    res = graph_metric(make_graph(2, [(0, 1, 0.7)]))
-    assert res.connected
-    assert res.matrix[0, 1] == pytest.approx(0.7)
+    mat = graph_metric(make_graph(2, [(0, 1, 0.7)]))
+    assert np.isfinite(mat).all()
+    assert mat[0, 1] == pytest.approx(0.7)
 
 
 def test_graph_metric_triangle():
-    res = graph_metric(make_graph(3, [(0, 1, 3.0), (1, 2, 4.0), (0, 2, 5.0)]))
-    assert res.matrix[0, 2] == pytest.approx(5.0)
-    assert res.matrix[0, 1] == pytest.approx(3.0)
+    mat = graph_metric(make_graph(3, [(0, 1, 3.0), (1, 2, 4.0), (0, 2, 5.0)]))
+    assert mat[0, 2] == pytest.approx(5.0)
+    assert mat[0, 1] == pytest.approx(3.0)
 
 
 def test_graph_metric_matches_floyd_warshall():
@@ -516,18 +517,20 @@ def test_graph_metric_matches_floyd_warshall():
     for _ in range(20):
         u, v = rng.integers(0, n, 2)
         add(int(u), int(v))
-    res = graph_metric(make_graph(n, edges))
-    assert res.connected
+    mat = graph_metric(make_graph(n, edges))
+    assert np.isfinite(mat).all()
     oracle = floyd_warshall(n, edges)
-    assert np.abs(res.matrix - oracle).max() <= 1e-12
+    assert np.abs(mat - oracle).max() <= 1e-12
 
 
 def test_graph_metric_flags_disconnection():
-    res = graph_metric(make_graph(4, [(0, 1, 1.0), (2, 3, 1.0)]))
-    assert not res.connected
-    assert res.components == 2
-    with pytest.raises(ValueError, match="disconnected"):
-        res.space()
+    g = make_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
+    mat = graph_metric(g)
+    # inf exactly between the components {0, 1} and {2, 3}
+    between = np.add.outer([0, 0, 1, 1], [0, 0, 1, 1]) == 1
+    assert np.array_equal(np.isinf(mat), between)
+    rep = approximation_check(g, range(4), circle_space(4), 1.0)
+    assert not rep.connected and not rep.passed
 
 
 # -- approximation checks --------------------------------------------------
@@ -1077,14 +1080,9 @@ def test_measure_requires_target():
 
 
 def test_circle_space_metrics():
-    X = circle_space(8, radius=2.0)
-    assert X.dist[0, 1] == pytest.approx(2.0 * 2.0 * math.pi / 8.0)
-    assert X.dist[0, 4] == pytest.approx(2.0 * math.pi)
-    C = circle_space(8, radius=2.0, metric="chord")
-    assert C.dist[0, 4] == pytest.approx(4.0)
-    assert C.dist[0, 1] == pytest.approx(4.0 * math.sin(math.pi / 8.0))
-    with pytest.raises(ValueError, match="metric"):
-        circle_space(8, metric="euclidean")
+    X = circle_space(8)
+    assert X.dist[0, 1] == pytest.approx(2.0 * math.pi / 8.0)
+    assert X.dist[0, 4] == pytest.approx(math.pi)
 
 
 def test_torus_space_wraps():
@@ -1106,10 +1104,9 @@ def assert_passes_full_check(X):
 @pytest.mark.parametrize("n", [1, 2, 7, 64, 301])
 def test_sample_spaces_pass_full_check(n):
     assert_passes_full_check(circle_space(n))
-    assert_passes_full_check(circle_space(n, radius=2.5, metric="chord"))
     assert_passes_full_check(random_tree_space(n, seed=n))
     side = math.isqrt(n)
-    assert_passes_full_check(torus_grid_space(side, n // side, 2.0, 0.5))
+    assert_passes_full_check(torus_grid_space(side, n // side))
     X = FiniteMetricSpace(
         circle_space(n).dist, np.random.default_rng(n).dirichlet(np.ones(n))
     )
@@ -1123,19 +1120,16 @@ def test_sample_spaces_pass_full_check(n):
             if target.diameter > 0:
                 bound = min(bound, eps * eps / (6.0 * target.diameter))
             g = build_net_graph(net, net, target, eps, 0.8 * bound, len(net))
-            res = graph_metric(g)
-            if res.connected or frac > 1:
-                assert_passes_full_check(res.space())
+            mat = graph_metric(g)
+            if np.isfinite(mat).all() or frac > 1:
+                assert np.array_equal(mat, mat.T)
+                assert np.array_equal(FiniteMetricSpace(mat).dist, mat)
 
 
 def test_sample_spaces_reject_bad_parameters():
     for bad in (
         lambda: circle_space(0),
-        lambda: circle_space(5, radius=-1.0),
-        lambda: circle_space(5, radius=math.nan),
         lambda: torus_grid_space(0, 3),
-        lambda: torus_grid_space(3, 3, lx=-1.0),
-        lambda: torus_grid_space(3, 3, ly=math.inf),
         lambda: random_tree_space(0),
         lambda: circle_space(5).restrict([]),
     ):
