@@ -47,12 +47,13 @@ import numpy as np
 from .hyperbolic import (
     BoundaryQuadrature,
     HyperboloidPoint,
+    exp_map,
     minkowski_form,
     random_point,
     tangent_frame,
     transvection_to,
 )
-from .products import ProductPoint, ScalingProfile, product_exp
+from .products import ProductPoint, ScalingProfile
 
 __all__ = [
     "WeightedConfiguration",
@@ -119,9 +120,6 @@ class FormPair:
     K: np.ndarray
     factor_h: tuple[np.ndarray, ...]
     frames: tuple[np.ndarray, ...]
-
-    def trace_h(self) -> float:
-        return float(np.trace(self.H))
 
 
 @dataclass(frozen=True)
@@ -265,7 +263,7 @@ class BarycenterProblem:
                     (t * c) @ F / a for c, F, a in zip(comps, pair.frames, prof.alpha)
                 ]
                 try:
-                    trial = product_exp(x, steps, prof)
+                    trial = ProductPoint(tuple(map(exp_map, x.factors, steps)))
                 except ValueError:
                     # beyond what a float hyperboloid point holds
                     t *= 0.5

@@ -40,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--out",
         metavar="DIR",
-        help="output directory (default: $MINENT_OUT if set, else none)",
+        help="output directory (default: $MINENT_OUT if set, else [output] dir)",
     )
     p.add_argument(
         "--json", action="store_true", help="print the report JSON to stdout"
@@ -90,8 +90,8 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
         cfg.etas = tuple(args.eta)
     if args.out is not None:
         cfg.out_dir = args.out
-    elif cfg.out_dir is None:
-        cfg.out_dir = os.environ.get("MINENT_OUT") or None
+    elif os.environ.get("MINENT_OUT"):
+        cfg.out_dir = os.environ["MINENT_OUT"]
     if args.csv:
         cfg.write_csv = True
     return cfg.validate()
@@ -229,7 +229,7 @@ def _run_barycenter(cfg: RunConfig, doc: ReportDocument, csv_dir) -> int | None:
     if not sol.converged:
         return EXIT_NOCONV
     pair = sol.forms
-    tr_err = abs(pair.trace_h() - 1.0)
+    tr_err = abs(float(np.trace(pair.H)) - 1.0)
     # the per-factor reduction K_i = Id - H_i on the blocks Newton and
     # the bound use: alpha_i sqrt(k) K_ii = Id - k H_ii
     comp_err = 0.0

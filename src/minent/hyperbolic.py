@@ -8,12 +8,14 @@ hyperboloid in Minkowski space R^{m,1}, where
 Boundary directions are future-pointing null rays.  A boundary node is
 stored normalized against the base point o = (1, 0, ..., 0) so that
 q(o, xi) = -1, which pins the representative (first coordinate 1) and
-anchors every horofunction at the base point: B(o, xi) = 0.
+anchors every horofunction at the base point: B(o, xi) = 0.  A
+tangent vector at x is passed as its ambient (m+1)-array v, with
+q(x, v) = 0, and |v| = sqrt(q(v, v)).
 
 The closed forms used here are exact in this model:
 
 * distance          arccosh(-q(x, y)) = 2 asinh(|x - y| / 2)
-* geodesic flow     cosh(t |v|) x + sinh(t |v|) v / |v|
+* geodesic step     cosh|v| x + sinh|v| v / |v|, the flow for unit time
 * tangent frame     rows e_a + x_a / (1 + x_0) (o + x), the spatial axes
                     parallel transported from o to x
 * translation o->x  the Lorentz matrix with columns x and those rows
@@ -35,7 +37,6 @@ import numpy as np
 __all__ = [
     "minkowski_form",
     "HyperboloidPoint",
-    "TangentVector",
     "BoundaryQuadrature",
     "dist",
     "exp_map",
@@ -96,28 +97,6 @@ class HyperboloidPoint:
         return self.coords.size - 1
 
 
-@dataclass(frozen=True)
-class TangentVector:
-    """A tangent vector at a hyperboloid point: q(base, vec) = 0."""
-
-    base: HyperboloidPoint
-    vec: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.vec, dtype=float)
-        if v.shape != self.base.coords.shape:
-            raise ValueError("tangent vector and base point dimensions differ")
-        pairing = minkowski_form(self.base.coords, v)
-        scale = max(1.0, float(np.max(np.abs(v))))
-        if abs(pairing) > 1e-8 * scale:
-            raise ValueError(f"vector is not tangent: q(base, vec) = {pairing!r}")
-        object.__setattr__(self, "vec", _readonly(v))
-
-    @property
-    def norm(self) -> float:
-        return float(np.sqrt(max(minkowski_form(self.vec, self.vec), 0.0)))
-
-
 def dist(x: HyperboloidPoint, y: HyperboloidPoint) -> float:
     """Geodesic distance, by the chord form 2 asinh(|w| / 2) with
     w = x - y and |w|^2 = q(w, w) = 2 cosh d - 2.
@@ -135,31 +114,37 @@ def dist(x: HyperboloidPoint, y: HyperboloidPoint) -> float:
     return float(2.0 * np.arcsinh(np.sqrt(max(minkowski_form(w, w), 0.0)) / 2.0))
 
 
-def exp_map(x: HyperboloidPoint, v: TangentVector, t: float = 1.0) -> HyperboloidPoint:
-    """Geodesic exponential: follow the geodesic through x with velocity v.
+def exp_map(x: HyperboloidPoint, v: np.ndarray) -> HyperboloidPoint:
+    """Geodesic exponential: follow the geodesic through x with initial
+    velocity v, an (m+1)-array tangent at x, for unit time.
 
-    Returns the spatial part of cosh(t |v|) x + sinh(t |v|) v / |v| with
+    v must have the shape of x.coords and satisfy
+    |q(x, v)| <= 1e-8 max(1, max|v|); otherwise ValueError.  Returns the
+    spatial part of cosh|v| x + sinh|v| v / |v| with
     x_0 = sqrt(1 + |x|^2).  The rounding of q(x, v) is multiplied by
-    about sinh(2 t |v|) in the full vector, which for steps beyond about
+    about sinh(2 |v|) in the full vector, which for steps beyond about
     17 can leave the sheet; the spatial part alone stays a point until
     x_0 reaches about 1e8, where q(x, x) rounds to 0.  A step whose
-    coordinates or their squared norm overflow (from o, t |v| beyond
-    about 355) raises ValueError, without a warning, so that a line
-    search can shorten it.  A zero vector returns x for every t
-    (degenerate ray).
+    pairings, coordinates or their squared norm overflow (from o, |v|
+    beyond about 355) raises ValueError, without a warning, so that a
+    line search can shorten it.  A zero vector returns x (degenerate
+    ray).
     """
-    if v.base is not x and not np.array_equal(v.base.coords, x.coords):
-        raise ValueError("tangent vector is based at a different point")
-    speed = v.norm
-    if speed == 0.0:
-        return x
-    s = t * speed
+    v = np.asarray(v, dtype=float)
+    if v.shape != x.coords.shape:
+        raise ValueError("tangent vector and base point dimensions differ")
     try:
         with np.errstate(over="raise"):
-            c = np.cosh(s) * x.coords + np.sinh(s) * (v.vec / speed)
+            pairing = minkowski_form(x.coords, v)
+            if abs(pairing) > 1e-8 * max(1.0, float(np.max(np.abs(v)))):
+                raise ValueError(f"vector is not tangent: q(x, v) = {pairing!r}")
+            speed = float(np.sqrt(max(minkowski_form(v, v), 0.0)))
+            if speed == 0.0:
+                return x
+            c = np.cosh(speed) * x.coords + np.sinh(speed) * (v / speed)
             c[0] = np.sqrt(1.0 + c[1:] @ c[1:])
     except FloatingPointError:
-        raise ValueError(f"a step of length {s!r} overflows the coordinates") from None
+        raise ValueError("the step overflows the coordinates") from None
     return HyperboloidPoint(c)
 
 

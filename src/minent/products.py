@@ -18,9 +18,9 @@ this identity is asserted.  A different weighted aggregate of the same
 ratios is exposed by :meth:`ScalingProfile.consistency_report` for
 inspection only, never asserted.
 
-The module also provides product points, distances and geodesic steps,
-and a numerical volume-growth entropy obtained by integrating
-sinh^{n_i - 1} shells over the radial quarter-plane.
+The module also provides product points and their distances, and a
+numerical volume-growth entropy obtained by integrating sinh^{n_i - 1}
+shells over the radial quarter-plane.
 """
 
 from __future__ import annotations
@@ -30,14 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hyperbolic import HyperboloidPoint, TangentVector, dist, exp_map
+from .hyperbolic import HyperboloidPoint, dist
 
 __all__ = [
     "ScalingProfile",
     "min_entropy_profile",
     "ProductPoint",
     "product_dist",
-    "product_exp",
     "GrowthEstimate",
     "entropy_growth_numeric",
 ]
@@ -142,35 +141,19 @@ class ProductPoint:
         return tuple(f.m for f in self.factors)
 
 
-def _check_compat(dims: tuple[int, ...], profile: ScalingProfile) -> None:
-    if dims != profile.dims:
-        raise ValueError(
-            f"factor dimensions {dims} do not match the profile {profile.dims}"
-        )
-
-
 def product_dist(x: ProductPoint, y: ProductPoint, profile: ScalingProfile) -> float:
     """Distance in the scaled product metric:
     sqrt(sum_i alpha_i^2 d_i(x_i, y_i)^2)."""
-    _check_compat(x.dims, profile)
-    _check_compat(y.dims, profile)
+    for dims in (x.dims, y.dims):
+        if dims != profile.dims:
+            raise ValueError(
+                f"factor dimensions {dims} do not match the profile {profile.dims}"
+            )
     parts = [
         (a * dist(xf, yf)) ** 2
         for a, xf, yf in zip(profile.alpha, x.factors, y.factors)
     ]
     return float(np.sqrt(sum(parts)))
-
-
-def product_exp(
-    x: ProductPoint, components: list[np.ndarray], profile: ScalingProfile
-) -> ProductPoint:
-    """Move along the product geodesic whose factor velocities are given
-    in ambient factor coordinates (unscaled q-tangent vectors)."""
-    _check_compat(x.dims, profile)
-    out = []
-    for xf, vec in zip(x.factors, components):
-        out.append(exp_map(xf, TangentVector(xf, vec), 1.0))
-    return ProductPoint(tuple(out))
 
 
 @dataclass(frozen=True)

@@ -337,48 +337,45 @@ def shorter_path_witness(eta: float, alpha: float) -> Witness | None:
 # -- closed-form metric ----------------------------------------------------
 
 
-def _refraction_offsets(model: ShortcutModel, s_in, h_in, s_out, h_out):
-    """Where the optimal path through the cheap segment enters and
-    leaves it, as offsets along the segment from its start, for a path
-    from offset s_in at clearance h_in to offset s_out >= s_in at
-    clearance h_out.
+def _corner(model: ShortcutModel, p: np.ndarray, X: np.ndarray):
+    """The corner path from the point p to each point of an (..., 2)
+    array X through the cheap segment: the offsets u and v along the
+    segment where it enters and leaves, and the path's length.
 
-    Refraction rule: each offset lies h sqrt(eta / (1 - eta)) past the
-    foot of the perpendicular from its endpoint at clearance h, as the
-    one-dimensional optimization gives, clamped to the segment ends.
-    The path uses the segment only if it leaves past where it enters.
+    Each pair is ordered along the line, and the path enters from the
+    point with the smaller offset.  Refraction rule: each offset lies
+    h sqrt(eta / (1 - eta)) past the foot of the perpendicular from its
+    endpoint at clearance h, as the one-dimensional optimization gives,
+    clamped to the segment ends.  The path uses the segment only if
+    v > u.
     """
-    length = model.line_frame()[3]
-    shift = math.sqrt(model.eta / (1.0 - model.eta))
-    return (
-        np.clip(s_in + h_in * shift, 0.0, length),
-        np.clip(s_out - h_out * shift, 0.0, length),
-    )
-
-
-def reduced_distance(model: ShortcutModel, p, X) -> np.ndarray:
-    """Exact distances of the model's metric from the point p to each
-    point of an (..., 2) array X: the smaller of the straight length and
-    the corner length through the cheap segment, which the path enters
-    and leaves by the refraction rule."""
-    p = np.asarray(p, dtype=float)
-    X = np.asarray(X, dtype=float)
-    straight = np.hypot(X[..., 0] - p[0], X[..., 1] - p[1])
-    if model.eta >= 1.0:
-        return straight
-    origin, along, normal, _ = model.line_frame()
+    origin, along, normal, length = model.line_frame()
     s_p, h_p = (p - origin) @ along, abs((p - origin) @ normal)
     s_x, h_x = (X - origin) @ along, np.abs((X - origin) @ normal)
-    # order each pair along the line: the path enters from the first
     first = s_x < s_p
     s_in, h_in = np.where(first, s_x, s_p), np.where(first, h_x, h_p)
     s_out, h_out = np.where(first, s_p, s_x), np.where(first, h_p, h_x)
-    u, v = _refraction_offsets(model, s_in, h_in, s_out, h_out)
+    shift = math.sqrt(model.eta / (1.0 - model.eta))
+    u = np.clip(s_in + h_in * shift, 0.0, length)
+    v = np.clip(s_out - h_out * shift, 0.0, length)
     corner = (
         np.hypot(s_in - u, h_in)
         + math.sqrt(model.eta) * (v - u)
         + np.hypot(s_out - v, h_out)
     )
+    return u, v, corner
+
+
+def reduced_distance(model: ShortcutModel, p, X) -> np.ndarray:
+    """Exact distances of the model's metric from the point p to each
+    point of an (..., 2) array X: the smaller of the straight length and
+    the corner length through the cheap segment (`_corner`)."""
+    p = np.asarray(p, dtype=float)
+    X = np.asarray(X, dtype=float)
+    straight = np.hypot(X[..., 0] - p[0], X[..., 1] - p[1])
+    if model.eta >= 1.0:
+        return straight
+    u, v, corner = _corner(model, p, X)
     return np.where(v > u, np.minimum(straight, corner), straight)
 
 
@@ -531,32 +528,23 @@ def corner_path_between(model: ShortcutModel, p, q) -> CornerPath | None:
     """Optimal path p -> q through the cheap segment, or None if the
     straight line is at least as good.
 
-    Entry and exit obey the refraction rule (`_refraction_offsets`).
+    Entry, exit and length come from the kernel `reduced_distance`
+    reads (`_corner`); the path runs from the endpoint with the smaller
+    offset along the segment.
     """
     if model.eta >= 1.0:
         return None
-    origin, along, normal, _ = model.line_frame()
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    sp, sq = float((p - origin) @ along), float((q - origin) @ along)
-    if sp > sq:
+    u, v, length = _corner(model, p, q)
+    if v <= u or length >= math.dist(p, q):
+        return None
+    origin, along, _, _ = model.line_frame()
+    if (q - origin) @ along < (p - origin) @ along:
         p, q = q, p
-        sp, sq = sq, sp
-    hp = abs(float((p - origin) @ normal))
-    hq = abs(float((q - origin) @ normal))
-    mu = math.sqrt(model.eta)
-    u, v = _refraction_offsets(model, sp, hp, sq, hq)
-    if v <= u:
-        return None
-    entry = origin + u * along
-    leave = origin + v * along
-    length = (
-        math.dist(p, entry) + mu * (v - u) + math.dist(leave, q)
-    )
-    if length >= math.dist(p, q):
-        return None
+    vertices = np.stack([p, origin + u * along, origin + v * along, q])
     return CornerPath(
-        tuple(map(tuple, np.stack([p, entry, leave, q]).tolist())), (1.0, mu, 1.0)
+        tuple(map(tuple, vertices.tolist())), (1.0, math.sqrt(model.eta), 1.0)
     )
 
 

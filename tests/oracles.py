@@ -19,7 +19,6 @@ from minent.ghkit import FiniteMetricSpace, circle_space
 from minent.hyperbolic import (
     BoundaryQuadrature,
     HyperboloidPoint,
-    TangentVector,
     _readonly,
     minkowski_form,
     tangent_frame,
@@ -93,7 +92,7 @@ class BusemannData:
     """
 
     value: float
-    gradient: TangentVector
+    gradient: np.ndarray
     hessian: np.ndarray
     frame: np.ndarray
 
@@ -115,13 +114,12 @@ def busemann(x: HyperboloidPoint, xi: IdealPoint) -> BusemannData:
     if s <= 0:
         raise ValueError("q(x, xi) must be negative for a future null direction")
     value = float(np.log(s))
-    grad_vec = x.coords - xi.coords / s
-    grad = TangentVector(x, grad_vec)
+    grad = x.coords - xi.coords / s
     frame = tangent_frame(x)
     # dB(e_a) in the frame; the Hessian of log(-q(., xi)) along the
     # geodesic exp(x, t e) is 1 - dB(e)^2, so polarization gives
     # delta_ab - b_a b_b with b_a = q(grad, e_a).
-    b = np.array([minkowski_form(grad_vec, frame[a]) for a in range(x.m)])
+    b = np.array([minkowski_form(grad, frame[a]) for a in range(x.m)])
     hess = np.eye(x.m) - np.outer(b, b)
     return BusemannData(value=value, gradient=grad, hessian=hess, frame=frame)
 

@@ -25,7 +25,6 @@ from minent.barycenter import (
 )
 from minent.hyperbolic import (
     HyperboloidPoint,
-    TangentVector,
     boundary_quadrature,
     exp_map,
     minkowski_form,
@@ -36,7 +35,6 @@ from minent.products import (
     ProductPoint,
     min_entropy_profile,
     product_dist,
-    product_exp,
 )
 from oracles import (
     apply_isometry,
@@ -91,13 +89,17 @@ def test_gradient_matches_value_finite_differences(profile33, quads33, rng):
     x = ProductPoint(tuple(random_point(rng, 3, 0.8) for _ in range(2)))
     value, grad, gnorm, pair = problem.value_and_grad(x)
     h = 1e-3
+
+    def moved(vecs):
+        return ProductPoint(tuple(map(exp_map, x.factors, vecs)))
+
     for i in range(2):
         for a in range(3):
             vecs = [np.zeros(4), np.zeros(4)]
             vecs[i] = h * pair.frames[i][a]
-            vp = problem.value_and_grad(product_exp(x, vecs, profile33))[0]
+            vp = problem.value_and_grad(moved(vecs))[0]
             vecs[i] = -h * pair.frames[i][a]
-            vm = problem.value_and_grad(product_exp(x, vecs, profile33))[0]
+            vm = problem.value_and_grad(moved(vecs))[0]
             assert (vp - vm) / (2 * h) == pytest.approx(
                 grad[i][a], abs=1e-4
             )
@@ -276,7 +278,7 @@ def test_forms_exact_identities(profile33, quads33, rng):
     problem = BarycenterProblem(config, quads33)
     sol = problem.solve(tol=1e-8)
     pair = problem.forms(sol.point)
-    assert pair.trace_h() == pytest.approx(1.0, abs=1e-12)
+    assert np.trace(pair.H) == pytest.approx(1.0, abs=1e-12)
     k = profile33.k
     for i, (a, h_i) in enumerate(zip(profile33.alpha, pair.factor_h)):
         sl = slice(3 * i, 3 * i + 3)
@@ -292,7 +294,7 @@ def test_forms_trace_property(seed, profile33, quads33):
     config = random_configuration(gen, profile33, int(2 + seed % 4), spread=1.0)
     x = ProductPoint(tuple(random_point(gen, 3, 1.0) for _ in range(2)))
     pair = BarycenterProblem(config, quads33).forms(x)
-    assert pair.trace_h() == pytest.approx(1.0, abs=1e-12)
+    assert np.trace(pair.H) == pytest.approx(1.0, abs=1e-12)
     evals = np.linalg.eigvalsh(pair.H)
     assert evals.min() > -1e-12
 
@@ -630,7 +632,7 @@ def fd_sphere_map(points, c, x, profile, step=1e-4):
             outs = []
             for sgn in (+1.0, -1.0):
                 moved = list(x.factors)
-                moved[i] = exp_map(xf, TangentVector(xf, vec), sgn * step)
+                moved[i] = exp_map(xf, sgn * step * vec)
                 outs.append(
                     natural_map_discrete(points, c, ProductPoint(tuple(moved)), profile)
                 )

@@ -518,6 +518,16 @@ def test_out_flag_beats_env(tmp_path, monkeypatch):
     assert not env_dir.exists()
 
 
+def test_env_beats_config_output_dir(tmp_path, monkeypatch):
+    env_dir = tmp_path / "envout"
+    cfg_dir = tmp_path / "cfgout"
+    ini = write_ini(tmp_path, f"[output]\ndir = {cfg_dir}\n")
+    monkeypatch.setenv("MINENT_OUT", str(env_dir))
+    assert main(["--config", ini, "entropy"]) == EXIT_OK
+    assert (env_dir / "entropy_report.json").exists()
+    assert not cfg_dir.exists()
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     bad = write_ini(tmp_path, "[profile]\ndims = 3\nentropies = 2 2\n")
     assert main(["--config", bad, "entropy"]) == EXIT_CONFIG

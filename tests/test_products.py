@@ -14,7 +14,6 @@ from minent.products import (
     entropy_growth_numeric,
     min_entropy_profile,
     product_dist,
-    product_exp,
 )
 from oracles import base_point
 
@@ -109,14 +108,14 @@ def test_product_dist_triangle(seed, profile33):
     assert dxz <= dxy + dyz + 1e-12
 
 
-def test_product_exp_unit_speed(profile33):
-    from minent.hyperbolic import tangent_frame
+def test_product_geodesic_unit_speed(profile33):
+    from minent.hyperbolic import exp_map, tangent_frame
 
     gen = np.random.default_rng(3)
     x = rand_product_point(gen, (3, 3))
     frames = [tangent_frame(f) for f in x.factors]
     vecs = [0.6 * frames[0][0], 0.8 * frames[1][1]]
-    y = product_exp(x, vecs, profile33)
+    y = ProductPoint(tuple(map(exp_map, x.factors, vecs)))
     assert product_dist(x, y, profile33) == pytest.approx(1.0, abs=1e-10)
 
 
