@@ -373,12 +373,9 @@ def _run_shortcut(cfg: RunConfig, doc: ReportDocument, csv_dir):
         witness_ok,
     )
 
-    # metric spot checks on the off-diagonal segment model
-    base = ShortcutModel(
-        eta=min(etas),
-        spacing=cfg.sc_spacing,
-        extent=min(cfg.sc_extent, 12.0),
-    )
+    # metric spot checks on the off-diagonal segment model; both spot
+    # pairs lie in [0, 6]^2, so the grid ends where the segment does
+    base = ShortcutModel(eta=min(etas), spacing=cfg.sc_spacing, extent=6.0)
     # grid distances against the closed form at the same grid nodes
     slack = METRIC_SLACK
     plain = ShortcutModel(eta=1.0, spacing=cfg.sc_spacing, extent=base.extent)
@@ -493,10 +490,13 @@ def _run_ghnet(cfg: RunConfig, doc: ReportDocument, csv_dir):
         torus_grid_space,
     )
 
-    for name, target in (
-        ("circle", circle_space(cfg.gh_circle)),
-        ("torus", torus_grid_space(cfg.gh_torus, cfg.gh_torus)),
+    # one sample space alive at a time: each is built inside its pass
+    # and dropped before the next
+    for name, build, args in (
+        ("circle", circle_space, (cfg.gh_circle,)),
+        ("torus", torus_grid_space, (cfg.gh_torus, cfg.gh_torus)),
     ):
+        target = build(*args)
         eps = cfg.gh_eps
         net = greedy_net(target, eps / 4)
         delta = 0.8 * min(eps / 4, eps * eps / (6 * target.diameter))
@@ -518,6 +518,7 @@ def _run_ghnet(cfg: RunConfig, doc: ReportDocument, csv_dir):
             rep.passed,
             tolerance=eps,
         )
+        del target
 
     two_a = FiniteMetricSpace(np.array([[0.0, 1.0], [1.0, 0.0]]))
     two_b = FiniteMetricSpace(np.array([[0.0, 3.0], [3.0, 0.0]]))

@@ -109,7 +109,7 @@ class RunConfig:
         if self.sc_extent / self.sc_spacing > 1000:
             # the growth sweep's cells cost about 0.1 KB per node of this
             # grid, the metric-spot searches about 0.55 KB per node of the
-            # grid over [0, min(extent, 12)]^2 at peak
+            # grid over [0, 6]^2 at peak, whose side is at most this one's
             raise ConfigError(
                 "[shortcut] extent / spacing must be at most 1000 "
                 "(a grid of at most 1001 x 1001 nodes)"

@@ -43,6 +43,8 @@ __all__ = [
 _EXACT_CAP = 9
 # candidate routes per point in measure_compare's first restricted LP
 _ROUTES = 16
+# rows per scratch chunk of the sample spaces' in-place folds
+_FOLD_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -84,9 +86,13 @@ class FiniteMetricSpace:
         if d.min() < 0:
             raise ValueError("distances must be nonnegative")
         _symmetrize(d, skew)
+        del skew
         # the pairs i < j in pdist's order; a single point has none
-        if n > 1 and (pdist(d, "chebyshev") - squareform(d, checks=False)).max() > 1e-9:
-            raise ValueError("triangle inequality violated beyond 1e-9")
+        if n > 1:
+            gap = pdist(d, "chebyshev")
+            gap -= squareform(d, checks=False)
+            if gap.max() > 1e-9:
+                raise ValueError("triangle inequality violated beyond 1e-9")
         object.__setattr__(self, "dist", d)
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
@@ -116,18 +122,6 @@ class FiniteMetricSpace:
         if self.weights is not None:
             return self.weights
         return np.full(self.size, 1.0 / self.size)
-
-    def restrict(self, idx) -> "FiniteMetricSpace":
-        idx = np.asarray(idx, dtype=int)
-        if idx.size == 0:
-            raise ValueError("empty space")
-        w = None
-        if self.weights is not None:
-            w = self.weights[idx]
-            if not w.sum() > 0:
-                raise ValueError("the restricted points carry no weight")
-            w = w / w.sum()
-        return FiniteMetricSpace._trusted(self.dist[np.ix_(idx, idx)], w)
 
 
 def _symmetrize(d: np.ndarray, skew: np.ndarray):
@@ -597,8 +591,7 @@ def circle_space(n: int) -> FiniteMetricSpace:
     if n < 1:
         raise ValueError("need n >= 1 points")
     ang = 2.0 * math.pi * np.arange(n) / n
-    gap = np.abs(ang[:, None] - ang[None, :])
-    return FiniteMetricSpace._trusted(np.minimum(gap, 2.0 * math.pi - gap))
+    return FiniteMetricSpace._trusted(_folded_gaps(ang, 2.0 * math.pi))
 
 
 def torus_grid_space(a: int, b: int) -> FiniteMetricSpace:
@@ -606,13 +599,22 @@ def torus_grid_space(a: int, b: int) -> FiniteMetricSpace:
     metric."""
     if a < 1 or b < 1:
         raise ValueError("need a, b >= 1")
-    px, py = np.meshgrid(np.arange(a) / a, np.arange(b) / b, indexing="ij")
-    p = np.stack([px.ravel(), py.ravel()], axis=1)
-    dx = np.abs(p[:, None, 0] - p[None, :, 0])
-    dx = np.minimum(dx, 1.0 - dx)
-    dy = np.abs(p[:, None, 1] - p[None, :, 1])
-    dy = np.minimum(dy, 1.0 - dy)
-    return FiniteMetricSpace._trusted(np.hypot(dx, dy))
+    # node i * b + j sits at (i / a, j / b)
+    dx = _folded_gaps(np.repeat(np.arange(a) / a, b), 1.0)
+    dy = _folded_gaps(np.tile(np.arange(b) / b, a), 1.0)
+    return FiniteMetricSpace._trusted(np.hypot(dx, dy, out=dx))
+
+
+def _folded_gaps(x: np.ndarray, period: float) -> np.ndarray:
+    """The matrix min(g, period - g) with g = |x_i - x_j|, built in
+    place: besides the result, only one chunk of _FOLD_ROWS rows is
+    allocated."""
+    g = np.subtract.outer(x, x)
+    np.abs(g, out=g)
+    for r in range(0, len(g), _FOLD_ROWS):
+        rows = g[r : r + _FOLD_ROWS]
+        np.minimum(rows, period - rows, out=rows)
+    return g
 
 
 def random_tree_space(n: int, seed: int = 0) -> FiniteMetricSpace:

@@ -4,7 +4,7 @@ route (ideal points, Busemann data, visual density) checks the
 barycenter's transported nodes, parallel transport checks the tangent
 frame, and the per-point sphere map checks the natural map's closed form.
 Grid coordinates and turning angles read shortcut grid paths, and the
-chord-metric circle is a net test input.
+chord-metric circle and restricted spaces are metric-space test inputs.
 """
 
 from __future__ import annotations
@@ -255,3 +255,18 @@ def chord_circle(n: int) -> FiniteMetricSpace:
     """n equally spaced points on the unit circle, chord metric, through
     the validating constructor."""
     return FiniteMetricSpace(2.0 * np.sin(circle_space(n).dist / 2.0))
+
+
+def restrict(X: FiniteMetricSpace, idx) -> FiniteMetricSpace:
+    """X on the points idx, with its weights renormalized; stored
+    unchecked, as a sub-matrix of a checked metric."""
+    idx = np.asarray(idx, dtype=int)
+    if idx.size == 0:
+        raise ValueError("empty space")
+    w = None
+    if X.weights is not None:
+        w = X.weights[idx]
+        if not w.sum() > 0:
+            raise ValueError("the restricted points carry no weight")
+        w = w / w.sum()
+    return FiniteMetricSpace._trusted(X.dist[np.ix_(idx, idx)], w)

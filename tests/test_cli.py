@@ -9,6 +9,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -458,10 +459,22 @@ def source_references(path):
     return out
 
 
+def public_members(cls):
+    """The public methods and properties a class defines itself."""
+    return [
+        name
+        for name, value in vars(cls).items()
+        if not name.startswith("_")
+        and (callable(value) or isinstance(value, (property, classmethod, staticmethod)))
+    ]
+
+
 def test_public_names_resolve():
     """Every public name exists, and the package or the benchmark reads
     it outside its own definition: a name only tests reach belongs
-    under tests/.  perfbench/ is read as source, not imported."""
+    under tests/.  The same holds for the public methods and properties
+    of public classes, which any statement may read, their class's own
+    included.  perfbench/ is read as source, not imported."""
     files = [*(REPO / "src" / "minent").glob("*.py"), *(REPO / "perfbench").glob("*.py")]
     statements = [(path, *stmt) for path in files for stmt in source_references(path)]
     unreached = []
@@ -475,6 +488,10 @@ def test_public_names_resolve():
                 for path, defined, used in statements
             ):
                 unreached.append(f"minent.{info.name}.{name}")
+            obj = getattr(module, name)
+            for member in public_members(obj) if isinstance(obj, type) else ():
+                if not any(member in used for _, _, used in statements):
+                    unreached.append(f"minent.{info.name}.{name}.{member}")
     assert unreached == []
     for name in minent.__all__:
         assert hasattr(minent, name), name
@@ -738,8 +755,8 @@ def test_shortcut_subcommand(tmp_path):
 def test_shortcut_runs_no_dijkstra_over_the_sweep_grid(tmp_path, monkeypatch):
     """The growth sweep and the region check read the closed form, and
     the stencil slack is a constant.  The grid runs only for the
-    metric-spot record's two extent-12 fields, never on the extent-18
-    grid."""
+    metric-spot record's two fields over [0, 6]^2, never on the
+    extent-18 grid."""
     import minent.shortcut as shortcut
 
     # forget fields that other tests left cached
@@ -754,7 +771,54 @@ def test_shortcut_runs_no_dijkstra_over_the_sweep_grid(tmp_path, monkeypatch):
     monkeypatch.setattr(shortcut, "_dijkstra", counted)
     assert main(["--out", str(tmp_path), "shortcut"]) == EXIT_OK
     assert 0 < len(nodes) <= 2
-    assert max(nodes) <= 241**2
+    assert max(nodes) <= 121**2
+
+
+@pytest.mark.parametrize("spacing", [0.05, 0.04, 0.025, 0.02])
+def test_metric_spot_grid_ends_with_the_segment(spacing):
+    """Both metric-spot pairs lie in [0, 6]^2, and a grid over [0, 6]^2
+    gives the same distances as the extent-12 grid, bit for bit: the
+    plain pair on the eta = 1 model, the cheap pair at each eta."""
+    from minent.shortcut import ShortcutModel, _GridEngine
+
+    def spot(eta, extent, a, b):
+        model = ShortcutModel(eta=eta, spacing=spacing, extent=extent)
+        eng = _GridEngine(model)
+        return eng.field(eng.node_of(model.snap(a)))[eng.node_of(model.snap(b))]
+
+    pairs = [(1.0, (0.5, 0.5), (5.5, 4.0))]
+    pairs += [(eta, (2.5, 1.0), (5.5, 1.0)) for eta in (1.0, 0.99, 0.8, 0.5)]
+    for eta, a, b in pairs:
+        assert spot(eta, 6.0, a, b) == spot(eta, 12.0, a, b), (eta, a, b)
+
+
+def traced_peak(tmp_path, sub):
+    """Peak bytes traced while a default run of sub executes, with the
+    program already imported and no shortcut grid cached."""
+    import minent.ghkit  # noqa: F401
+    import minent.shortcut as shortcut
+
+    shortcut._engine.cache_clear()
+    shortcut._stencil.cache_clear()
+    tracemalloc.start()
+    try:
+        assert main(["--out", str(tmp_path), sub]) == EXIT_OK
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_ghnet_holds_one_sample_space(tmp_path):
+    # the 800-point circle's matrix is the largest array; the torus is
+    # built only after the circle is dropped, each in place
+    assert traced_peak(tmp_path, "ghnet") <= 1.25 * 800**2 * 8
+
+
+def test_shortcut_peak_memory(tmp_path):
+    # measured 17.8 MB, set by the growth sweep's closed form over the
+    # 361 x 361 extent-18 grid; 20 MB leaves about 12 percent of margin
+    assert traced_peak(tmp_path, "shortcut") <= 20e6
 
 
 def test_metric_spot_compares_snapped_nodes(tmp_path):

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from minent.ghkit import (
     random_tree_space,
     torus_grid_space,
 )
-from oracles import chord_circle
+from oracles import chord_circle, restrict
 
 
 def plane_space(rng, n, scale=1.0):
@@ -103,7 +104,7 @@ def test_space_explicit_weights():
 def test_space_restrict_renormalizes():
     d = circle_space(6).dist
     X = FiniteMetricSpace(d, np.array([0.4, 0.1, 0.1, 0.1, 0.1, 0.2]))
-    sub = X.restrict([0, 5])
+    sub = restrict(X, [0, 5])
     assert sub.size == 2
     assert sub.weights == pytest.approx([2.0 / 3.0, 1.0 / 3.0])
 
@@ -257,6 +258,19 @@ def test_space_validation_memory_is_quadratic():
     assert out.stdout.strip() == "1000"
 
 
+def test_space_validation_peaks_near_two_matrices():
+    # the stored copy plus pdist's and squareform's condensed arrays,
+    # each half a matrix; nothing else of size n^2 is alive alongside
+    d = circle_space(800).dist
+    tracemalloc.start()
+    try:
+        FiniteMetricSpace(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * d.nbytes
+
+
 def test_space_rejects_bad_weights():
     d = two_point_space(1.0).dist
     with pytest.raises(ValueError, match="probability"):
@@ -278,8 +292,8 @@ def test_space_restrict_onto_zero_weight_rejected():
     # renormalizing would divide by 0 and leave NaN weights, and
     # measure_compare of such a space with itself would report 0.0
     with pytest.raises(ValueError, match="no weight"):
-        X.restrict([1, 2])
-    assert X.restrict([0, 2]).weights.tolist() == [1.0, 0.0]
+        restrict(X, [1, 2])
+    assert restrict(X, [0, 2]).weights.tolist() == [1.0, 0.0]
 
 
 # -- greedy nets -----------------------------------------------------------
@@ -1092,6 +1106,27 @@ def test_torus_space_wraps():
     assert X.dist[0, 10] == pytest.approx(math.hypot(0.5, 0.5))
 
 
+def folded(gap, period):
+    return np.minimum(gap, period - gap)
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 800])
+def test_circle_space_matches_broadcast_formula(n):
+    # built in place and in row chunks, by the same elementwise steps
+    ang = 2.0 * math.pi * np.arange(n) / n
+    want = folded(np.abs(ang[:, None] - ang[None, :]), 2.0 * math.pi)
+    assert np.array_equal(circle_space(n).dist, want)
+
+
+@pytest.mark.parametrize("a,b", [(1, 1), (3, 5), (24, 24)])
+def test_torus_space_matches_broadcast_formula(a, b):
+    px, py = np.meshgrid(np.arange(a) / a, np.arange(b) / b, indexing="ij")
+    p = np.stack([px.ravel(), py.ravel()], axis=1)
+    dx = folded(np.abs(p[:, None, 0] - p[None, :, 0]), 1.0)
+    dy = folded(np.abs(p[:, None, 1] - p[None, :, 1]), 1.0)
+    assert np.array_equal(torus_grid_space(a, b).dist, np.hypot(dx, dy))
+
+
 def assert_passes_full_check(X):
     """The validating constructor accepts X's matrix and weights and
     stores them unchanged: X holds a bit-symmetric metric."""
@@ -1110,7 +1145,7 @@ def test_sample_spaces_pass_full_check(n):
     X = FiniteMetricSpace(
         circle_space(n).dist, np.random.default_rng(n).dirichlet(np.ones(n))
     )
-    assert_passes_full_check(X.restrict(np.arange(0, n, 3)))
+    assert_passes_full_check(restrict(X, np.arange(0, n, 3)))
     for target in (circle_space(n), random_tree_space(n, seed=n + 1)):
         # a sparse net graph, then the complete one
         for frac in (0.5, 1.01):
@@ -1131,7 +1166,7 @@ def test_sample_spaces_reject_bad_parameters():
         lambda: circle_space(0),
         lambda: torus_grid_space(0, 3),
         lambda: random_tree_space(0),
-        lambda: circle_space(5).restrict([]),
+        lambda: restrict(circle_space(5), []),
     ):
         with pytest.raises(ValueError):
             bad()
