@@ -7,8 +7,8 @@ prints one verdict line per recorded check and takes the exit code
 from the report.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 configuration
-error, 3 a solver or estimator failed to converge, an LP failed, or
-bounds that must be ordered crossed.
+error, 3 a solver failed to converge, an LP failed, or bounds that
+must be ordered crossed.
 """
 
 from __future__ import annotations
@@ -132,23 +132,17 @@ def _run_entropy(cfg: RunConfig, doc: ReportDocument, csv_dir):
     )
 
 
-def _run_growth(cfg: RunConfig, doc: ReportDocument, csv_dir) -> int | None:
+def _run_growth(cfg: RunConfig, doc: ReportDocument, csv_dir):
     from .products import entropy_growth_numeric
 
     est = entropy_growth_numeric(
-        cfg.dims,
-        cfg.rho_lo,
-        cfg.rho_hi,
-        grid_step=cfg.grid_step,
-        seed=cfg.seed,
+        cfg.dims, cfg.rho_lo, cfg.rho_hi, grid_step=cfg.grid_step
     )
     target = math.sqrt(sum((d - 1) ** 2 for d in cfg.dims))
     band = cfg.slope_band
-    if est.mc_slope_std is not None:
-        band = band + 3.0 * est.mc_slope_std
     print(
         f"slope={est.slope:.5f} target={target:.5f} band={band:.4f} "
-        f"rms={est.residual_rms:.4f} method={est.method}"
+        f"rms={est.residual_rms:.4f} prefactor={est.prefactor:g}"
     )
     doc.add(
         "growth-slope",
@@ -162,8 +156,7 @@ def _run_growth(cfg: RunConfig, doc: ReportDocument, csv_dir) -> int | None:
             "slope": est.slope,
             "target": target,
             "residual_rms": est.residual_rms,
-            "mc_slope_std": est.mc_slope_std,
-            "method": est.method,
+            "prefactor": est.prefactor,
         },
         abs(est.slope - target) <= band,
         tolerance=band,
@@ -174,8 +167,6 @@ def _run_growth(cfg: RunConfig, doc: ReportDocument, csv_dir) -> int | None:
             ["rho", "log_volume"],
             [[float(r), float(v)] for r, v in zip(est.rho, est.log_volume)],
         )
-    if est.mc_slope_std is not None and est.mc_slope_std > 0.2:
-        return EXIT_NOCONV
 
 
 def _quads_for(cfg: RunConfig, dims):
@@ -567,7 +558,7 @@ def main(argv=None) -> int:
     with contextlib.redirect_stdout(sys.stderr if args.json else sys.stdout):
         try:
             # a runner only records checks; it returns EXIT_NOCONV when its
-            # solver or estimator did not converge, None otherwise
+            # solver did not converge, None otherwise
             code = args.run(cfg, doc, csv_dir)
         except ValueError as e:
             print(f"config error: {e}", file=sys.stderr)

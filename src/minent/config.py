@@ -107,8 +107,9 @@ class RunConfig:
             raise ConfigError("[shortcut] extent must be at least 6, "
                               "the end of the base model's segment")
         if self.sc_extent / self.sc_spacing > 1000:
-            # the growth sweep's cells cost about 0.1 KB per node of this
-            # grid, the metric-spot searches about 0.55 KB per node of the
+            # the growth sweep keeps about 56 B per node it reaches (at
+            # most every node of this grid) next to a block of 32 grid
+            # rows, the metric-spot searches about 0.55 KB per node of the
             # grid over [0, 6]^2 at peak, whose side is at most this one's
             raise ConfigError(
                 "[shortcut] extent / spacing must be at most 1000 "

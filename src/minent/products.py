@@ -19,13 +19,14 @@ ratios is exposed by :meth:`ScalingProfile.consistency_report` for
 inspection only, never asserted.
 
 The module also provides product points and their distances, and a
-numerical volume-growth entropy obtained by integrating sinh^{n_i - 1}
-shells over the radial quarter-plane.
+numerical volume-growth entropy: the radial ball volume is integrated
+one factor at a time over sinh^{n_i - 1} shells, by one deterministic
+recursion for any number of factors, and the slope of log V is fitted
+after removing the rank prefactor ((k - 1)/2) log(rho).
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,18 +159,14 @@ def product_dist(x: ProductPoint, y: ProductPoint, profile: ScalingProfile) -> f
 
 @dataclass(frozen=True)
 class GrowthEstimate:
-    """Least-squares slope of log V(rho) over a radius window.
-
-    ``mc_slope_std`` is the batch spread of the slope for the Monte
-    Carlo method (None for deterministic grids).
-    """
+    """Least-squares slope of log V(rho) - prefactor * log(rho) over a
+    radius window; ``log_volume`` keeps log V itself."""
 
     slope: float
     residual_rms: float
     rho: np.ndarray
     log_volume: np.ndarray
-    method: str
-    mc_slope_std: float | None = None
+    prefactor: float
 
     def __post_init__(self):
         object.__setattr__(self, "rho", np.asarray(self.rho, dtype=float))
@@ -182,34 +179,48 @@ def _rho_grid(radius_lo: float, radius_hi: float) -> np.ndarray:
     return np.arange(radius_lo, radius_hi + 1e-9, 0.25)
 
 
-def _log_cell_masses_1d(n: int, r_max: float, step: float):
-    r = (np.arange(int(np.ceil(r_max / step))) + 0.5) * step
-    logmass = (n - 1) * np.log(np.sinh(r)) + np.log(step)
-    return r, logmass
-
-
-def _log_ball_volume(radii, log_mass, rho) -> np.ndarray:
-    """log of the mass of all cells with radius at most each rho: cells
-    sorted by radius, masses accumulated in the log domain."""
-    order = np.argsort(radii)
-    cum = np.logaddexp.accumulate(log_mass[order])
-    idx = np.searchsorted(radii[order], rho, side="right") - 1
-    if np.any(idx < 0):
-        raise ValueError("radius_lo is below the first occupied cell")
-    return cum[idx]
-
-
-def _fit_slope(rho, logv, method) -> GrowthEstimate:
+def _fit_slope(rho, logv, prefactor: float) -> GrowthEstimate:
+    """Fit log V - prefactor * log(rho) with a line in rho."""
     A = np.vstack([rho, np.ones_like(rho)]).T
-    coef, *_ = np.linalg.lstsq(A, logv, rcond=None)
-    resid = logv - A @ coef
+    y = logv - prefactor * np.log(rho)
+    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    resid = y - A @ coef
     return GrowthEstimate(
         slope=float(coef[0]),
         residual_rms=float(np.sqrt(np.mean(resid**2))),
         rho=rho,
         log_volume=logv,
-        method=method,
+        prefactor=prefactor,
     )
+
+
+# rows of the radial table evaluated together: each level holds a
+# (_TABLE_ROWS, N) block, so memory is O(N) for N cells
+_TABLE_ROWS = 32
+
+
+def _log_shell_sum(r, log_cell, table, step, radii) -> np.ndarray:
+    """log sum_i cell_i V(sqrt(R^2 - r_i^2)) over the cells r_i <= R, for
+    each R in radii, with log V read linearly between the entries of
+    ``table``, its values at every multiple of step.  Where an entry is
+    log 0, V is 0 up to the next entry."""
+    first = int(np.count_nonzero(np.isneginf(table)))  # log 0 heads the table
+    top = table.size - 2
+    if first > top:
+        raise ValueError("radius_lo is below the first occupied cell")
+    out = np.empty(radii.size)
+    for lo in range(0, radii.size, _TABLE_ROWS):
+        R = radii[lo : lo + _TABLE_ROWS, None]
+        s2 = R * R - r * r
+        inside = s2 >= 0.0
+        x = np.sqrt(np.where(inside, s2, 0.0)) / step
+        m = np.minimum(x.astype(np.intp), top)
+        w = x - m
+        ms = np.maximum(m, first)  # reads finite entries only
+        v = (1.0 - w) * table[ms] + w * table[ms + 1] + log_cell
+        v = np.where(inside & (m >= first), v, -np.inf)
+        out[lo : lo + _TABLE_ROWS] = np.logaddexp.reduce(v, axis=1)
+    return out
 
 
 def entropy_growth_numeric(
@@ -217,21 +228,27 @@ def entropy_growth_numeric(
     radius_lo: float,
     radius_hi: float,
     grid_step: float = 0.05,
-    *,
-    seed: int = 0,
 ) -> GrowthEstimate:
     """Volume-growth entropy of H^{n_1} x ... x H^{n_k} (unscaled metric).
 
     The ball volume is reduced to the radial coordinates: integrate
     prod_i sinh^{n_i - 1}(r_i) over the quarter-disc r_1^2 + ... <= rho^2
-    (angular factors are constants and do not move the slope).  One and
-    two factors use a deterministic midpoint grid accumulated in the
-    log domain; three or more factors average exact integrals along
-    2000 seeded rays in the positive orthant, and the residual of the
-    fit should be read together with the Monte Carlo noise.
+    (angular factors are constants and do not move the slope).  One
+    factor at a time, over midpoint cells r_i of width grid_step and in
+    the log domain, with V_0 = 1:
 
-    Returns the least-squares slope of log V(rho) for rho in
-    [radius_lo, radius_hi] sampled every 0.25.
+        V_j(rho) = sum over r_i <= rho of
+                   sinh^{n_j - 1}(r_i) V_{j-1}(sqrt(rho^2 - r_i^2)) step
+
+    log V_{j-1} is tabulated every grid_step and read linearly in the
+    radius; V_k is summed at the fit radii directly, so one factor is
+    the 1-D midpoint sum itself.  Memory is O(N) and time O(k N^2) for
+    N = radius_hi / grid_step.
+
+    A product of k rank-one factors has rank k and ball volume of order
+    rho^((k-1)/2) e^(h rho), so the slope is the least-squares line of
+    log V(rho) - ((k-1)/2) log(rho), rho every 0.25 in
+    [radius_lo, radius_hi].
     """
     dims = tuple(int(d) for d in dims)
     if not dims or any(d < 2 for d in dims):
@@ -241,44 +258,13 @@ def entropy_growth_numeric(
     if grid_step <= 0 or grid_step > 0.1:
         raise ValueError("grid_step must lie in (0, 0.1] for a trustworthy slope")
     rho = _rho_grid(radius_lo, radius_hi)
-
-    if len(dims) <= 2:
-        # midpoint cells of the radial box, one grid per factor, cut to
-        # the quarter disc
-        radii, logmass = zip(
-            *(_log_cell_masses_1d(d, radius_hi, grid_step) for d in dims)
-        )
-        rr = np.sqrt(sum(r**2 for r in np.ix_(*radii))).ravel()
-        lm = sum(np.ix_(*logmass)).ravel()
-        keep = rr <= radius_hi + grid_step
-        logv = _log_ball_volume(rr[keep], lm[keep], rho)
-        return _fit_slope(rho, logv, f"grid-{len(dims)}d")
-
-    # k >= 3: Monte Carlo over radial directions with an exact
-    # cumulative integral along each ray, in the log domain.
-    rng = np.random.default_rng(seed)
-    h = np.array([d - 1 for d in dims], dtype=float)
-    n_dir = 2000
-    omega = np.abs(rng.standard_normal((n_dir, len(dims))))
-    omega /= np.linalg.norm(omega, axis=1, keepdims=True)
-    s = (np.arange(int(np.ceil(radius_hi / grid_step))) + 0.5) * grid_step
-    # log integrand along each ray: sum_i h_i log sinh(s w_i) + (k-1) log s
-    r_dir = s[None, :, None] * omega[:, None, :]
-    log_ray = np.where(r_dir > 0, np.log(np.sinh(r_dir)), -np.inf)
-    log_ray = (h * log_ray).sum(axis=2) + (len(dims) - 1) * np.log(s)[None, :]
-    log_cum = np.logaddexp.accumulate(log_ray + np.log(grid_step), axis=1)
-    idx = np.searchsorted(s, rho, side="right") - 1
-
-    def average(rows: np.ndarray) -> np.ndarray:
-        picked = rows[:, idx]
-        m = picked.max(axis=0)
-        return m + np.log(np.exp(picked - m).sum(axis=0) / rows.shape[0])
-
-    logv = average(log_cum)
-    batches = np.array_split(np.arange(n_dir), 10)
-    slopes = [
-        _fit_slope(rho, average(log_cum[b]), "monte-carlo").slope for b in batches
-    ]
-    return dataclasses.replace(
-        _fit_slope(rho, logv, "monte-carlo"), mc_slope_std=float(np.std(slopes))
-    )
+    r = (np.arange(int(np.ceil(radius_hi / grid_step))) + 0.5) * grid_step
+    log_sinh = np.log(np.sinh(r))
+    logv = np.zeros(r.size + 1)  # log V_0 at every multiple of grid_step
+    for j, d in enumerate(dims, 1):
+        radii = rho if j == len(dims) else np.arange(r.size + 1) * grid_step
+        log_cell = (d - 1) * log_sinh + np.log(grid_step)
+        logv = _log_shell_sum(r, log_cell, logv, grid_step, radii)
+    if not np.all(np.isfinite(logv)):
+        raise ValueError("radius_lo is below the first occupied cell")
+    return _fit_slope(rho, logv, 0.5 * (len(dims) - 1))

@@ -37,7 +37,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _dijkstra
 
-from .products import GrowthEstimate, _fit_slope, _log_ball_volume, _rho_grid
+from .products import GrowthEstimate, _fit_slope, _rho_grid
 
 __all__ = [
     "ShortcutModel",
@@ -74,6 +74,10 @@ ANGULAR_RESOLUTION = math.atan(1.0 / 3.0)
 # a |u| + b |v|; the ratio peaks where the direction bisects the widest
 # gap.  The bound holds at every node of every grid.
 METRIC_SLACK = 1.0 / math.cos(ANGULAR_RESOLUTION / 2.0) - 1.0
+
+# Grid rows the growth sweep evaluates together: a block of
+# _SWEEP_ROWS x side nodes, next to the reached nodes it keeps.
+_SWEEP_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -456,6 +460,17 @@ def r_c_verify(model: ShortcutModel, c: float) -> RegionReport:
 # -- volume growth ---------------------------------------------------------
 
 
+def _log_ball_volume(radii, log_mass, rho) -> np.ndarray:
+    """log of the mass of all cells with radius at most each rho: cells
+    sorted by radius, masses accumulated in the log domain."""
+    order = np.argsort(radii)
+    cum = np.logaddexp.accumulate(log_mass[order])
+    idx = np.searchsorted(radii[order], rho, side="right") - 1
+    if np.any(idx < 0):
+        raise ValueError("radius_lo is below the first occupied cell")
+    return cum[idx]
+
+
 def eta_entropy_estimate(
     model: ShortcutModel,
     radius_lo: float,
@@ -469,7 +484,8 @@ def eta_entropy_estimate(
     The ball is the set of grid cells whose node lies within rho by
     `reduced_distance`.  Cell masses accumulate in the log domain,
     sorted by distance, so sinh overflow never occurs; only the cells
-    within the largest rho carry mass.
+    within the largest rho carry mass.  The grid is swept
+    _SWEEP_ROWS rows at a time and only the reached nodes are kept.
     """
     if not (0 < radius_lo < radius_hi):
         raise ValueError("need 0 < radius_lo < radius_hi")
@@ -477,20 +493,19 @@ def eta_entropy_estimate(
         raise ValueError("radius range exceeds the grid extent")
     rho = _rho_grid(radius_lo, radius_hi)
     axis = np.arange(model.side) * model.spacing
-    pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    dist = reduced_distance(model, (0.0, 0.0), pts)
-    reached = dist <= rho[-1]
-    pts, dist = pts[reached], dist[reached]
-    p = model.n - 1
     with np.errstate(divide="ignore"):
-        log_mass = (
-            2.0 * math.log(model.spacing)
-            + p * np.log(np.sinh(pts[:, 0]))
-            + p * np.log(np.sinh(pts[:, 1]))
-        )
-    finite = np.isfinite(log_mass)
-    log_v = _log_ball_volume(dist[finite], log_mass[finite], rho)
-    return _fit_slope(rho, log_v, "shortcut-grid")
+        log_sinh = (model.n - 1) * np.log(np.sinh(axis))
+    kept_dist, kept_mass = [], []
+    for lo in range(0, model.side, _SWEEP_ROWS):
+        rows = slice(lo, lo + _SWEEP_ROWS)
+        pts = np.stack(np.meshgrid(axis[rows], axis, indexing="ij"), axis=-1)
+        dist = reduced_distance(model, (0.0, 0.0), pts.reshape(-1, 2))
+        log_mass = 2.0 * math.log(model.spacing) + log_sinh[rows, None] + log_sinh
+        keep = (dist <= rho[-1]) & np.isfinite(log_mass.ravel())
+        kept_dist.append(dist[keep])
+        kept_mass.append(log_mass.ravel()[keep])
+    log_v = _log_ball_volume(np.concatenate(kept_dist), np.concatenate(kept_mass), rho)
+    return _fit_slope(rho, log_v, 0.0)
 
 
 # -- branching minimizers --------------------------------------------------

@@ -3,8 +3,10 @@ that build test inputs; no report reaches them.  The density-weighted
 route (ideal points, Busemann data, visual density) checks the
 barycenter's transported nodes, parallel transport checks the tangent
 frame, and the per-point sphere map checks the natural map's closed form.
-Grid coordinates and turning angles read shortcut grid paths, and the
-chord-metric circle and restricted spaces are metric-space test inputs.
+The radial-box grid and the Monte Carlo rays check the product growth
+recursion.  Grid coordinates and turning angles read shortcut grid
+paths, and the chord-metric circle and restricted spaces are
+metric-space test inputs.
 """
 
 from __future__ import annotations
@@ -23,8 +25,20 @@ from minent.hyperbolic import (
     minkowski_form,
     tangent_frame,
 )
-from minent.products import ProductPoint, ScalingProfile, product_dist
-from minent.shortcut import CornerPath, ShortcutModel, _dijkstra, _engine
+from minent.products import (
+    ProductPoint,
+    ScalingProfile,
+    _fit_slope,
+    _rho_grid,
+    product_dist,
+)
+from minent.shortcut import (
+    CornerPath,
+    ShortcutModel,
+    _dijkstra,
+    _engine,
+    _log_ball_volume,
+)
 
 _NULL_TOL = 1e-9
 
@@ -184,6 +198,59 @@ def natural_map_discrete(
     """The sphere map at x: components proportional to exp(-c/2 d(x, p_j))."""
     d = np.array([product_dist(x, p, profile) for p in points])
     return _sphere_components(d, c)
+
+
+# -- product growth: the grid and Monte Carlo routes ----------------------
+
+
+def _log_cell_masses_1d(n: int, r_max: float, step: float):
+    r = (np.arange(int(np.ceil(r_max / step))) + 0.5) * step
+    logmass = (n - 1) * np.log(np.sinh(r)) + np.log(step)
+    return r, logmass
+
+
+def growth_grid(dims, radius_lo: float, radius_hi: float, grid_step: float = 0.05):
+    """(rho, log V(rho)) for one or two factors from the midpoint cells
+    of the radial box, one grid per factor, cut to the quarter disc."""
+    rho = _rho_grid(radius_lo, radius_hi)
+    radii, logmass = zip(
+        *(_log_cell_masses_1d(d, radius_hi, grid_step) for d in dims)
+    )
+    rr = np.sqrt(sum(r**2 for r in np.ix_(*radii))).ravel()
+    lm = sum(np.ix_(*logmass)).ravel()
+    keep = rr <= radius_hi + grid_step
+    return rho, _log_ball_volume(rr[keep], lm[keep], rho)
+
+
+def growth_monte_carlo(
+    dims, radius_lo: float, radius_hi: float, grid_step: float = 0.05, seed: int = 0
+):
+    """(rho, log V(rho), slope std) for any number of factors: exact
+    cumulative integrals along 2000 seeded rays in the positive orthant,
+    averaged in the log domain; the std is the spread of the slope (no
+    prefactor removed) over 10 batches of rays."""
+    rho = _rho_grid(radius_lo, radius_hi)
+    rng = np.random.default_rng(seed)
+    h = np.array([d - 1 for d in dims], dtype=float)
+    n_dir = 2000
+    omega = np.abs(rng.standard_normal((n_dir, len(dims))))
+    omega /= np.linalg.norm(omega, axis=1, keepdims=True)
+    s = (np.arange(int(np.ceil(radius_hi / grid_step))) + 0.5) * grid_step
+    # log integrand along each ray: sum_i h_i log sinh(s w_i) + (k-1) log s
+    r_dir = s[None, :, None] * omega[:, None, :]
+    log_ray = np.where(r_dir > 0, np.log(np.sinh(r_dir)), -np.inf)
+    log_ray = (h * log_ray).sum(axis=2) + (len(dims) - 1) * np.log(s)[None, :]
+    log_cum = np.logaddexp.accumulate(log_ray + np.log(grid_step), axis=1)
+    idx = np.searchsorted(s, rho, side="right") - 1
+
+    def average(rows: np.ndarray) -> np.ndarray:
+        picked = rows[:, idx]
+        m = picked.max(axis=0)
+        return m + np.log(np.exp(picked - m).sum(axis=0) / rows.shape[0])
+
+    batches = np.array_split(np.arange(n_dir), 10)
+    slopes = [_fit_slope(rho, average(log_cum[b]), 0.0).slope for b in batches]
+    return rho, average(log_cum), float(np.std(slopes))
 
 
 # -- shortcut grid paths ---------------------------------------------------

@@ -88,7 +88,7 @@ def test_criterion_1_product_entropy_and_growth_slope(record_property, tmp_path)
 
     assert main(["--out", str(out), "growth"]) == EXIT_OK
     rec = _check(_report(out, "growth"), "growth-slope")
-    assert rec["outputs"]["method"] == "grid-2d"
+    assert rec["outputs"]["prefactor"] == 0.5
     assert abs(rec["outputs"]["slope"] - ROOT8) <= 0.06
     _done(record_property, t0, 30.0)
 

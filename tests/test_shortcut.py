@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.sparse import SparseEfficiencyWarning, csr_matrix
 
-from minent.products import entropy_growth_numeric
+from minent.products import _fit_slope, entropy_growth_numeric
 from minent.shortcut import (
     ANGULAR_RESOLUTION,
     METRIC_SLACK,
@@ -685,14 +685,16 @@ def diag_model(eta, **kw):
 
 def test_growth_full_cost_matches_product_entropy():
     est = eta_entropy_estimate(ShortcutModel(eta=1.0, **WIDE), 8.0, 14.0)
-    assert est.method == "shortcut-grid"
+    assert est.prefactor == 0.0
     assert abs(est.slope - 2.0 * ROOT2) <= 0.08
     assert est.residual_rms < 0.05
     assert np.all(np.diff(est.log_volume) >= 0.0)
     # independent route: the product-space ball integrator on the same
-    # window, agreeing within the two methods' combined bias
+    # window, its log V refitted with no prefactor removed, agreeing
+    # within the two methods' combined bias
     direct = entropy_growth_numeric((3, 3), 8.0, 14.0)
-    assert abs(est.slope - direct.slope) <= 0.05
+    raw = _fit_slope(direct.rho, direct.log_volume, 0.0).slope
+    assert abs(est.slope - raw) <= 0.05
 
 
 def test_growth_near_one_stays_in_band():
