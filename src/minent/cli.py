@@ -2,19 +2,21 @@
 
 Subcommands run the library's check suites with a validated
 configuration and record each check in a canonical report document
-whose bytes depend only on the configuration and seed.  The driver
-prints one verdict line per recorded check and takes the exit code
-from the report.
+whose bytes depend only on the configuration and seed.  Runners only
+compute and record; the driver writes the report, then prints one line
+per recorded check, with its verdict, name and outputs, and takes the
+exit code from the records.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 configuration
-error, 3 a solver failed to converge, an LP failed, or bounds that
-must be ordered crossed.
+error, 3 a solver failed to converge or met a near-singular form, an
+LP failed, or bounds that must be ordered crossed.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
+import dataclasses
+import json
 import math
 import os
 import sys
@@ -31,22 +33,27 @@ EXIT_NOCONV = 3
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # every option but --config and --json stores into its RunConfig field
     p = argparse.ArgumentParser(
         prog="minent",
         description="numerical checks for minimal-entropy product geometry",
     )
     p.add_argument("--config", metavar="PATH", help="INI configuration file")
-    p.add_argument("--seed", type=int, help="override the run seed")
+    p.add_argument("--seed", type=int, help="sets [run] seed")
     p.add_argument(
         "--out",
+        dest="out_dir",
+        default=os.environ.get("MINENT_OUT") or None,
         metavar="DIR",
         help="output directory (default: $MINENT_OUT if set, else [output] dir)",
     )
+    p.add_argument("--json", action="store_true", help="print the report to stdout")
     p.add_argument(
-        "--json", action="store_true", help="print the report JSON to stdout"
-    )
-    p.add_argument(
-        "--csv", action="store_true", help="write sweep tables as CSV"
+        "--csv",
+        dest="write_csv",
+        action="store_const",
+        const=True,
+        help="write sweep tables as CSV",
     )
     sub = p.add_subparsers(dest="subcommand", required=True)
 
@@ -57,43 +64,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("entropy", _run_entropy, "closed-form profile table")
     g = command("growth", _run_growth, "numeric ball-volume growth")
-    g.add_argument("--rho-max", type=float, help="override the upper radius")
-    b = command(
-        "barycenter", _run_barycenter, "solve and check a random configuration"
-    )
-    b.add_argument("--quad-count", type=int, help="boundary quadrature size")
-    b.add_argument("--tol", type=float, help="solver gradient tolerance")
+    g.add_argument("--rho-max", dest="rho_hi", type=float, help="sets [growth] rho_hi")
+    b = command("barycenter", _run_barycenter, "solve and check a random configuration")
+    b.add_argument("--quad-count", type=int, help="sets [quadrature] count")
+    b.add_argument("--tol", type=float, help="sets [solver] tol")
     command("bcg", _run_bcg, "determinant inequality campaign")
     command("natural-map", _run_natural_map, "sphere-map energy campaign")
     s = command("shortcut", _run_shortcut, "shortcut-metric lab")
     s.add_argument(
-        "--eta", type=float, action="append", help="values replacing [shortcut] etas"
+        "--eta", dest="etas", type=float, action="append", help="sets [shortcut] etas"
     )
-    s.add_argument("--rho-max", type=float, help="override the sweep upper radius")
+    s.add_argument(
+        "--rho-max", dest="sc_rho_hi", type=float, help="sets [shortcut] rho_hi"
+    )
     command("ghnet", _run_ghnet, "net-graph approximation toolkit")
     return p
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if getattr(args, "quad_count", None) is not None:
-        cfg.quad_count = args.quad_count
-    if getattr(args, "tol", None) is not None:
-        cfg.tol = args.tol
-    if getattr(args, "rho_max", None) is not None:
-        if args.subcommand == "growth":
-            cfg.rho_hi = args.rho_max
-        else:
-            cfg.sc_rho_hi = args.rho_max
-    if getattr(args, "eta", None):
-        cfg.etas = tuple(args.eta)
-    if args.out is not None:
-        cfg.out_dir = args.out
-    elif os.environ.get("MINENT_OUT"):
-        cfg.out_dir = os.environ["MINENT_OUT"]
-    if args.csv:
-        cfg.write_csv = True
+    for f in dataclasses.fields(cfg):
+        value = getattr(args, f.name, None)
+        if value is not None:
+            setattr(cfg, f.name, tuple(value) if isinstance(value, list) else value)
     return cfg.validate()
 
 
@@ -105,11 +97,6 @@ def _run_entropy(cfg: RunConfig, doc: ReportDocument, csv_dir):
 
     prof = min_entropy_profile(cfg.dims, cfg.entropies)
     rep = prof.consistency_report()
-    print(
-        f"dims={list(cfg.dims)} entropies={list(cfg.entropies)} -> "
-        f"h_min={prof.h_min:.6f} alpha=({', '.join(f'{a:.6f}' for a in prof.alpha)}) "
-        f"gm_factor={prof.gm_factor:.6f}"
-    )
     doc.add(
         "profile-table",
         "profile-closed-form",
@@ -140,10 +127,6 @@ def _run_growth(cfg: RunConfig, doc: ReportDocument, csv_dir):
     )
     target = math.sqrt(sum((d - 1) ** 2 for d in cfg.dims))
     band = cfg.slope_band
-    print(
-        f"slope={est.slope:.5f} target={target:.5f} band={band:.4f} "
-        f"rms={est.residual_rms:.4f} prefactor={est.prefactor:g}"
-    )
     doc.add(
         "growth-slope",
         "growth-slope",
@@ -201,10 +184,6 @@ def _run_barycenter(cfg: RunConfig, doc: ReportDocument, csv_dir) -> int | None:
     except NearSingularError as e:
         doc.add("solve", "barycenter-fixed-point", {}, {"rejected": str(e)}, False)
         return EXIT_NOCONV
-    print(
-        f"atoms={cfg.n_atoms} converged={sol.converged} "
-        f"iterations={sol.iterations} grad={sol.gradient_norm:.3e}"
-    )
     doc.add(
         "solve",
         "barycenter-fixed-point",
@@ -260,6 +239,7 @@ def _run_barycenter(cfg: RunConfig, doc: ReportDocument, csv_dir) -> int | None:
         )
     except NearSingularError as e:
         doc.add("jacobian", "jacobian-bound", {}, {"rejected": str(e)}, False)
+        return EXIT_NOCONV
 
 
 def _run_bcg(cfg: RunConfig, doc: ReportDocument, csv_dir):
@@ -268,11 +248,6 @@ def _run_bcg(cfg: RunConfig, doc: ReportDocument, csv_dir):
     for n in (3, 4, 5):
         camp = bcg_campaign(n, cfg.bcg_count, seed=cfg.seed)
         eq = bcg_inequality_check(np.eye(n) / n, n, n - 1)
-        print(
-            f"n={n}: violations={camp['violations']}/{camp['count']} "
-            f"max_ratio={camp['max_ratio']:.6f} bound={camp['bound']:.6f} "
-            f"equality_gap={eq.equality_gap:.2e}"
-        )
         doc.add(
             f"campaign-n{n}",
             "bcg-determinant",
@@ -307,10 +282,6 @@ def _run_natural_map(cfg: RunConfig, doc: ReportDocument, csv_dir):
     worst = max(r.energy / r.bound for r in results)
     deficit = min(r.deficit for r in results)
     volume = max(r.volume_ratio for r in results)
-    print(
-        f"draws={cfg.draws} c={c:.5f} worst energy/bound={worst:.5f} "
-        f"min deficit={deficit:.5f} worst volume ratio={volume:.5f}"
-    )
     inputs = {"draws": cfg.draws, "c": c, "seed": cfg.seed}
     tol = 1.0 + 1e-12
     doc.add(
@@ -427,7 +398,6 @@ def _run_shortcut(cfg: RunConfig, doc: ReportDocument, csv_dir):
         sweep_rows.append(
             [eta, est.slope, est.residual_rms, 2.0 * math.sqrt(2.0) / math.sqrt(eta)]
         )
-        print(f"eta={eta}: slope={est.slope:.5f} rms={est.residual_rms:.4f}")
     dec = sorted(etas, reverse=True)
     mono_ok = all(
         slopes[dec[i + 1]] >= slopes[dec[i]] - 1e-9 for i in range(len(dec) - 1)
@@ -493,10 +463,6 @@ def _run_ghnet(cfg: RunConfig, doc: ReportDocument, csv_dir):
         delta = 0.8 * min(eps / 4, eps * eps / (6 * target.diameter))
         graph = build_net_graph(net, net, target, eps, delta, len(net))
         rep = approximation_check(graph, net, target, eps)
-        print(
-            f"{name}: net={len(net)} edges={len(graph.edges)} "
-            f"deviation={rep.max_deviation:.5f} (eps={eps})"
-        )
         doc.add(
             f"approx-{name}",
             "net-approximation",
@@ -552,33 +518,42 @@ def main(argv=None) -> int:
     out_dir = cfg.out_dir
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-    csv_dir = out_dir if (out_dir and cfg.write_csv) else None
-
+    try:
+        # a runner only computes and records checks; it returns
+        # EXIT_NOCONV when its solver did not converge, None otherwise
+        code = args.run(cfg, doc, out_dir if cfg.write_csv else None)
+    except ValueError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (RuntimeError, AssertionError) as e:
+        # an LP that fails, bounds that cross, a broken identity
+        print(f"numerical failure: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_NOCONV
+    lines = [
+        f"[{'PASS' if rec.passed else 'FAIL'}] {rec.name} "
+        + json.dumps(rec.outputs, sort_keys=True, separators=(",", ":"))
+        for rec in doc.records[1:]
+    ]
+    if out_dir:
+        path = os.path.join(out_dir, f"{args.subcommand}_report.json")
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(doc.to_json())
+        lines.append(f"report written to {path}")
     # under --json stdout carries the report document alone
-    with contextlib.redirect_stdout(sys.stderr if args.json else sys.stdout):
-        try:
-            # a runner only records checks; it returns EXIT_NOCONV when its
-            # solver did not converge, None otherwise
-            code = args.run(cfg, doc, csv_dir)
-        except ValueError as e:
-            print(f"config error: {e}", file=sys.stderr)
-            return EXIT_CONFIG
-        except (RuntimeError, AssertionError) as e:
-            # an LP that fails, bounds that cross, a broken identity
-            print(f"numerical failure: {type(e).__name__}: {e}", file=sys.stderr)
-            return EXIT_NOCONV
-        for rec in doc.records[1:]:
-            print(f"[{'PASS' if rec.passed else 'FAIL'}] {rec.name}")
-        if out_dir:
-            path = os.path.join(out_dir, f"{args.subcommand}_report.json")
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(doc.to_json())
-            print(f"report written to {path}")
-    if args.json:
-        sys.stdout.write(doc.to_json())
-    if code is not None:
-        return code
-    return EXIT_OK if doc.all_passed else EXIT_CHECK
+    stream = sys.stderr if args.json else sys.stdout
+    try:
+        stream.write("".join(line + "\n" for line in lines))
+        if args.json:
+            sys.stdout.write(doc.to_json())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: the exit code still follows from the
+        # records, and devnull takes what is buffered so the shutdown
+        # flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code or (EXIT_OK if doc.all_passed else EXIT_CHECK)
 
 
 if __name__ == "__main__":

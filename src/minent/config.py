@@ -213,7 +213,12 @@ def load_config(path: str | None) -> RunConfig:
     if path is None:
         return cfg.validate()
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as e:
+        # a duplicate section or option, a line outside any section, or
+        # a key line without "=": configparser's message, on one line
+        raise ConfigError(f"{path}: malformed INI: {' '.join(str(e).split())}")
     if not read:
         raise ConfigError(f"{path}: unreadable config file")
     if not parser.sections():

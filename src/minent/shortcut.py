@@ -484,8 +484,11 @@ def eta_entropy_estimate(
     The ball is the set of grid cells whose node lies within rho by
     `reduced_distance`.  Cell masses accumulate in the log domain,
     sorted by distance, so sinh overflow never occurs; only the cells
-    within the largest rho carry mass.  The grid is swept
-    _SWEEP_ROWS rows at a time and only the reached nodes are kept.
+    within the largest rho carry mass.  Every unit of length costs at
+    least sqrt(eta), so no node with a coordinate past
+    rho / sqrt(eta) is within rho: the sweep covers only the rows and
+    columns up to that index, _SWEEP_ROWS rows at a time, and keeps
+    only the reached nodes.
     """
     if not (0 < radius_lo < radius_hi):
         raise ValueError("need 0 < radius_lo < radius_hi")
@@ -493,10 +496,12 @@ def eta_entropy_estimate(
         raise ValueError("radius range exceeds the grid extent")
     rho = _rho_grid(radius_lo, radius_hi)
     axis = np.arange(model.side) * model.spacing
+    # the relative margin covers rounding in the closed form
+    axis = axis[axis <= rho[-1] / math.sqrt(model.eta) * (1.0 + 1e-9)]
     with np.errstate(divide="ignore"):
         log_sinh = (model.n - 1) * np.log(np.sinh(axis))
     kept_dist, kept_mass = [], []
-    for lo in range(0, model.side, _SWEEP_ROWS):
+    for lo in range(0, axis.size, _SWEEP_ROWS):
         rows = slice(lo, lo + _SWEEP_ROWS)
         pts = np.stack(np.meshgrid(axis[rows], axis, indexing="ij"), axis=-1)
         dist = reduced_distance(model, (0.0, 0.0), pts.reshape(-1, 2))

@@ -1,7 +1,9 @@
 """Configuration loading, report documents, and the command-line
 drivers, exercised in process through main()."""
 
+import argparse
 import ast
+import dataclasses
 import importlib
 import json
 import math
@@ -16,11 +18,13 @@ import numpy as np
 import pytest
 
 import minent
+from minent import cli
 from minent.cli import (
     EXIT_CHECK,
     EXIT_CONFIG,
     EXIT_NOCONV,
     EXIT_OK,
+    build_parser,
     main,
 )
 from minent.config import ConfigError, RunConfig, load_config
@@ -31,6 +35,14 @@ def write_ini(tmp_path, text, name="run.ini"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def subprocess_env(**extra):
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 @pytest.fixture(autouse=True)
@@ -124,6 +136,26 @@ def test_ini_empty_file(tmp_path):
     path = write_ini(tmp_path, "# nothing here\n")
     with pytest.raises(ConfigError, match="empty config"):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[run]\nseed = 1\nseed = 2\n",
+        "[run]\nseed = 1\n[run]\ndraws = 3\n",
+        "seed = 1\n",
+        "[run]\nseed\n",
+    ],
+    ids=["duplicate-option", "duplicate-section", "no-section-header", "no-equals"],
+)
+def test_ini_malformed_file_is_config_error(tmp_path, capsys, text):
+    path = write_ini(tmp_path, text)
+    with pytest.raises(ConfigError, match="malformed INI") as err:
+        load_config(path)
+    assert str(err.value).startswith(f"{path}: ")
+    assert main(["--config", path, "entropy"]) == EXIT_CONFIG
+    err_text = capsys.readouterr().err
+    assert err_text.startswith("config error: ") and "Traceback" not in err_text
 
 
 @pytest.mark.parametrize(
@@ -324,16 +356,13 @@ def test_entropy_subcommand(tmp_path, capsys):
     assert "out_dir" not in doc["config"]
     prof = next(c for c in doc["checks"] if c["name"] == "profile-table")
     assert prof["outputs"]["h_min"] == pytest.approx(2.0 * math.sqrt(2.0))
-    out_text = capsys.readouterr().out
-    assert "[PASS]" in out_text
-    # one verdict line per recorded check, in report order
-    verdicts = [
-        ln for ln in out_text.splitlines() if ln.startswith(("[PASS] ", "[FAIL] "))
-    ]
-    assert verdicts == [
-        f"[{'PASS' if c['passed'] else 'FAIL'}] {c['name']}"
+    # one line per recorded check, in report order: the verdict, the name
+    # and the record's outputs as compact sorted-key JSON; then the path
+    assert capsys.readouterr().out.splitlines() == [
+        f"[{'PASS' if c['passed'] else 'FAIL'}] {c['name']} "
+        + json.dumps(c["outputs"], sort_keys=True, separators=(",", ":"))
         for c in doc["checks"][1:]
-    ]
+    ] + [f"report written to {out / 'entropy_report.json'}"]
 
 
 def test_entropy_mixed_profile(tmp_path):
@@ -408,10 +437,12 @@ def test_describe_moves_names_old_new_and_relative_change():
     assert describe_moves(moved_values(old, old)) == "formatting only"
 
 
-@pytest.mark.parametrize(
-    "sub",
-    ["entropy", "growth", "barycenter", "bcg", "natural-map", "shortcut", "ghnet"],
+SUBCOMMANDS = (
+    "entropy", "growth", "barycenter", "bcg", "natural-map", "shortcut", "ghnet"
 )
+
+
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
 def test_reports_match_golden(tmp_path, sub):
     # A change that moves a report value updates tests/golden and says
     # in CHANGES.md which values moved and by how much.
@@ -558,6 +589,83 @@ def test_unknown_subcommand_rejected():
         main(["frobnicate"])
 
 
+def test_every_option_stores_into_its_config_field():
+    parser = build_parser()
+    actions = list(parser._actions)
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for subparser in action.choices.values():
+                actions += subparser._actions
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    dests = {action.dest for action in actions}
+    assert dests - fields == {"help", "config", "json", "subcommand"}
+
+
+@pytest.mark.parametrize(
+    "argv,field,want",
+    [
+        (["--seed", "7", "entropy"], "seed", 7),
+        (["barycenter", "--tol", "1e-7"], "tol", 1e-7),
+        (["barycenter", "--quad-count", "400"], "quad_count", 400),
+        (["growth", "--rho-max", "12"], "rho_hi", 12.0),
+        (["shortcut", "--rho-max", "12"], "sc_rho_hi", 12.0),
+        (["shortcut", "--eta", "0.9", "--eta", "0.7"], "etas", [0.9, 0.7]),
+    ],
+    ids=["seed", "tol", "quad-count", "growth-rho-max", "shortcut-rho-max", "eta"],
+)
+def test_flag_lands_in_the_echoed_config(tmp_path, monkeypatch, argv, field, want):
+    # the runners record nothing here: the report holds the config echo
+    for sub in ("entropy", "barycenter", "growth", "shortcut"):
+        monkeypatch.setattr(cli, f"_run_{sub}", lambda cfg, doc, csv_dir: None)
+    assert main(["--out", str(tmp_path)] + argv) == EXIT_OK
+    (report,) = tmp_path.glob("*_report.json")
+    (echo,) = json.loads(report.read_text(encoding="utf-8"))["checks"]
+    assert echo["outputs"] == {**RunConfig().to_dict(), field: want}
+
+
+def test_config_csv_survives_a_run_without_the_flag(tmp_path):
+    ini = write_ini(tmp_path, "[output]\ncsv = yes\n")
+    out = tmp_path / "out"
+    assert main(["--config", ini, "--out", str(out), "growth"]) == EXIT_OK
+    assert (out / "growth.csv").exists()
+
+
+QUICK_INI = (
+    "[run]\nbcg_count = 2000\ndraws = 20\n"
+    "[shortcut]\netas = 1.0 0.99\n"
+    "[ghnet]\ncircle = 200\ntorus = 12\n"
+)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_keeps_report_and_exit_code(tmp_path, unbuffered):
+    """A reader that has gone (`minent ... | head -1`): every write to
+    stdout fails with EPIPE, block-buffered or not.  The report is
+    already on disk, the exit code follows from the records, and stderr
+    holds no traceback."""
+    ini = write_ini(tmp_path, QUICK_INI)
+    env = subprocess_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    for sub in SUBCOMMANDS:
+        out = tmp_path / sub
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        argv = ["--config", ini, "--out", str(out), sub]
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "minent.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+                timeout=300,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_OK, (sub, proc.stderr[-2000:])
+        assert proc.stderr == "", (sub, proc.stderr[-2000:])
+        assert read_report(out, sub)["passed"] is True
+
+
 def test_growth_csv_and_band_failure(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["--out", str(out), "--csv", "growth"])
@@ -674,6 +782,20 @@ def test_barycenter_singular_solve_exit(tmp_path, monkeypatch):
     assert "singular" in solve["outputs"]["rejected"]
 
 
+def test_barycenter_singular_jacobian_exit(tmp_path, monkeypatch):
+    from minent import barycenter
+
+    def singular(*args, **kwargs):
+        raise barycenter.NearSingularError("Jacobian form is near-singular")
+
+    monkeypatch.setattr(barycenter, "jacobian_bound_report", singular)
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "barycenter"]) == EXIT_NOCONV
+    jac = {c["name"]: c for c in read_report(out, "barycenter")["checks"]}["jacobian"]
+    assert jac["passed"] is False
+    assert "near-singular" in jac["outputs"]["rejected"]
+
+
 def test_lp_failure_exits_noconv(tmp_path, monkeypatch, capsys):
     from types import SimpleNamespace
 
@@ -737,9 +859,7 @@ def test_natural_map_memory_is_linear_in_reference_points(tmp_path):
         "from minent.cli import main\n"
         f"sys.exit(main({args!r}))\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env = subprocess_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, env=env, timeout=300,
@@ -884,12 +1004,9 @@ def test_short_subcommands_import_no_scipy():
         "import minent.hyperbolic, minent.barycenter\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     out = subprocess.run(
         [sys.executable, "-c", code],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=subprocess_env(), timeout=120,
     )
     assert out.returncode == 0, out.stderr[-2000:]
     assert out.stdout.strip() == "[]"

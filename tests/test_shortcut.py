@@ -702,6 +702,34 @@ def test_growth_near_one_stays_in_band():
     assert 2.0 * ROOT2 - 0.05 <= est.slope <= 2.0 * ROOT2 + 0.10
 
 
+@pytest.mark.parametrize("eta,side", [(1.0, 281), (0.99, 282), (0.8, 314), (0.5, 361)])
+def test_growth_sweep_stops_at_its_reach(monkeypatch, eta, side):
+    """A unit of length costs at least sqrt(eta), so the default sweep
+    (extent 18, rho up to 14) evaluates the nodes with coordinates up
+    to 14 / sqrt(eta) only: 281, 282 and 314 of the 361 per side at eta
+    1, 0.99 and 0.8, and all of them at 0.5.  No node past that square
+    is within 14 on the full grid."""
+    import minent.shortcut as shortcut
+
+    model = ShortcutModel(eta=eta, **WIDE)
+    closed_form = shortcut.reduced_distance
+    axis = np.arange(model.side) * model.spacing
+    full = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
+    reached = closed_form(model, (0.0, 0.0), full) <= 14.0
+    assert np.flatnonzero(reached.any(axis=1)).max() < side
+    assert np.flatnonzero(reached.any(axis=0)).max() < side
+
+    points = []
+
+    def counted(model, p, X):
+        points.append(len(X))
+        return closed_form(model, p, X)
+
+    monkeypatch.setattr(shortcut, "reduced_distance", counted)
+    eta_entropy_estimate(model, 8.0, 14.0)
+    assert sum(points) == side**2
+
+
 def test_growth_slope_sweep():
     # the discount inflates balls, so the measured rate climbs toward
     # 2 sqrt(2) / sqrt(eta) as eta drops; values pinned on the cells of
