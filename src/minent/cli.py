@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="write_csv",
         action="store_const",
         const=True,
-        help="write sweep tables as CSV",
+        help="write sweep tables as CSV; sets [output] csv",
     )
     sub = p.add_subparsers(dest="subcommand", required=True)
 
@@ -516,12 +516,20 @@ def main(argv=None) -> int:
     doc = ReportDocument(subcommand=args.subcommand, config=cfg.to_dict())
     doc.add("config", "config-echo", {}, cfg.to_dict(), True)
     out_dir = cfg.out_dir
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
     try:
+        if out_dir:
+            os.makedirs(out_dir, exist_ok=True)
         # a runner only computes and records checks; it returns
         # EXIT_NOCONV when its solver did not converge, None otherwise
         code = args.run(cfg, doc, out_dir if cfg.write_csv else None)
+        if out_dir:
+            path = os.path.join(out_dir, f"{args.subcommand}_report.json")
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(doc.to_json())
+    except OSError as e:
+        # the directory, the report or a CSV table cannot be written
+        print(f"config error: [output] dir {out_dir}: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
@@ -535,9 +543,6 @@ def main(argv=None) -> int:
         for rec in doc.records[1:]
     ]
     if out_dir:
-        path = os.path.join(out_dir, f"{args.subcommand}_report.json")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(doc.to_json())
         lines.append(f"report written to {path}")
     # under --json stdout carries the report document alone
     stream = sys.stderr if args.json else sys.stdout

@@ -1,65 +1,62 @@
 """Run configuration: INI files plus command-line overrides.
 
-Flat sections with typed keys; every numeric field is validated
-against the preconditions of the operation it feeds, with the section
-and key named in the error.
+Each field declares its INI section and key; the key map, the value
+parsers (by annotation) and the report echo follow from the fields.
+Every numeric field is validated against the preconditions of the
+operation it feeds, with the section and key named in the error.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field, fields
 
 
 class ConfigError(ValueError):
     pass
 
 
+def _key(section: str, key: str, default):
+    """A field read from the INI file's `[section] key`."""
+    return field(default=default, metadata={"ini": (section, key)})
+
+
 @dataclass
 class RunConfig:
-    # [profile]
-    dims: tuple[int, ...] = (3, 3)
-    entropies: tuple[float, ...] = (2.0, 2.0)
-    # [quadrature]
-    quad_scheme: str = "deterministic-sphere"
-    quad_count: int = 1000
-    # [run]
-    seed: int = 0
-    n_atoms: int = 4
-    spread: float = 1.2
-    draws: int = 100
-    bcg_count: int = 10_000
-    # [solver]
-    tol: float = 1e-8
-    max_iter: int = 100
-    # [growth]
-    rho_lo: float = 8.0
-    rho_hi: float = 16.0
-    grid_step: float = 0.05
-    slope_band: float = 0.08
-    # [shortcut]
-    etas: tuple[float, ...] = (1.0, 0.99, 0.8, 0.5)
-    sc_spacing: float = 0.05
-    sc_extent: float = 18.0
-    sc_rho_lo: float = 8.0
-    sc_rho_hi: float = 14.0
-    region_c: float = 0.05
-    # [ghnet]
-    gh_eps: float = 0.3
-    gh_circle: int = 800
-    gh_torus: int = 24
-    # [output]
-    out_dir: str | None = None
-    write_csv: bool = False
+    dims: tuple[int, ...] = _key("profile", "dims", (3, 3))
+    entropies: tuple[float, ...] = _key("profile", "entropies", (2.0, 2.0))
+    quad_scheme: str = _key("quadrature", "scheme", "deterministic-sphere")
+    quad_count: int = _key("quadrature", "count", 1000)
+    seed: int = _key("run", "seed", 0)
+    n_atoms: int = _key("run", "n_atoms", 4)
+    spread: float = _key("run", "spread", 1.2)
+    draws: int = _key("run", "draws", 100)
+    bcg_count: int = _key("run", "bcg_count", 10_000)
+    tol: float = _key("solver", "tol", 1e-8)
+    max_iter: int = _key("solver", "max_iter", 100)
+    rho_lo: float = _key("growth", "rho_lo", 8.0)
+    rho_hi: float = _key("growth", "rho_hi", 16.0)
+    grid_step: float = _key("growth", "grid_step", 0.05)
+    slope_band: float = _key("growth", "slope_band", 0.08)
+    etas: tuple[float, ...] = _key("shortcut", "etas", (1.0, 0.99, 0.8, 0.5))
+    sc_spacing: float = _key("shortcut", "spacing", 0.05)
+    sc_extent: float = _key("shortcut", "extent", 18.0)
+    sc_rho_lo: float = _key("shortcut", "rho_lo", 8.0)
+    sc_rho_hi: float = _key("shortcut", "rho_hi", 14.0)
+    region_c: float = _key("shortcut", "region_c", 0.05)
+    gh_eps: float = _key("ghnet", "eps", 0.3)
+    gh_circle: int = _key("ghnet", "circle", 800)
+    gh_torus: int = _key("ghnet", "torus", 24)
+    out_dir: str | None = _key("output", "dir", None)
+    write_csv: bool = _key("output", "csv", False)
 
     def validate(self):
-        for attr, (section, key) in _FLOAT_FIELDS.items():
-            values = getattr(self, attr)
-            if not isinstance(values, tuple):
-                values = (values,)
-            if not all(map(math.isfinite, values)):
-                raise ConfigError(f"[{section}] {key} must be finite")
+        for f in fields(self):
+            values = getattr(self, f.name)
+            values = (values,) if f.type == "float" else values
+            if "float" in f.type and not all(map(math.isfinite, values)):
+                raise ConfigError("[{}] {} must be finite".format(*f.metadata["ini"]))
         if len(self.dims) != len(self.entropies) or not self.dims:
             raise ConfigError("[profile] dims and entropies must match")
         if any(d < 3 for d in self.dims):
@@ -121,8 +118,10 @@ class RunConfig:
             raise ConfigError("[shortcut] region_c must be positive")
         if self.gh_eps <= 0:
             raise ConfigError("[ghnet] eps must be positive")
-        if self.gh_circle < 16 or self.gh_torus < 4:
-            raise ConfigError("[ghnet] sample sizes too small")
+        if self.gh_circle < 16:
+            raise ConfigError("[ghnet] circle must be at least 16")
+        if self.gh_torus < 4:
+            raise ConfigError("[ghnet] torus must be at least 4")
         return self
 
     def to_dict(self) -> dict:
@@ -132,80 +131,43 @@ class RunConfig:
         files land, never what is computed, and reports must be
         byte-identical across output locations.
         """
-        d = asdict(self)
-        d["dims"] = list(self.dims)
-        d["entropies"] = list(self.entropies)
-        d["etas"] = list(self.etas)
-        del d["out_dir"]
-        del d["write_csv"]
-        return d
+        return {
+            f.name: list(getattr(self, f.name))
+            if f.type.startswith("tuple")
+            else getattr(self, f.name)
+            for f in fields(self)
+            if f.metadata["ini"][0] != "output"
+        }
 
 
-_SECTIONS = {
-    "profile": {"dims": "int_list", "entropies": "float_list"},
-    "quadrature": {"scheme": ("quad_scheme", "str"), "count": ("quad_count", "int")},
-    "run": {
-        "seed": "int",
-        "n_atoms": "int",
-        "spread": "float",
-        "draws": "int",
-        "bcg_count": "int",
-    },
-    "solver": {"tol": "float", "max_iter": "int"},
-    "growth": {
-        "rho_lo": "float",
-        "rho_hi": "float",
-        "grid_step": "float",
-        "slope_band": "float",
-    },
-    "shortcut": {
-        "etas": ("etas", "float_list"),
-        "spacing": ("sc_spacing", "float"),
-        "extent": ("sc_extent", "float"),
-        "rho_lo": ("sc_rho_lo", "float"),
-        "rho_hi": ("sc_rho_hi", "float"),
-        "region_c": "float",
-    },
-    "ghnet": {
-        "eps": ("gh_eps", "float"),
-        "circle": ("gh_circle", "int"),
-        "torus": ("gh_torus", "int"),
-    },
-    "output": {"dir": ("out_dir", "str"), "csv": ("write_csv", "bool")},
+def _parse_bool(raw: str) -> bool:
+    low = raw.strip().lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError("not a boolean")
+
+
+def _parse_tuple(item):
+    return lambda raw: tuple(item(v) for v in raw.replace(",", " ").split())
+
+
+# a field's annotation, as written, picks the parser of its INI value
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str.strip,
+    "str | None": str.strip,
+    "bool": _parse_bool,
+    "tuple[int, ...]": _parse_tuple(int),
+    "tuple[float, ...]": _parse_tuple(float),
 }
 
-# float and float-list fields by attribute, with their section and key
-_FLOAT_FIELDS = {
-    attr: (section, key)
-    for section, schema in _SECTIONS.items()
-    for key, spec in schema.items()
-    for attr, kind in [spec if isinstance(spec, tuple) else (key, spec)]
-    if kind in ("float", "float_list")
-}
-
-
-def _parse_value(kind: str, raw: str, where: str):
-    try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "str":
-            return raw.strip()
-        if kind == "bool":
-            low = raw.strip().lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError("not a boolean")
-        if kind == "int_list":
-            return tuple(int(v) for v in raw.replace(",", " ").split())
-        if kind == "float_list":
-            return tuple(float(v) for v in raw.replace(",", " ").split())
-    except ValueError as e:
-        raise ConfigError(f"{where}: cannot parse {raw!r} as {kind} ({e})")
-    raise ConfigError(f"{where}: unknown field kind {kind}")
+# section -> key -> field
+_SCHEMA: dict = {}
+for _f in fields(RunConfig):
+    _SCHEMA.setdefault(_f.metadata["ini"][0], {})[_f.metadata["ini"][1]] = _f
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -214,11 +176,13 @@ def load_config(path: str | None) -> RunConfig:
         return cfg.validate()
     parser = configparser.ConfigParser()
     try:
-        read = parser.read(path)
+        read = parser.read(path, encoding="utf-8")
     except configparser.Error as e:
         # a duplicate section or option, a line outside any section, or
         # a key line without "=": configparser's message, on one line
         raise ConfigError(f"{path}: malformed INI: {' '.join(str(e).split())}")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text ({e})")
     if not read:
         raise ConfigError(f"{path}: unreadable config file")
     if not parser.sections():
@@ -226,19 +190,24 @@ def load_config(path: str | None) -> RunConfig:
             f"{path}: empty config; expected sections like [profile], [run]"
         )
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in _SCHEMA:
             raise ConfigError(
                 f"{path} [{section}]: unknown section; known: "
-                + ", ".join(sorted(_SECTIONS))
+                + ", ".join(sorted(_SCHEMA))
             )
-        schema = _SECTIONS[section]
+        schema = _SCHEMA[section]
         for key, raw in parser.items(section):
             if key not in schema:
                 raise ConfigError(
                     f"{path} [{section}] {key}: unknown key; known: "
                     + ", ".join(sorted(schema))
                 )
-            spec = schema[key]
-            attr, kind = spec if isinstance(spec, tuple) else (key, spec)
-            setattr(cfg, attr, _parse_value(kind, raw, f"{path} [{section}] {key}"))
+            f = schema[key]
+            try:
+                value = _PARSERS[f.type](raw)
+            except ValueError as e:
+                raise ConfigError(
+                    f"{path} [{section}] {key}: cannot parse {raw!r} as {f.type} ({e})"
+                )
+            setattr(cfg, f.name, value)
     return cfg.validate()

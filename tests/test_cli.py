@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import minent
-from minent import cli
+from minent import cli, config
 from minent.cli import (
     EXIT_CHECK,
     EXIT_CONFIG,
@@ -99,6 +99,114 @@ csv = yes
     assert cfg.sc_extent == 12.0
     assert cfg.out_dir == "/tmp/somewhere"
     assert cfg.write_csv is True
+
+
+def test_ini_sets_every_key(tmp_path):
+    """Each of the 26 keys, set to a valid non-default value, lands in
+    exactly its field."""
+    path = write_ini(
+        tmp_path,
+        f"""
+[profile]
+dims = 3 4
+entropies = 2.0, 3.0
+[quadrature]
+scheme = monte-carlo
+count = 400
+[run]
+seed = 5
+n_atoms = 3
+spread = 2.5
+draws = 7
+bcg_count = 50
+[solver]
+tol = 1e-7
+max_iter = 50
+[growth]
+rho_lo = 6
+rho_hi = 12
+grid_step = 0.04
+slope_band = 0.1
+[shortcut]
+etas = 1.0 0.9
+spacing = 0.04
+extent = 12
+rho_lo = 5
+rho_hi = 9
+region_c = 0.1
+[ghnet]
+eps = 0.4
+circle = 64
+torus = 8
+[output]
+dir = {tmp_path}
+csv = yes
+""",
+    )
+    want = dict(
+        dims=(3, 4),
+        entropies=(2.0, 3.0),
+        quad_scheme="monte-carlo",
+        quad_count=400,
+        seed=5,
+        n_atoms=3,
+        spread=2.5,
+        draws=7,
+        bcg_count=50,
+        tol=1e-7,
+        max_iter=50,
+        rho_lo=6.0,
+        rho_hi=12.0,
+        grid_step=0.04,
+        slope_band=0.1,
+        etas=(1.0, 0.9),
+        sc_spacing=0.04,
+        sc_extent=12.0,
+        sc_rho_lo=5.0,
+        sc_rho_hi=9.0,
+        region_c=0.1,
+        gh_eps=0.4,
+        gh_circle=64,
+        gh_torus=8,
+        out_dir=str(tmp_path),
+        write_csv=True,
+    )
+    default = RunConfig()
+    assert all(getattr(default, name) != value for name, value in want.items())
+    cfg = load_config(path)
+    assert {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)} == want
+    assert all(type(getattr(cfg, name)) is type(v) for name, v in want.items())
+
+
+def test_every_field_declares_one_ini_key():
+    keys = [f.metadata["ini"] for f in dataclasses.fields(RunConfig)]
+    assert all(len(k) == 2 for k in keys)
+    assert len(set(keys)) == len(keys) == 26
+    assert {f.type for f in dataclasses.fields(RunConfig)} <= set(config._PARSERS)
+
+
+def test_ini_is_read_as_utf8(tmp_path, capsys):
+    """A config file decodes as UTF-8 under any locale; bytes that are
+    not UTF-8 are a config error naming the file."""
+    bad = tmp_path / "bad.ini"
+    bad.write_bytes(b"# \xff\n[run]\nseed = 1\n")
+    with pytest.raises(ConfigError, match="not UTF-8") as err:
+        load_config(str(bad))
+    assert str(err.value).startswith(f"{bad}: ")
+    assert main(["--config", str(bad), "entropy"]) == EXIT_CONFIG
+    assert "Traceback" not in capsys.readouterr().err
+    # under the C locale without UTF-8 mode, the locale codec is ASCII
+    ini = write_ini(tmp_path, "# \u03b7 \u2264 1\n[run]\nseed = 3\n")
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "minent.cli", "--config", ini, "--out", str(out),
+         "entropy"],
+        env=subprocess_env(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0"),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert read_report(out, "entropy")["config"]["seed"] == 3
 
 
 def test_ini_unknown_section(tmp_path):
@@ -192,6 +300,8 @@ def test_ini_malformed_file_is_config_error(tmp_path, capsys, text):
         ("spread", 0.0, "[run]"),
         ("spread", -1.0, "[run]"),
         ("spread", 19.0, "[run]"),
+        ("gh_circle", 15, "[ghnet] circle"),
+        ("gh_torus", 3, "[ghnet] torus"),
     ],
 )
 def test_validation_names_the_section(field, value, section):
@@ -576,6 +686,19 @@ def test_env_beats_config_output_dir(tmp_path, monkeypatch):
     assert not cfg_dir.exists()
 
 
+@pytest.mark.parametrize("blocked", ["dir-is-a-file", "report-is-a-dir"])
+def test_unwritable_output_is_config_error(tmp_path, capsys, blocked):
+    out = tmp_path / "out"
+    if blocked == "dir-is-a-file":
+        out.write_text("", encoding="utf-8")
+    else:
+        (out / "entropy_report.json").mkdir(parents=True)
+    assert main(["--out", str(out), "entropy"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: [output] dir {out}: ")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     bad = write_ini(tmp_path, "[profile]\ndims = 3\nentropies = 2 2\n")
     assert main(["--config", bad, "entropy"]) == EXIT_CONFIG
@@ -589,16 +712,30 @@ def test_unknown_subcommand_rejected():
         main(["frobnicate"])
 
 
-def test_every_option_stores_into_its_config_field():
+def all_actions():
+    """The options of the top-level parser and of every subcommand."""
     parser = build_parser()
     actions = list(parser._actions)
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for subparser in action.choices.values():
                 actions += subparser._actions
+    return actions
+
+
+def test_every_option_stores_into_its_config_field():
     fields = {f.name for f in dataclasses.fields(RunConfig)}
-    dests = {action.dest for action in actions}
+    dests = {action.dest for action in all_actions()}
     assert dests - fields == {"help", "config", "json", "subcommand"}
+
+
+def test_override_help_names_its_ini_key():
+    """A flag's help names the `[section] key` its field is read from."""
+    ini = {f.name: f.metadata["ini"] for f in dataclasses.fields(RunConfig)}
+    overrides = [a for a in all_actions() if a.dest in ini]
+    assert len(overrides) == 8
+    for action in overrides:
+        assert "[{}] {}".format(*ini[action.dest]) in action.help, action.option_strings
 
 
 @pytest.mark.parametrize(
