@@ -8,14 +8,16 @@ per recorded check, with its verdict, name and outputs, and takes the
 exit code from the records.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 configuration
-error, 3 a solver failed to converge or met a near-singular form, an
-LP failed, or bounds that must be ordered crossed.
+error, a config whose arrays do not fit in memory included, 3 a solver
+failed to converge or met a near-singular form, an LP failed, or bounds
+that must be ordered crossed.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -533,6 +535,11 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as e:
+        # the validator accepted sizes whose arrays do not fit
+        reason = str(e) or type(e).__name__
+        print(f"config error: out of memory: {reason}", file=sys.stderr)
+        return EXIT_CONFIG
     except (RuntimeError, AssertionError) as e:
         # an LP that fails, bounds that cross, a broken identity
         print(f"numerical failure: {type(e).__name__}: {e}", file=sys.stderr)
@@ -561,5 +568,23 @@ def main(argv=None) -> int:
     return code or (EXIT_OK if doc.all_passed else EXIT_CHECK)
 
 
+def entry():
+    """The process entry: the ``minent`` console script and ``python -m
+    minent.cli``.  Runs :func:`main` with the cyclic garbage collector
+    off and exits with its code.
+
+    Reference counting frees a run's arrays and records, so the
+    collector would only rescan the objects numpy and scipy create on
+    import, many times during the runners' lazy imports and once more
+    in full at exit.  Freezing moves every live object to the permanent
+    generation, which the collection at interpreter exit skips.
+    :func:`main` leaves the collector as it found it, so that it can be
+    called in process."""
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -4,11 +4,13 @@ drivers, exercised in process through main()."""
 import argparse
 import ast
 import dataclasses
+import gc
 import importlib
 import json
 import math
 import os
 import pkgutil
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -779,7 +781,8 @@ def test_closed_stdout_keeps_report_and_exit_code(tmp_path, unbuffered):
     """A reader that has gone (`minent ... | head -1`): every write to
     stdout fails with EPIPE, block-buffered or not.  The report is
     already on disk, the exit code follows from the records, and stderr
-    holds no traceback."""
+    holds no traceback.  The process entry, with its collector off,
+    writes the bytes an in-process main writes."""
     ini = write_ini(tmp_path, QUICK_INI)
     env = subprocess_env()
     env.pop("PYTHONUNBUFFERED", None)
@@ -801,6 +804,45 @@ def test_closed_stdout_keeps_report_and_exit_code(tmp_path, unbuffered):
         assert proc.returncode == EXIT_OK, (sub, proc.stderr[-2000:])
         assert proc.stderr == "", (sub, proc.stderr[-2000:])
         assert read_report(out, sub)["passed"] is True
+        here = tmp_path / f"{sub}-in-process"
+        assert main(["--config", ini, "--out", str(here), sub]) == EXIT_OK
+        report = f"{sub}_report.json"
+        assert (out / report).read_bytes() == (here / report).read_bytes(), sub
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, enabled):
+    # the collector is switched off and frozen by the process entry
+    # alone; tests and library callers run main in process
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        frozen = gc.get_freeze_count()
+        assert main(["--out", str(tmp_path), "entropy"]) == EXIT_OK
+        assert main(["--seed", "-1", "entropy"]) == EXIT_CONFIG
+        assert gc.isenabled() is enabled
+        assert gc.get_freeze_count() == frozen
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_console_script_is_the_module_entry():
+    # `minent` and `python -m minent.cli` start the same function
+    tomllib = pytest.importorskip("tomllib")
+    with open(REPO / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["minent"]
+    module_name, _, attr = target.partition(":")
+    script = getattr(importlib.import_module(module_name), attr)
+    tree = ast.parse((REPO / "src" / "minent" / "cli.py").read_text(encoding="utf-8"))
+    main_test = "__name__ == '__main__'"
+    (block,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == main_test
+    ]
+    (call,) = [node.value for node in block.body]
+    assert isinstance(call, ast.Call) and not call.args
+    assert script is getattr(cli, call.func.id) is cli.entry
 
 
 def test_growth_csv_and_band_failure(tmp_path, capsys):
@@ -983,25 +1025,42 @@ def test_natural_map_subcommand(tmp_path):
     assert main(["--config", quick, "natural-map"]) == EXIT_OK
 
 
+def run_entry_in_address_space(args):
+    """``python -m minent.cli ARGS`` in a child whose address space is
+    capped at 1.5 GiB, with one BLAS thread."""
+
+    def cap():
+        limit = 1536 * 2**20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = subprocess_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-m", "minent.cli", *args],
+        capture_output=True, text=True, env=env, timeout=300, preexec_fn=cap,
+    )
+
+
 def test_natural_map_memory_is_linear_in_reference_points(tmp_path):
     # 12000 reference points: a J x J Gram matrix of the differentials,
     # with its (J, J, 3) temporary, needs over 3 GB; the n x n form fits
-    # a 1.5 GB address space next to the interpreter and its libraries
-    limit = 1536 * 2**20
+    # a 1.5 GB address space next to the interpreter and its libraries,
+    # with the process entry's collector off
     ini = write_ini(tmp_path, "[run]\nn_atoms = 6000\ndraws = 1\n")
     args = ["--config", ini, "--out", str(tmp_path), "natural-map"]
-    code = (
-        "import resource, sys\n"
-        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
-        "from minent.cli import main\n"
-        f"sys.exit(main({args!r}))\n"
-    )
-    env = subprocess_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+    out = run_entry_in_address_space(args)
     assert out.returncode == EXIT_OK, out.stderr[-2000:]
+
+
+def test_out_of_memory_is_config_error(tmp_path):
+    # a circle the validator accepts whose 20000 x 20000 distance matrix
+    # (2.98 GiB) does not fit a 1.5 GB address space
+    ini = write_ini(tmp_path, "[ghnet]\ncircle = 20000\n")
+    args = ["--config", ini, "--out", str(tmp_path), "ghnet"]
+    out = run_entry_in_address_space(args)
+    assert out.returncode == EXIT_CONFIG, out.stderr[-2000:]
+    (line,) = out.stderr.splitlines()
+    assert line.startswith("config error: out of memory: ")
+    assert "(20000, 20000)" in line
 
 
 @pytest.mark.parametrize("sub", ["barycenter", "natural-map"])
