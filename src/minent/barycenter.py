@@ -22,10 +22,11 @@ transporting one fixed boundary node set through the hyperbolic
 translation taking the base point to the atom.  This is the same
 integral as weighting fixed nodes by the visual density (the density
 is the boundary Jacobian of that translation); the transported form
-keeps the exact symmetries: node weights stay uniform and sum to 1,
-so the quadrature mass is 1 by construction and enters no formula,
-single-atom gradients vanish at the atom to machine precision, and the
-whole computation is equivariant under factor isometries.  The test
+keeps the exact symmetries: node weights are positive, antipodally
+symmetric and sum to 1, so the quadrature mass is 1 by construction and
+enters no formula, single-atom gradients vanish at the atom to machine
+precision, and the whole computation is equivariant under factor
+isometries.  The test
 suite keeps the density-weighted route as the oracle of this one.
 
 Evaluation.  The transported nodes of factor i are stored as one
@@ -157,10 +158,6 @@ class BarycenterProblem:
                 raise ValueError(
                     f"quadrature on S^{q.m - 1} does not match factor H^{m}"
                 )
-            if q.scheme == "deterministic-sphere" and q.count < 200:
-                raise ValueError("deterministic quadrature needs >= 200 nodes")
-            if q.scheme == "monte-carlo" and q.seed is None:
-                raise ValueError("monte-carlo quadrature must carry its seed")
         self.config = config
         self.profile = profile
         self.quads = tuple(quads)
@@ -239,9 +236,10 @@ class BarycenterProblem:
         x0: ProductPoint | None = None,
     ) -> BarycenterSolution:
         """Damped Newton iteration on the forms K of the evaluated
-        points: a trial is accepted when the value falls, each point is
-        evaluated once, and an accepted trial's forms give the next
-        step."""
+        points: a trial is accepted when the value falls or its gradient
+        already meets ``tol`` (next to the answer the decrease is below
+        the value's rounding), each point is evaluated once, and an
+        accepted trial's forms give the next step."""
         if tol < 1e-10:
             raise ValueError("tolerances below 1e-10 are not resolvable here")
         prof = self.profile
@@ -269,7 +267,7 @@ class BarycenterProblem:
                     t *= 0.5
                     continue
                 tval, tgrad, tnorm, tpair = self.value_and_grad(trial)
-                if tval < value:
+                if tval < value or tnorm <= tol:
                     x, value, grad, gnorm, pair = trial, tval, tgrad, tnorm, tpair
                     break
                 t *= 0.5

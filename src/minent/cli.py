@@ -154,19 +154,6 @@ def _run_growth(cfg: RunConfig, doc: ReportDocument, csv_dir):
         )
 
 
-def _quads_for(cfg: RunConfig, dims):
-    from .hyperbolic import boundary_quadrature
-
-    # deterministic nodes exist on S^1 and S^2 only; larger factors and
-    # the monte-carlo scheme draw seeded nodes
-    return [
-        boundary_quadrature(m, cfg.quad_count, "deterministic-sphere")
-        if cfg.quad_scheme == "deterministic-sphere" and m <= 3
-        else boundary_quadrature(m, cfg.quad_count, "monte-carlo", seed=cfg.seed)
-        for m in dims
-    ]
-
-
 def _run_barycenter(cfg: RunConfig, doc: ReportDocument, csv_dir) -> int | None:
     from .barycenter import (
         BarycenterProblem,
@@ -174,12 +161,13 @@ def _run_barycenter(cfg: RunConfig, doc: ReportDocument, csv_dir) -> int | None:
         jacobian_bound_report,
         random_configuration,
     )
+    from .hyperbolic import boundary_quadrature
     from .products import min_entropy_profile
 
     prof = min_entropy_profile(cfg.dims, cfg.entropies)
     rng = np.random.default_rng(cfg.seed)
     config = random_configuration(rng, prof, cfg.n_atoms, spread=cfg.spread)
-    quads = _quads_for(cfg, prof.dims)
+    quads = [boundary_quadrature(m, cfg.quad_count) for m in prof.dims]
     problem = BarycenterProblem(config, quads)
     try:
         sol = problem.solve(tol=cfg.tol, max_iter=cfg.max_iter)

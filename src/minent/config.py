@@ -12,6 +12,8 @@ import configparser
 import math
 from dataclasses import dataclass, field, fields
 
+from .hyperbolic import tensor_order
+
 
 class ConfigError(ValueError):
     pass
@@ -26,7 +28,6 @@ def _key(section: str, key: str, default):
 class RunConfig:
     dims: tuple[int, ...] = _key("profile", "dims", (3, 3))
     entropies: tuple[float, ...] = _key("profile", "entropies", (2.0, 2.0))
-    quad_scheme: str = _key("quadrature", "scheme", "deterministic-sphere")
     quad_count: int = _key("quadrature", "count", 1000)
     seed: int = _key("run", "seed", 0)
     n_atoms: int = _key("run", "n_atoms", 4)
@@ -63,17 +64,12 @@ class RunConfig:
             raise ConfigError("[profile] dims: factors need dimension >= 3")
         if any(h <= 0 for h in self.entropies):
             raise ConfigError("[profile] entropies must be positive")
-        if self.quad_scheme not in ("deterministic-sphere", "monte-carlo"):
-            raise ConfigError("[quadrature] scheme must be "
-                              "deterministic-sphere or monte-carlo")
-        if self.quad_count < 12:
-            raise ConfigError("[quadrature] count must be at least 12")
-        deterministic_s2 = self.quad_scheme == "deterministic-sphere" and 3 in self.dims
-        if deterministic_s2 and self.quad_count < 200:
-            # the barycenter solver takes deterministic S^2 nodes from 200 on
+        if self.quad_count.bit_length() <= max(self.dims):
+            # the boundary rule of order 2 on S^(m-1), exact through
+            # degree 3, has 2^m nodes
             raise ConfigError(
-                "[quadrature] count must be at least 200 for the "
-                "deterministic nodes of a 3-dimensional factor"
+                "[quadrature] count must be at least 2^m for each factor "
+                f"dimension m, here 2^{max(self.dims)}"
             )
         if self.seed < 0:
             raise ConfigError("[run] seed must be nonnegative")
@@ -85,6 +81,20 @@ class RunConfig:
         for key in ("n_atoms", "draws", "bcg_count"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"[run] {key} must be at least 1")
+        node_bytes = 8 * self.n_atoms * sum(
+            2 * tensor_order(m, self.quad_count) ** (m - 1) * (m + 1) for m in self.dims
+        )
+        if node_bytes > 2**29:
+            # the barycenter keeps, per atom, 8 B for each of the m_i + 1
+            # coordinates of the 2 L_i^(m_i - 1) nodes of factor i; an
+            # evaluation adds one factor's (J, Q_i, m_i + 2) temporaries, at
+            # most 5/4 of that factor's share, so 512 MiB of nodes peaks
+            # under 1.3 GB (measured: 2.2x the nodes for one factor, 1.6x
+            # for two, over the interpreter's 37 MB)
+            raise ConfigError(
+                f"[run] n_atoms x [quadrature] count: the node arrays take "
+                f"{node_bytes / 2**20:.0f} MiB, over the 512 MiB budget"
+            )
         if not (0 < self.tol <= 1e-2) or self.tol < 1e-10:
             raise ConfigError("[solver] tol must lie in [1e-10, 1e-2]")
         if self.max_iter < 1:
@@ -157,7 +167,6 @@ def _parse_tuple(item):
 _PARSERS = {
     "int": int,
     "float": float,
-    "str": str.strip,
     "str | None": str.strip,
     "bool": _parse_bool,
     "tuple[int, ...]": _parse_tuple(int),

@@ -30,6 +30,7 @@ against second-order finite differences of the value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,7 @@ __all__ = [
     "exp_map",
     "tangent_frame",
     "boundary_quadrature",
+    "tensor_order",
     "transvection_to",
     "random_point",
 ]
@@ -167,16 +169,12 @@ class BoundaryQuadrature:
     on the boundary sphere of H^m.
 
     nodes   (count, m+1) ideal-point representatives (first column 1).
-    weights nonnegative, summing to 1 exactly (the last weight absorbs
-            the rounding residue).
-    scheme  'deterministic-sphere' or 'monte-carlo'.
-    seed    RNG seed for the monte-carlo scheme, None otherwise.
+    weights positive, summing to 1 exactly under math.fsum (the last
+            weight absorbs the rounding residue).
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    scheme: str
-    seed: int | None = None
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -185,7 +183,7 @@ class BoundaryQuadrature:
             raise ValueError("nodes and weights are inconsistent")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
-        if float(sum(w.tolist())) != 1.0:
+        if math.fsum(w.tolist()) != 1.0:
             raise ValueError("weights must sum to 1 exactly")
         object.__setattr__(self, "nodes", _readonly(nodes))
         object.__setattr__(self, "weights", _readonly(w))
@@ -199,77 +197,75 @@ class BoundaryQuadrature:
         return self.weights.size
 
 
-def _uniform_weights(count: int) -> np.ndarray:
-    w = np.full(count, 1.0 / count)
-    w[-1] = 1.0 - float(sum(w[:-1].tolist()))
-    return w
+def tensor_order(m: int, count: int) -> int:
+    """The order L of the boundary rule on S^{m-1} that fits ``count``
+    nodes: the largest L with 2 L^(m-1) <= count, by integer bisection
+    (1 when count < 2^m, where no rule of order 2 fits)."""
+    lo, hi = 1, 2
+    while 2 * hi ** (m - 1) <= count:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if 2 * mid ** (m - 1) <= count else (lo, mid)
+    return lo
 
 
-def _spiral_sphere(count: int) -> np.ndarray:
-    """Antipodally symmetrized generalized-spiral nodes on S^2.
+def _gauss_rule(L: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """The L-point Gauss rule for the probability weight proportional
+    to (1 - t^2)^a on [-1, 1], a >= 0, by Golub-Welsch: the nodes are
+    the eigenvalues of the Jacobi matrix of the monic orthogonal
+    polynomials, the weights the squared first components of its unit
+    eigenvectors.  Symmetrized so that t[::-1] = -t and w[::-1] = w
+    hold exactly."""
+    n = np.arange(1.0, L)
+    off = np.sqrt(n * (n + 2 * a) / ((2 * n + 2 * a) ** 2 - 1))
+    t, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    w = v[0] ** 2
+    return (t - t[::-1]) / 2, (w + w[::-1]) / 2
 
-    Half the nodes follow the golden-angle spiral, the other half are
-    their antipodes, so odd first moments vanish exactly.
-    """
-    half = count // 2
-    j = np.arange(half)
-    z = 1.0 - (2.0 * j + 1.0) / (2.0 * half)
-    phi = j * np.pi * (3.0 - np.sqrt(5.0))
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    pts = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-    return np.vstack([pts, -pts])
 
-
-def _circle_nodes(count: int) -> np.ndarray:
-    ang = 2.0 * np.pi * np.arange(count) / count
-    return np.column_stack([np.cos(ang), np.sin(ang)])
+def _sphere_rule(m: int, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (2 L^(m-1), m) and weights of the tensor rule of order L on
+    S^{m-1}: t = x_1 at the Gauss nodes of the weight (1 - t^2)^((m-3)/2),
+    the marginal of x_1 under the round measure, times the rule on
+    S^{m-2} scaled by sqrt(1 - t^2); on S^1, 2L equispaced points.
+    Each node's antipode is a node of the same weight, bit for bit."""
+    if m == 2:
+        ang = np.pi * np.arange(L) / L
+        half = np.column_stack([np.cos(ang), np.sin(ang)])
+        return np.vstack([half, -half]), np.full(2 * L, 0.5 / L)
+    t, wt = _gauss_rule(L, (m - 3) / 2)
+    sub, wsub = _sphere_rule(m - 1, L)
+    r = np.sqrt(1.0 - t * t)
+    nodes = np.column_stack([np.repeat(t, len(sub)), np.kron(r[:, None], sub)])
+    return nodes, np.kron(wt, wsub)
 
 
 def boundary_quadrature(
-    m: int, count: int, scheme: str = "deterministic-sphere", seed: int | None = None
+    m: int, count: int, scheme: str = "deterministic-sphere"
 ) -> BoundaryQuadrature:
-    """Quadrature for the round probability measure on S^{m-1}.
+    """Deterministic quadrature for the round probability measure on
+    S^{m-1}, m >= 2: the tensor rule of :func:`_sphere_rule` with the
+    largest order L >= 2 whose 2 L^(m-1) nodes fit ``count``.
 
-    The deterministic scheme covers m = 2 (equally spaced circle nodes)
-    and m = 3 (antipodally symmetrized spiral on S^2); both sets are
-    reproducible without randomness.  Higher-dimensional boundaries use
-    seeded uniform sampling; reported statistics should then be read
-    with the Monte Carlo 3-sigma tolerance.
-
-    Counts are rounded up to even for the symmetrized spiral.
+    The rule integrates every polynomial of degree up to 2L - 1 exactly
+    (so degree 3 from L = 2, degree 5 from L = 3); its weights are
+    positive, antipodally symmetric, and sum to 1 under math.fsum.
+    ``count`` below 2^m, where even L = 2 does not fit, is rejected.
     """
+    # the only accepted scheme, still passed by name by the benchmark's
+    # --trace reference pass (perfbench/workloads.py)
+    if scheme != "deterministic-sphere":
+        raise ValueError(f"unknown scheme {scheme!r}")
     if m < 2:
         raise ValueError("boundary quadrature needs m >= 2")
-    if count < 12:
-        raise ValueError("count >= 12 required for any meaningful moment check")
-    if scheme == "deterministic-sphere":
-        if m == 2:
-            sphere = _circle_nodes(count)
-        elif m == 3:
-            count = count + (count % 2)
-            sphere = _spiral_sphere(count)
-        else:
-            raise ValueError(
-                "deterministic nodes are only laid out on S^1 and S^2; "
-                "use scheme='monte-carlo' with a seed for m >= 4"
-            )
-        used_seed = None
-    elif scheme == "monte-carlo":
-        if seed is None:
-            raise ValueError("monte-carlo quadrature requires an explicit seed")
-        rng = np.random.default_rng(seed)
-        g = rng.standard_normal((count, m))
-        sphere = g / np.linalg.norm(g, axis=1, keepdims=True)
-        used_seed = int(seed)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    nodes = np.column_stack([np.ones(sphere.shape[0]), sphere])
-    return BoundaryQuadrature(
-        nodes=nodes,
-        weights=_uniform_weights(sphere.shape[0]),
-        scheme=scheme,
-        seed=used_seed,
-    )
+    L = tensor_order(m, count)
+    if L < 2:
+        raise ValueError(f"count >= 2^m = {2 ** m} required on S^{m - 1}")
+    sphere, w = _sphere_rule(m, L)
+    w /= math.fsum(w.tolist())  # keeps antipodal weights equal
+    w[-1] = 1.0 - math.fsum(w[:-1].tolist())
+    return BoundaryQuadrature(np.column_stack([np.ones(w.size), sphere]), w)
 
 
 def transvection_to(p: HyperboloidPoint) -> np.ndarray:

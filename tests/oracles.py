@@ -1,8 +1,10 @@
 """Reference routes that tests compare the library against, and helpers
 that build test inputs; no report reaches them.  The density-weighted
 route (ideal points, Busemann data, visual density) checks the
-barycenter's transported nodes, parallel transport checks the tangent
-frame, and the per-point sphere map checks the natural map's closed form.
+barycenter's transported nodes, seeded uniform sampling checks the
+deterministic boundary rule, parallel transport checks the tangent
+frame, and the per-point sphere map checks the natural map's closed
+form.
 The radial-box grid and the Monte Carlo rays check the product growth
 recursion.  Grid coordinates and turning angles read shortcut grid
 paths, and the chord-metric circle and restricted spaces are
@@ -149,6 +151,16 @@ def visual_density(x: HyperboloidPoint, xi: IdealPoint, h: float) -> float:
         raise ValueError("the exponent h must be nonnegative")
     s = -minkowski_form(x.coords, xi.coords)
     return float(s ** (-h))
+
+
+def monte_carlo_quadrature(m: int, count: int, seed: int) -> BoundaryQuadrature:
+    """``count`` seeded uniform nodes on S^{m-1} with equal weights: the
+    sampling route the deterministic boundary rule is checked against."""
+    g = np.random.default_rng(seed).standard_normal((count, m))
+    w = np.full(count, 1.0 / count)
+    w[-1] = 1.0 - math.fsum(w[:-1].tolist())
+    sphere = g / np.linalg.norm(g, axis=1, keepdims=True)
+    return BoundaryQuadrature(np.column_stack([np.ones(count), sphere]), w)
 
 
 # -- hyperbolic space: isometries and transport ----------------------------

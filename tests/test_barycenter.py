@@ -24,6 +24,7 @@ from minent.barycenter import (
     random_configuration,
 )
 from minent.hyperbolic import (
+    BoundaryQuadrature,
     HyperboloidPoint,
     boundary_quadrature,
     exp_map,
@@ -41,6 +42,7 @@ from oracles import (
     base_point,
     busemann,
     ideal_points,
+    monte_carlo_quadrature,
     natural_map_discrete,
     random_boost,
     visual_density,
@@ -446,10 +448,66 @@ def test_jacobian_bound_formula_mixed_profile():
     config = WeightedConfiguration(
         atoms=(ProductPoint((o3, o4)),), weights=(1.0,), profile=prof
     )
-    quads = [boundary_quadrature(3, 600), boundary_quadrature(4, 600, "monte-carlo", seed=5)]
+    quads = [boundary_quadrature(3, 600), boundary_quadrature(4, 600)]
     rep = jacobian_bound_report(BarycenterProblem(config, quads))
     want = (4.0 * 7.0 / prof.h_min**2) ** 3.5
     assert rep.bound == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("dims,entropies", [((3, 4), (2.0, 3.0)), ((3, 5), (2.0, 4.0))])
+def test_rule_agrees_with_monte_carlo_nodes(dims, entropies):
+    """F and the S_i at a fixed point are linear in the boundary measure;
+    the rule's lie within 3 per-seed standard deviations of the mean over
+    8 seeded Monte Carlo node sets of 20000 nodes.  (The Jacobian ratio is
+    not linear in the measure, and sampling biases it.)"""
+    prof = min_entropy_profile(dims, entropies)
+    config = random_configuration(np.random.default_rng(0), prof, 3, 1.2)
+    rule = BarycenterProblem(config, [boundary_quadrature(m, 1000) for m in dims])
+    x = rule.initial_point()
+
+    def linear(problem):
+        value, _, _, pair = problem.value_and_grad(x)
+        return np.concatenate([[value], *(S.ravel() for S in pair.factor_h)])
+
+    sampled = np.array([
+        linear(BarycenterProblem(config, [monte_carlo_quadrature(m, 20000, s) for m in dims]))
+        for s in range(8)
+    ])
+    gap = np.abs(linear(rule) - sampled.mean(axis=0))
+    assert np.all(gap <= 3 * sampled.std(axis=0, ddof=1))
+
+
+def _rotated(q, rng):
+    """The rule with its sphere nodes moved by a random orthogonal map."""
+    Q, R = np.linalg.qr(rng.standard_normal((q.m, q.m)))
+    sphere = q.nodes[:, 1:] @ (Q * np.sign(np.diag(R)))
+    return BoundaryQuadrature(np.column_stack([q.nodes[:, 0], sphere]), q.weights)
+
+
+@pytest.mark.parametrize(
+    "dims,entropies,count,rtol",
+    [
+        ((3, 3), (2.0, 2.0), 1000, 1e-12),
+        ((3, 4), (2.0, 3.0), 5000, 1e-9),
+        ((3, 5), (2.0, 4.0), 5000, 1e-5),
+    ],
+)
+def test_jacobian_ratio_is_rotation_invariant(dims, entropies, count, rtol):
+    """The round measure is rotation invariant, so rotating the rule's
+    nodes moves the Jacobian ratio only by the rule's error: measured
+    2e-15 at (3, 3) with 968 nodes per factor, 1.4e-10 at (3, 4) and
+    1.7e-6 at (3, 5) with 4394 and 4802 nodes on the larger factor."""
+    prof = min_entropy_profile(dims, entropies)
+    config = random_configuration(np.random.default_rng(0), prof, 4, 1.2)
+    quads = [boundary_quadrature(m, count) for m in dims]
+    rng = np.random.default_rng(11)
+
+    def ratio(qs):
+        problem = BarycenterProblem(config, qs)
+        rep = jacobian_bound_report(problem, problem.solve(tol=1e-10))
+        return rep.estimate / rep.bound
+
+    assert ratio([_rotated(q, rng) for q in quads]) == pytest.approx(ratio(quads), rel=rtol)
 
 
 def test_jacobian_random_sweep_holds(profile33, quads33):

@@ -71,7 +71,6 @@ dims = 3 4
 entropies = 2.0, 3.0
 
 [quadrature]
-scheme = monte-carlo
 count = 400
 
 [solver]
@@ -93,7 +92,6 @@ csv = yes
     cfg = load_config(path)
     assert cfg.dims == (3, 4)
     assert cfg.entropies == (2.0, 3.0)
-    assert cfg.quad_scheme == "monte-carlo"
     assert cfg.quad_count == 400
     assert cfg.tol == 1e-7
     assert cfg.etas == (1.0, 0.9)
@@ -104,7 +102,7 @@ csv = yes
 
 
 def test_ini_sets_every_key(tmp_path):
-    """Each of the 26 keys, set to a valid non-default value, lands in
+    """Each of the 25 keys, set to a valid non-default value, lands in
     exactly its field."""
     path = write_ini(
         tmp_path,
@@ -113,7 +111,6 @@ def test_ini_sets_every_key(tmp_path):
 dims = 3 4
 entropies = 2.0, 3.0
 [quadrature]
-scheme = monte-carlo
 count = 400
 [run]
 seed = 5
@@ -148,7 +145,6 @@ csv = yes
     want = dict(
         dims=(3, 4),
         entropies=(2.0, 3.0),
-        quad_scheme="monte-carlo",
         quad_count=400,
         seed=5,
         n_atoms=3,
@@ -183,7 +179,7 @@ csv = yes
 def test_every_field_declares_one_ini_key():
     keys = [f.metadata["ini"] for f in dataclasses.fields(RunConfig)]
     assert all(len(k) == 2 for k in keys)
-    assert len(set(keys)) == len(keys) == 26
+    assert len(set(keys)) == len(keys) == 25
     assert {f.type for f in dataclasses.fields(RunConfig)} <= set(config._PARSERS)
 
 
@@ -273,8 +269,8 @@ def test_ini_malformed_file_is_config_error(tmp_path, capsys, text):
     [
         ("dims", (3,), "[profile]"),
         ("entropies", (2.0, -1.0), "[profile]"),
-        ("quad_scheme", "cubature", "[quadrature]"),
-        ("quad_count", 8, "[quadrature]"),
+        ("quad_count", 7, "[quadrature]"),
+        ("dims", (3, 10), "[quadrature] count"),  # 1000 < 2^10
         ("seed", -1, "[run]"),
         ("tol", 1e-12, "[solver]"),
         ("tol", 0.5, "[solver]"),
@@ -313,42 +309,55 @@ def test_validation_names_the_section(field, value, section):
         cfg.validate()
 
 
+BOUND_ROWS = [
+    # sub, section, key, at the bound, past it, other sections
+    ("growth", "growth", "grid_step", "0.1", "0.10000000000000002", ""),
+    ("barycenter", "quadrature", "count", "8", "7", ""),
+    ("barycenter", "quadrature", "count", "32", "31",
+     "[profile]\ndims = 3 5\nentropies = 2 4\n"),
+    # 61952 B of nodes per atom at 968 nodes per factor: only the validator
+    # runs at the 512 MiB bound
+    ("entropy", "run", "n_atoms", "8665", "8666", ""),
+    ("entropy", "quadrature", "count", "1000", "1058", "[run]\nn_atoms = 8665\n"),
+    ("shortcut", "shortcut", "spacing", "0.04", "0.03", ""),
+    ("shortcut", "shortcut", "extent", "6", "5.95", ""),
+    ("barycenter", "run", "spread", "18", "18.000000000000004", ""),
+    ("natural-map", "run", "spread", "18", "18.000000000000004", ""),
+]
+
+
 @pytest.mark.parametrize(
-    "sub,section,key,at_bound,past_bound",
-    [
-        ("growth", "growth", "grid_step", "0.1", "0.10000000000000002"),
-        ("barycenter", "quadrature", "count", "200", "199"),
-        ("shortcut", "shortcut", "spacing", "0.04", "0.03"),
-        ("shortcut", "shortcut", "extent", "6", "5.95"),
-        ("barycenter", "run", "spread", "18", "18.000000000000004"),
-        ("natural-map", "run", "spread", "18", "18.000000000000004"),
-    ],
+    "sub,section,key,at_bound,past_bound,others",
+    BOUND_ROWS,
+    ids=["-".join(row[:5]) for row in BOUND_ROWS],
 )
 def test_validator_bounds_match_the_library(
-    tmp_path, capsys, sub, section, key, at_bound, past_bound
+    tmp_path, capsys, sub, section, key, at_bound, past_bound, others
 ):
-    """The largest grid_step, the smallest deterministic node count, a
-    shortcut spacing that divides the base segment's offset 1.0, the
-    extent 6 where that segment ends and the largest spread, as the
-    validator admits them, run; past them is a config error naming the
-    section and key, not a library error."""
+    """The largest grid_step, the smallest node count (2^m for the
+    largest factor dimension m), the largest node arrays, a shortcut
+    spacing that divides the base segment's offset 1.0, the extent 6
+    where that segment ends and the largest spread, as the validator
+    admits them, run; past them is a config error naming the section and
+    key, not a library error."""
     # the shortcut window fits the smallest extent; without eta = 1 the
     # sweep's band, which a window this near the origin misses, is off
     context = {"shortcut": "etas = 0.99 0.5\nrho_lo = 3\nrho_hi = 5\n"}.get(sub, "")
-    ok = write_ini(tmp_path, f"[{section}]\n{context}{key} = {at_bound}\n", "ok.ini")
+    text = others + f"[{section}]\n{context}{key} = {{}}\n"
+    ok = write_ini(tmp_path, text.format(at_bound), "ok.ini")
     assert main(["--config", ok, "--out", str(tmp_path), sub]) == EXIT_OK
     capsys.readouterr()
-    bad = write_ini(
-        tmp_path, f"[{section}]\n{context}{key} = {past_bound}\n", "bad.ini"
-    )
+    bad = write_ini(tmp_path, text.format(past_bound), "bad.ini")
     assert main(["--config", bad, "--out", str(tmp_path), sub]) == EXIT_CONFIG
     assert f"[{section}] {key}" in capsys.readouterr().err
 
 
-def test_monte_carlo_quadrature_admits_small_counts():
-    # the 200-node floor is the deterministic S^2 layout's
-    cfg = RunConfig(quad_scheme="monte-carlo", quad_count=12)
-    assert cfg.validate() is cfg
+def test_quadrature_scheme_is_an_unknown_key(tmp_path, capsys):
+    # one deterministic rule serves every factor dimension
+    path = write_ini(tmp_path, "[quadrature]\nscheme = monte-carlo\n")
+    assert main(["--config", path, "--out", str(tmp_path), "barycenter"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "[quadrature] scheme: unknown key" in err and "Traceback" not in err
 
 
 def test_shortcut_grid_bound_admits_side_1001():
@@ -1190,19 +1199,20 @@ def test_ghnet_subcommand(tmp_path):
     assert all(c["passed"] for c in by_anchor["measure-discrepancy"])
 
 
-def test_short_subcommands_import_no_scipy():
+def test_short_subcommands_import_no_scipy(tmp_path):
     # The five short subcommands spend most of their time importing;
     # scipy would add about 0.1 s to each call.  Only shortcut and ghkit
-    # may pull it in.
+    # may pull it in.  Each runs at its defaults in a fresh interpreter.
     code = (
         "import sys\n"
-        "import minent.cli, minent.config, minent.reports, minent.products\n"
-        "import minent.hyperbolic, minent.barycenter\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "from minent.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, env=subprocess_env(), timeout=120,
-    )
-    assert out.returncode == 0, out.stderr[-2000:]
-    assert out.stdout.strip() == "[]"
+    for sub in ("entropy", "growth", "barycenter", "bcg", "natural-map"):
+        out = subprocess.run(
+            [sys.executable, "-c", code, "--out", str(tmp_path), sub],
+            capture_output=True, text=True, env=subprocess_env(), timeout=120,
+        )
+        assert out.returncode == 0, out.stderr[-2000:]
+        assert out.stdout.splitlines()[-1] == f"{EXIT_OK} []", sub

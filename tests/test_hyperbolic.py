@@ -19,6 +19,7 @@ from minent.hyperbolic import (
     minkowski_form,
     random_point,
     tangent_frame,
+    tensor_order,
     transvection_to,
 )
 from oracles import (
@@ -28,6 +29,7 @@ from oracles import (
     base_point,
     busemann,
     ideal_points,
+    monte_carlo_quadrature,
     parallel_transport,
     random_boost,
     visual_density,
@@ -374,24 +376,99 @@ def test_quadrature_second_moment():
     assert np.abs(second - np.eye(3) / 3).max() < 5e-3
 
 
+def moment_errors(q):
+    """The rule's deviation from the round measure on S^{m-1}, by degree
+    0 to 4: |mass - 1| (exact sum), then the largest entry of each
+    moment tensor minus its closed form (0 for odd degree, Id/m for
+    degree 2, (d_ab d_cd + d_ac d_bd + d_ad d_bc) / (m (m + 2)) for 4)."""
+    x, w = q.nodes[:, 1:], q.weights
+    m = x.shape[1]
+    eye = np.eye(m)
+    xx = (x[:, :, None] * x[:, None, :]).reshape(w.size, m * m)
+    iso4 = (
+        np.einsum("ab,cd->abcd", eye, eye)
+        + np.einsum("ac,bd->abcd", eye, eye)
+        + np.einsum("ad,bc->abcd", eye, eye)
+    ) / (m * (m + 2))
+    return [
+        abs(math.fsum(w.tolist()) - 1.0),
+        np.abs(w @ x).max(),
+        np.abs(x.T @ (w[:, None] * x) - eye / m).max(),
+        np.abs(x.T @ (w[:, None] * xx)).max(),
+        np.abs(xx.T @ (w[:, None] * xx) - iso4.reshape(m * m, m * m)).max(),
+    ]
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+def test_quadrature_moments_exact_by_degree(m):
+    """Order L = 2 (2^m nodes) integrates degrees 0-3 exactly and misses
+    degree 4; from L = 3 degree 4 is exact too.  Even moments carry the
+    rounding of a BLAS sum (up to 3e-15 measured); odd ones vanish by
+    antipodal symmetry."""
+    low = moment_errors(boundary_quadrature(m, 2**m))
+    assert max(low[0], low[2]) < 1e-14
+    assert max(low[1], low[3]) <= 1e-15
+    assert low[4] > 1e-2
+    high = moment_errors(boundary_quadrature(m, 2 * 3 ** (m - 1)))
+    assert max(high[0], high[2], high[4]) < 1e-14
+    assert max(high[1], high[3]) <= 1e-15
+
+
 def test_quadrature_circle_and_monte_carlo():
+    """On S^1 the rule is 2L equispaced points of equal weight (L = 180
+    at count 360); the seeded Monte Carlo nodes that the barycenter tests
+    compare the rule against have a first moment within their noise."""
     q2 = boundary_quadrature(2, 360)
-    assert np.abs(q2.weights @ q2.nodes[:, 1:]).max() < 1e-12
-    q4 = boundary_quadrature(4, 5000, "monte-carlo", seed=3)
-    assert isinstance(q4, BoundaryQuadrature)
+    angles = np.sort(np.mod(np.arctan2(q2.nodes[:, 2], q2.nodes[:, 1]), 2 * np.pi))
+    assert np.abs(angles - 2 * np.pi * np.arange(360) / 360).max() < 1e-13
+    assert np.abs(q2.weights - 1 / 360).max() < 1e-17
+    q4 = monte_carlo_quadrature(4, 5000, seed=3)
     std = 1.0 / math.sqrt(4 * 5000)
     assert np.abs(q4.weights @ q4.nodes[:, 1:]).max() < 3 * std * 2
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 7])
+def test_quadrature_uses_the_largest_order_that_fits(m):
+    for count in (2**m, 2**m + 1, 1000, 19999, 20000):
+        q = boundary_quadrature(m, count)
+        L = round((q.count / 2) ** (1 / (m - 1)))
+        assert q.count == 2 * L ** (m - 1) == 2 * tensor_order(m, count) ** (m - 1)
+        assert q.count <= count < 2 * (L + 1) ** (m - 1)
+    assert boundary_quadrature(3, 1000).count == 968  # L = 22
+
+
+def test_quadrature_is_antipodal_with_positive_weights():
+    q = boundary_quadrature(5, 1000)
+    nodes = q.nodes[:, 1:]
+    order = np.lexsort(nodes.T)
+    flipped = np.lexsort((-nodes).T)
+    assert np.array_equal(nodes[order], -nodes[flipped])
+    # bit for bit, but for the last weight, which absorbs the mass's rounding
+    gap = q.weights[order] - q.weights[flipped]
+    assert np.count_nonzero(gap) <= 2 and np.abs(gap).max() < 1e-16
+    assert q.weights.min() > 0
+
+
+def test_quadrature_checks_the_mass_with_an_exact_sum():
+    # ten weights 0.1 sum to 1 exactly (their float sum is 1 - 1.1e-16)
+    q = BoundaryQuadrature(np.tile([1.0, 1.0, 0.0], (10, 1)), np.full(10, 0.1))
+    assert q.count == 10
+    with pytest.raises(ValueError, match="sum to 1"):
+        BoundaryQuadrature(np.tile([1.0, 1.0, 0.0], (2, 1)), [0.5, 0.5 + 2**-53 * 2])
 
 
 def test_quadrature_errors():
     with pytest.raises(ValueError):
         boundary_quadrature(1, 100)
-    with pytest.raises(ValueError):
-        boundary_quadrature(3, 4)
-    with pytest.raises(ValueError):
-        boundary_quadrature(5, 100)  # deterministic nodes stop at S^2
-    with pytest.raises(ValueError):
-        boundary_quadrature(5, 100, "monte-carlo")  # seed required
+    with pytest.raises(ValueError, match="2\\^m = 8"):
+        boundary_quadrature(3, 7)
+    with pytest.raises(ValueError, match="2\\^m = 32"):
+        boundary_quadrature(5, 31)
+    assert boundary_quadrature(5, 32).count == 32
+    # one deterministic rule: the scheme name is the only one accepted
+    assert boundary_quadrature(3, 20000, "deterministic-sphere").count == 20000
+    with pytest.raises(ValueError, match="unknown scheme"):
+        boundary_quadrature(5, 100, "monte-carlo")
 
 
 def test_transvection_moves_base_to_target():
