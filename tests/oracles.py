@@ -7,8 +7,8 @@ frame, and the per-point sphere map checks the natural map's closed
 form.
 The radial-box grid and the Monte Carlo rays check the product growth
 recursion.  Grid coordinates and turning angles read shortcut grid
-paths, and the chord-metric circle and restricted spaces are
-metric-space test inputs.
+paths.  The all-pairs Chebyshev test checks the triangle check, and the
+chord-metric circle and restricted spaces are metric-space test inputs.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import pdist, squareform
 
 from minent.barycenter import _sphere_components
 from minent.ghkit import FiniteMetricSpace, circle_space
@@ -328,6 +329,17 @@ def extract_grid_path(model: ShortcutModel, a, b) -> CornerPath:
 
 
 # -- finite metric spaces --------------------------------------------------
+
+
+def chebyshev_rejects(d: np.ndarray) -> bool:
+    """The triangle check on every pair over every column: the rows of
+    a metric satisfy max_k |d_ik - d_jk| = d_ij exactly when the
+    triangle inequality holds; pairs in pdist's order."""
+    if len(d) < 2:
+        return False
+    gap = pdist(d, "chebyshev")
+    gap -= squareform(d, checks=False)
+    return bool(gap.max() > 1e-9)
 
 
 def chord_circle(n: int) -> FiniteMetricSpace:

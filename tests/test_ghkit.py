@@ -1,6 +1,7 @@
 """Finite metric spaces, nets, net graphs, GH bounds, and the weighted
 discrepancy, each checked against a route the implementation does not
-share: the n^3 tensor for the triangle check, Floyd-Warshall for
+share: the n^3 tensor and pdist's all-pairs Chebyshev test for the
+triangle check, Floyd-Warshall for
 shortest paths, full correspondence enumeration and the full-recompute
 greedy search for GH, and the dense primal transport program, the
 transport LP on all routes, the Kantorovich-Rubinstein dual LP and the
@@ -36,7 +37,7 @@ from minent.ghkit import (
     random_tree_space,
     torus_grid_space,
 )
-from oracles import chord_circle, restrict
+from oracles import chebyshev_rejects, chord_circle, restrict
 
 
 def plane_space(rng, n, scale=1.0):
@@ -135,13 +136,17 @@ def test_space_rejects_nonfinite_distances():
 
 def test_space_rejects_triangle_violation():
     d = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
-    with pytest.raises(ValueError, match="triangle"):
+    with pytest.raises(ValueError, match=r"triangle .* at pair \(0, 2\): excess 3\.0$"):
         FiniteMetricSpace(d)
 
 
 def tensor_rejects(d):
-    """The n x n x n reference for the triangle check."""
-    via = (d[:, :, None] + d[None, :, :]).min(axis=1)
+    """The n x n x n reference for the triangle check, in slabs of 16
+    middle points."""
+    via = np.full_like(d, np.inf)
+    for k in range(0, len(d), 16):
+        slab = d[:, k : k + 16, None] + d[None, k : k + 16, :]
+        np.minimum(via, slab.min(axis=1), out=via)
     return bool((d - via).max() > 1e-9)
 
 
@@ -235,6 +240,95 @@ def test_triangle_check_tolerance_on_tight_triangles():
     assert builds(chain)
 
 
+R, C = ghkit._CHECK_ROWS, ghkit._CHECK_COLS
+
+
+def tight_line(n):
+    """n points on a line at integer gaps of 1 to 3: every triple is a
+    tight triangle, in exact arithmetic."""
+    x = np.cumsum(1.0 + np.arange(n) % 3)
+    return np.abs(x[:, None] - x[None, :])
+
+
+def one_bad_triangle(n, long_side, hub, push):
+    """Distances 1, except 2 from the ends of long_side to every point
+    but hub: the one triangle (long_side, hub) is off by push."""
+    p, q = long_side
+    d = np.ones((n, n))
+    d[[p, q], :] = d[:, [p, q]] = 2.0
+    d[[p, q], hub] = d[hub, [p, q]] = 1.0
+    d[p, q] = d[q, p] = 2.0 + push
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+@pytest.mark.parametrize("n", sorted({2, 3, R - 1, R, R + 1, C, C + 1, 2 * C + 3}))
+def test_triangle_check_at_block_edges(n):
+    d = tight_line(n)
+    assert builds(d) and not chebyshev_rejects(d)
+    pairs = {(0, n - 1), (R - 1, R), (R, R + 1), (C - 1, C), (n - 2, n - 1)}
+    for p, q in sorted((p, q) for p, q in pairs if q < n):
+        # with a point between them, p and q are the long side of a
+        # tight triangle; adjacent, they are a short side of one
+        sign = 1.0 if q - p > 1 else -1.0
+        for push, ok in ((0.5e-9, True), (2e-9, n < 3)):
+            pushed = d.copy()
+            pushed[p, q] += sign * push
+            pushed[q, p] = pushed[p, q]
+            assert builds(pushed) == ok
+            assert chebyshev_rejects(pushed) == tensor_rejects(pushed) == (not ok)
+    # a violated triangle seen only from its lowest vertex, the last row
+    # of a row block: the rows of its other two vertices start later
+    for low in (R - 1, C - 1):
+        if low + 2 >= n:
+            continue
+        for long_side, hub in (((low, n - 1), low + 1), ((low + 1, n - 1), low)):
+            assert builds(one_bad_triangle(n, long_side, hub, 0.5e-9))
+            bad = one_bad_triangle(n, long_side, hub, 2e-9)
+            assert chebyshev_rejects(bad) and tensor_rejects(bad)
+            with pytest.raises(ValueError, match=rf"at pair \({long_side[0]}, {n - 1}\)"):
+                FiniteMetricSpace(bad)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_symmetry_check_across_row_blocks(sign):
+    # pairs whose entries lie in two row blocks: the gap d_ij - d_ji of
+    # a block of upper rows has either sign
+    d = circle_space(2 * R + 1).dist
+    for i, j in ((0, R), (R - 1, R), (R - 1, 2 * R)):
+        bad = d.copy()
+        bad[i, j] += sign * 2e-12
+        with pytest.raises(ValueError, match="symmetric"):
+            FiniteMetricSpace(bad)
+        near = d.copy()
+        near[i, j] += sign * 0.5e-12
+        stored = FiniteMetricSpace(near).dist
+        assert stored[i, j] == stored[j, i] == 0.5 * near[i, j] + 0.5 * near[j, i]
+        moved = stored != d
+        moved[[i, j], [j, i]] = False
+        assert not moved.any()
+
+
+def test_triangle_check_work_is_a_third_of_the_cube(monkeypatch):
+    # each block of R rows a <= i < a + R meets the pairs j >= a over the
+    # columns k > a; summed, at most n^3/3 + R n^2 + R^2 n element steps,
+    # below the n^2 (n - 1)/2 of every pair over every column
+    steps = []
+    real = ghkit.cdist
+
+    def counted(XA, XB, metric):
+        steps.append(len(XA) * len(XB) * XA.shape[1])
+        return real(XA, XB, metric)
+
+    monkeypatch.setattr(ghkit, "cdist", counted)
+    n = 300
+    d = circle_space(n).dist
+    assert np.array_equal(FiniteMetricSpace(d).dist, d)
+    bound = n**3 / 3 + R * n**2 + R**2 * n
+    assert bound < n * n * (n - 1) / 2
+    assert sum(steps) <= bound
+
+
 def test_space_validation_memory_is_quadratic():
     # the n^3 tensor would need 8 GB at n = 1000; the check must fit in
     # a 1.5 GB address space next to the interpreter and its libraries
@@ -258,9 +352,10 @@ def test_space_validation_memory_is_quadratic():
     assert out.stdout.strip() == "1000"
 
 
-def test_space_validation_peaks_near_two_matrices():
-    # the stored copy plus pdist's and squareform's condensed arrays,
-    # each half a matrix; nothing else of size n^2 is alive alongside
+def test_space_validation_peaks_near_one_matrix():
+    # the stored copy plus the finiteness mask (one byte per entry) and
+    # one block of the checks; measured 1.126 x at n = 800, and the
+    # margin admits a copy of one _CHECK_COLS-row column block (0.16 x)
     d = circle_space(800).dist
     tracemalloc.start()
     try:
@@ -268,7 +363,7 @@ def test_space_validation_peaks_near_two_matrices():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.1 * d.nbytes
+    assert peak <= 1.3 * d.nbytes
 
 
 def test_space_rejects_bad_weights():
