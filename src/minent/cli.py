@@ -150,7 +150,7 @@ def _run_growth(cfg: RunConfig, doc: ReportDocument, csv_dir):
         write_csv(
             os.path.join(csv_dir, "growth.csv"),
             ["rho", "log_volume"],
-            [[float(r), float(v)] for r, v in zip(est.rho, est.log_volume)],
+            zip(est.rho, est.log_volume),
         )
 
 
@@ -306,22 +306,18 @@ def _run_shortcut(cfg: RunConfig, doc: ReportDocument, csv_dir):
     )
 
     etas = sorted(set(cfg.etas))
-    # corner threshold table and witness sanity on a small grid
-    rows = []
-    witness_ok = True
-    for eta in etas:
-        theta0 = turning_angle_threshold(eta) if eta < 1 else 0.0
-        rows.append([eta, theta0])
-        for alpha in (0.2, 0.4, 0.8, 1.2):
-            w = shorter_path_witness(eta, alpha)
-            want = math.cos(alpha) < eta
-            if (w is not None) != want or (w is not None and w.savings <= 0):
-                witness_ok = False
+    # corner threshold table; a witness must exist exactly past it
+    thresholds = {eta: turning_angle_threshold(eta) for eta in etas}
+    witness_ok = all(
+        (shorter_path_witness(eta, alpha) is not None) == (alpha > thresholds[eta])
+        for eta in etas
+        for alpha in (0.2, 0.4, 0.8, 1.2)
+    )
     doc.add(
         "witness",
         "shortcut-turning",
         {"etas": etas},
-        {"thresholds": {str(e): r for e, r in rows}},
+        {"thresholds": {str(e): t for e, t in thresholds.items()}},
         witness_ok,
     )
 
@@ -373,8 +369,7 @@ def _run_shortcut(cfg: RunConfig, doc: ReportDocument, csv_dir):
 
     # growth sweep on the diagonal model
     seg_hi = min(cfg.sc_extent - 2.0, cfg.sc_rho_hi + 2.0)
-    sweep_rows = []
-    slopes = {}
+    estimates = {}
     for eta in etas:
         model = ShortcutModel(
             eta=eta,
@@ -383,19 +378,14 @@ def _run_shortcut(cfg: RunConfig, doc: ReportDocument, csv_dir):
             segment=(1.0, seg_hi, 0.0),
             orientation="diagonal",
         )
-        est = eta_entropy_estimate(model, cfg.sc_rho_lo, cfg.sc_rho_hi)
-        slopes[eta] = est.slope
-        sweep_rows.append(
-            [eta, est.slope, est.residual_rms, 2.0 * math.sqrt(2.0) / math.sqrt(eta)]
-        )
-    dec = sorted(etas, reverse=True)
+        estimates[eta] = eta_entropy_estimate(model, cfg.sc_rho_lo, cfg.sc_rho_hi)
+    slopes = {eta: est.slope for eta, est in estimates.items()}
+    # a cheaper shortcut never slows growth: etas ascend, slopes descend
     mono_ok = all(
-        slopes[dec[i + 1]] >= slopes[dec[i]] - 1e-9 for i in range(len(dec) - 1)
+        slopes[lo] >= slopes[hi] - 1e-9 for lo, hi in zip(etas, etas[1:])
     )
     target = 2.0 * math.sqrt(2.0)
-    band_ok = True
-    if 1.0 in slopes:
-        band_ok = abs(slopes[1.0] - target) <= 0.08
+    band_ok = 1.0 not in slopes or abs(slopes[1.0] - target) <= 0.08
     doc.add(
         "growth-sweep",
         "shortcut-growth",
@@ -407,7 +397,10 @@ def _run_shortcut(cfg: RunConfig, doc: ReportDocument, csv_dir):
         write_csv(
             os.path.join(csv_dir, "shortcut_sweep.csv"),
             ["eta", "slope", "slope_rms", "predicted"],
-            sweep_rows,
+            [
+                [eta, est.slope, est.residual_rms, target / math.sqrt(eta)]
+                for eta, est in estimates.items()
+            ],
         )
 
     # branching demo at the deepest shortcut
@@ -504,7 +497,6 @@ def main(argv=None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     doc = ReportDocument(subcommand=args.subcommand, config=cfg.to_dict())
-    doc.add("config", "config-echo", {}, cfg.to_dict(), True)
     out_dir = cfg.out_dir
     try:
         if out_dir:
@@ -512,10 +504,11 @@ def main(argv=None) -> int:
         # a runner only computes and records checks; it returns
         # EXIT_NOCONV when its solver did not converge, None otherwise
         code = args.run(cfg, doc, out_dir if cfg.write_csv else None)
+        report = doc.to_json()
         if out_dir:
             path = os.path.join(out_dir, f"{args.subcommand}_report.json")
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(doc.to_json())
+                fh.write(report)
     except OSError as e:
         # the directory, the report or a CSV table cannot be written
         print(f"config error: [output] dir {out_dir}: {e}", file=sys.stderr)
@@ -533,9 +526,9 @@ def main(argv=None) -> int:
         print(f"numerical failure: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_NOCONV
     lines = [
-        f"[{'PASS' if rec.passed else 'FAIL'}] {rec.name} "
-        + json.dumps(rec.outputs, sort_keys=True, separators=(",", ":"))
-        for rec in doc.records[1:]
+        f"[{'PASS' if c['passed'] else 'FAIL'}] {c['name']} "
+        + json.dumps(c["outputs"], sort_keys=True, separators=(",", ":"))
+        for c in doc.checks
     ]
     if out_dir:
         lines.append(f"report written to {path}")
@@ -544,7 +537,7 @@ def main(argv=None) -> int:
     try:
         stream.write("".join(line + "\n" for line in lines))
         if args.json:
-            sys.stdout.write(doc.to_json())
+            sys.stdout.write(report)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout: the exit code still follows from the

@@ -2,10 +2,11 @@
 
 A report is a document of check records, each carrying the name of the
 mathematical fact it exercises (drawn from a fixed anchor table), its
-inputs, outputs, tolerance, and verdict.  Serialization is canonical:
-keys sorted, floats through repr, LF line endings, no timestamps, so a
-rerun with the same configuration and seed produces byte-identical
-output.
+inputs, outputs, tolerance, and verdict, and each held from the moment
+it is added as the JSON dict it is written as.  Serialization is
+canonical: keys sorted, floats through repr, LF line endings, no
+timestamps, so a rerun with the same configuration and seed produces
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -38,29 +39,14 @@ ANCHORS = {
     "net-approximation": "two-sided graph-vs-target metric comparison",
     "gh-bounds": "correspondence distortion bounds on finite spaces",
     "measure-discrepancy": "weighted-space comparison via the primal transport LP",
-    "config-echo": "resolved run configuration",
 }
-
-
-@dataclass
-class CheckRecord:
-    name: str
-    anchor: str
-    inputs: dict
-    outputs: dict
-    passed: bool
-    tolerance: float | None = None
-
-    def __post_init__(self):
-        if self.anchor not in ANCHORS:
-            raise ValueError(f"unknown anchor {self.anchor!r}")
 
 
 @dataclass
 class ReportDocument:
     subcommand: str
     config: dict
-    records: list[CheckRecord] = field(default_factory=list)
+    checks: list[dict] = field(default_factory=list)
     version: str = __version__
 
     def add(
@@ -71,39 +57,33 @@ class ReportDocument:
         outputs: dict,
         passed: bool,
         tolerance: float | None = None,
-    ) -> CheckRecord:
-        rec = CheckRecord(
-            name=name,
-            anchor=anchor,
-            inputs=_plain(inputs),
-            outputs=_plain(outputs),
-            passed=bool(passed),
-            tolerance=tolerance,
+    ) -> dict:
+        if anchor not in ANCHORS:
+            raise ValueError(f"unknown anchor {anchor!r}")
+        check = _plain(
+            {
+                "name": name,
+                "anchor": anchor,
+                "statement": ANCHORS[anchor],
+                "inputs": inputs,
+                "outputs": outputs,
+                "tolerance": tolerance,
+                "passed": bool(passed),
+            }
         )
-        self.records.append(rec)
-        return rec
+        self.checks.append(check)
+        return check
 
     @property
     def all_passed(self) -> bool:
-        return all(r.passed for r in self.records)
+        return all(c["passed"] for c in self.checks)
 
     def to_dict(self) -> dict:
         return {
             "version": self.version,
             "subcommand": self.subcommand,
             "config": _plain(self.config),
-            "checks": [
-                {
-                    "name": r.name,
-                    "anchor": r.anchor,
-                    "statement": ANCHORS[r.anchor],
-                    "inputs": r.inputs,
-                    "outputs": r.outputs,
-                    "tolerance": _plain(r.tolerance),
-                    "passed": r.passed,
-                }
-                for r in self.records
-            ],
+            "checks": self.checks,
             "passed": self.all_passed,
         }
 
@@ -140,15 +120,11 @@ def _plain(obj):
     return obj
 
 
-def write_csv(path, header: list[str], rows: list[list]):
-    """Sweep table: UTF-8, LF endings, header plus one row per point."""
+def write_csv(path, header: list[str], rows):
+    """Sweep table: UTF-8, LF endings, header plus one row per point.
+    Cells are written with str, which spells a numpy scalar as the
+    plain number."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
-
-
-def _cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+            fh.write(",".join(map(str, row)) + "\n")

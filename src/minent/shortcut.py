@@ -286,9 +286,9 @@ def _engine(model: ShortcutModel) -> _GridEngine:
 
 def turning_angle_threshold(eta: float) -> float:
     """Largest corner angle a minimizer can have where a line of cost
-    eta is available: arccos(eta)."""
-    if not (0.0 < eta < 1.0):
-        raise ValueError("eta must lie strictly between 0 and 1")
+    eta is available: arccos(eta), 0 at eta = 1."""
+    if not (0.0 < eta <= 1.0):
+        raise ValueError("eta must lie in (0, 1]")
     return math.acos(eta)
 
 

@@ -30,7 +30,7 @@ from minent.cli import (
     main,
 )
 from minent.config import ConfigError, RunConfig, load_config
-from minent.reports import ANCHORS, CheckRecord, ReportDocument, write_csv
+from minent.reports import ANCHORS, ReportDocument, write_csv
 
 
 def write_ini(tmp_path, text, name="run.ini"):
@@ -323,6 +323,9 @@ BOUND_ROWS = [
     ("shortcut", "shortcut", "extent", "6", "5.95", ""),
     ("barycenter", "run", "spread", "18", "18.000000000000004", ""),
     ("natural-map", "run", "spread", "18", "18.000000000000004", ""),
+    # 512 MiB of distance matrices: only the validator runs at the bound
+    ("entropy", "ghnet", "circle", "8192", "8193", ""),
+    ("entropy", "ghnet", "torus", "76", "77", ""),
 ]
 
 
@@ -374,14 +377,43 @@ def test_config_dict_omits_output_routing():
     assert d["etas"] == [1.0, 0.99, 0.8, 0.5]
 
 
+def readme_config_rows():
+    """(section, key, config field, default) for each row of the
+    README's config table, backticks stripped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8"
+    )
+    table = readme.split("| Section | Key | Config field | Default | Bound |\n")[1]
+    rows = []
+    for line in table.splitlines()[1:]:
+        if not line.startswith("|"):
+            break
+        rows.append(tuple(c.strip().strip("`") for c in line.split("|")[1:5]))
+    return rows
+
+
+def test_readme_config_table_matches_the_fields():
+    """The README's hand-kept table lists every INI key once, with the
+    field it sets and the default that field declares, read through the
+    parser the INI loader uses."""
+    rows = readme_config_rows()
+    fields = dataclasses.fields(RunConfig)
+    assert [row[:2] for row in rows] == [f.metadata["ini"] for f in fields]
+    echoed = RunConfig().to_dict()
+    for (section, key, name, default), f in zip(rows, fields):
+        assert name == (f.name if f.name in echoed else "—"), (section, key)
+        value = None if default == "unset" else config._PARSERS[f.type](default)
+        assert value == f.default, (section, key)
+
+
 # -- report documents ------------------------------------------------------
 
 
 def test_record_requires_known_anchor():
+    doc = ReportDocument(subcommand="t", config={})
     with pytest.raises(ValueError, match="unknown anchor"):
-        CheckRecord(
-            name="x", anchor="made-up", inputs={}, outputs={}, passed=True
-        )
+        doc.add("x", "made-up", {}, {}, True)
+    assert doc.checks == []
 
 
 def test_report_coerces_numpy_values():
@@ -457,6 +489,15 @@ def test_write_csv_format(tmp_path):
     assert text == "rho,value\n1.0,0.5\n2.0,0.25\n"
 
 
+def test_write_csv_spells_numpy_scalars_as_numbers(tmp_path):
+    # under numpy 2 the repr of np.float64(0.1) is "np.float64(0.1)"
+    path = tmp_path / "sweep.csv"
+    rows = [[np.float64(0.1), np.int64(7)], (np.float64(2.5e-17), 3)]
+    write_csv(path, ["eta", "n"], rows)
+    text = path.read_text(encoding="utf-8")
+    assert text == "eta,n\n0.1,7\n2.5e-17,3\n"
+
+
 # -- command line ----------------------------------------------------------
 
 
@@ -471,9 +512,8 @@ def test_entropy_subcommand(tmp_path, capsys):
     assert code == EXIT_OK
     doc = read_report(out, "entropy")
     assert doc["passed"] is True
-    names = [c["name"] for c in doc["checks"]]
-    assert names[0] == "config"
-    assert "profile-identities" in names
+    # the config is stated once, in the top-level block
+    assert [c["name"] for c in doc["checks"]] == ["profile-table", "profile-identities"]
     assert "out_dir" not in doc["config"]
     prof = next(c for c in doc["checks"] if c["name"] == "profile-table")
     assert prof["outputs"]["h_min"] == pytest.approx(2.0 * math.sqrt(2.0))
@@ -482,7 +522,7 @@ def test_entropy_subcommand(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         f"[{'PASS' if c['passed'] else 'FAIL'}] {c['name']} "
         + json.dumps(c["outputs"], sort_keys=True, separators=(",", ":"))
-        for c in doc["checks"][1:]
+        for c in doc["checks"]
     ] + [f"report written to {out / 'entropy_report.json'}"]
 
 
@@ -762,13 +802,15 @@ def test_override_help_names_its_ini_key():
     ids=["seed", "tol", "quad-count", "growth-rho-max", "shortcut-rho-max", "eta"],
 )
 def test_flag_lands_in_the_echoed_config(tmp_path, monkeypatch, argv, field, want):
-    # the runners record nothing here: the report holds the config echo
+    # the runners record nothing here: the report's config block echoes
+    # the resolved config, and no check restates it
     for sub in ("entropy", "barycenter", "growth", "shortcut"):
         monkeypatch.setattr(cli, f"_run_{sub}", lambda cfg, doc, csv_dir: None)
     assert main(["--out", str(tmp_path)] + argv) == EXIT_OK
     (report,) = tmp_path.glob("*_report.json")
-    (echo,) = json.loads(report.read_text(encoding="utf-8"))["checks"]
-    assert echo["outputs"] == {**RunConfig().to_dict(), field: want}
+    doc = json.loads(report.read_text(encoding="utf-8"))
+    assert doc["checks"] == []
+    assert doc["config"] == {**RunConfig().to_dict(), field: want}
 
 
 def test_config_csv_survives_a_run_without_the_flag(tmp_path):
@@ -1034,12 +1076,12 @@ def test_natural_map_subcommand(tmp_path):
     assert main(["--config", quick, "natural-map"]) == EXIT_OK
 
 
-def run_entry_in_address_space(args):
+def run_entry_in_address_space(args, mib=1536):
     """``python -m minent.cli ARGS`` in a child whose address space is
-    capped at 1.5 GiB, with one BLAS thread."""
+    capped at mib MiB, 1.5 GiB by default, with one BLAS thread."""
 
     def cap():
-        limit = 1536 * 2**20
+        limit = mib * 2**20
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     env = subprocess_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
@@ -1061,15 +1103,16 @@ def test_natural_map_memory_is_linear_in_reference_points(tmp_path):
 
 
 def test_out_of_memory_is_config_error(tmp_path):
-    # a circle the validator accepts whose 20000 x 20000 distance matrix
-    # (2.98 GiB) does not fit a 1.5 GB address space
-    ini = write_ini(tmp_path, "[ghnet]\ncircle = 20000\n")
+    # the largest circle the validator accepts: its 8192 x 8192 distance
+    # matrix is the whole 512 MiB budget, so it cannot fit an address
+    # space of 512 MiB next to the interpreter and its libraries
+    ini = write_ini(tmp_path, "[ghnet]\ncircle = 8192\n")
     args = ["--config", ini, "--out", str(tmp_path), "ghnet"]
-    out = run_entry_in_address_space(args)
+    out = run_entry_in_address_space(args, mib=512)
     assert out.returncode == EXIT_CONFIG, out.stderr[-2000:]
     (line,) = out.stderr.splitlines()
     assert line.startswith("config error: out of memory: ")
-    assert "(20000, 20000)" in line
+    assert "(8192, 8192)" in line
 
 
 @pytest.mark.parametrize("sub", ["barycenter", "natural-map"])

@@ -366,6 +366,25 @@ def test_space_validation_peaks_near_one_matrix():
     assert peak <= 1.3 * d.nbytes
 
 
+@pytest.mark.parametrize(
+    "build,points,matrices",
+    [(lambda: circle_space(1024), 1024, 1), (lambda: torus_grid_space(24, 24), 576, 2)],
+    ids=["circle-1024", "torus-24"],
+)
+def test_sample_space_build_peaks_at_its_matrices(build, points, matrices):
+    # the model [ghnet] circle and torus are bounded by: 8 B for each
+    # entry of the N x N matrices held at once, plus one _FOLD_ROWS block
+    # (measured 1.0636 x the matrix at circle 1024, 2.1132 x at torus 24)
+    model = 8 * matrices * points**2
+    tracemalloc.start()
+    try:
+        build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model <= peak <= model + 8 * ghkit._FOLD_ROWS * points + 2**16
+
+
 def test_space_rejects_bad_weights():
     d = two_point_space(1.0).dist
     with pytest.raises(ValueError, match="probability"):

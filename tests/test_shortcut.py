@@ -2,7 +2,10 @@
 metric, the diagonal region, growth sweeps, and branching minimizers."""
 
 import dataclasses
+import inspect
+import json
 import math
+import textwrap
 import tracemalloc
 import warnings
 
@@ -10,6 +13,8 @@ import numpy as np
 import pytest
 from scipy.sparse import SparseEfficiencyWarning, csr_matrix
 
+from minent import shortcut
+from minent.cli import EXIT_CHECK, main
 from minent.products import _fit_slope, entropy_growth_numeric
 from minent.shortcut import (
     ANGULAR_RESOLUTION,
@@ -180,8 +185,12 @@ def test_threshold_vanishes_near_one():
 
 @pytest.mark.parametrize("eta", [0.0, 1.0, 1.1, -0.2])
 def test_threshold_domain(eta):
-    with pytest.raises(ValueError):
-        turning_angle_threshold(eta)
+    # eta lies in (0, 1]; at eta = 1 no line is cheaper, and arccos(1) = 0
+    if eta == 1.0:
+        assert turning_angle_threshold(eta) == 0.0
+    else:
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            turning_angle_threshold(eta)
 
 
 # -- shortcut witness ------------------------------------------------------
@@ -709,7 +718,6 @@ def test_growth_sweep_stops_at_its_reach(monkeypatch, eta, side):
     to 14 / sqrt(eta) only: 281, 282 and 314 of the 361 per side at eta
     1, 0.99 and 0.8, and all of them at 0.5.  No node past that square
     is within 14 on the full grid."""
-    import minent.shortcut as shortcut
 
     model = ShortcutModel(eta=eta, **WIDE)
     closed_form = shortcut.reduced_distance
@@ -870,3 +878,73 @@ def test_branching_inconclusive_at_full_cost():
 def test_branching_inconclusive_far_from_segment():
     rep = branching_geodesic_demo(ShortcutModel(eta=0.5), (3.0, 5.0), (3.2, 5.2))
     assert not rep.used
+
+
+# -- defect table ----------------------------------------------------------
+
+# One plausible defect per row, planted as a one-line edit of a library
+# function's source: the default `shortcut` run must record the named
+# check as FAIL and exit 1.  No row is given for the cheap grid edges
+# priced at eta d instead of sqrt(eta) d: that makes the grid cheaper,
+# and metric-spot's cheap spot only asks the grid to save at least what
+# the closed form saves, so the run still passes.
+SHORTCUT_DEFECTS = [
+    # the witness exists from the squared cost on
+    ("witness", "shorter_path_witness", "if ca >= eta:", "if ca >= math.sqrt(eta):"),
+    # the threshold table as arcsin(eta)
+    ("witness", "turning_angle_threshold", "math.acos(eta)", "math.asin(eta)"),
+    # every stencil move priced at its infinity norm
+    (
+        "metric-spot",
+        "_stencil",
+        "spacing * math.hypot(dx, dy)",
+        "spacing * max(abs(dx), abs(dy))",
+    ),
+    # a corner path that runs backwards along the segment still counts
+    (
+        "region",
+        "reduced_distance",
+        "np.where(v > u, np.minimum(straight, corner), straight)",
+        "np.minimum(straight, corner)",
+    ),
+    # the density sinh^n instead of sinh^(n - 1) in each factor
+    (
+        "growth-sweep",
+        "eta_entropy_estimate",
+        "(model.n - 1) * np.log",
+        "model.n * np.log",
+    ),
+    # the pair projected onto the segment's line instead of reflected
+    ("branching", "branching_geodesic_demo", "x - 2.0 * float", "x - float"),
+]
+
+
+@pytest.mark.parametrize(
+    "record,name,old,new",
+    SHORTCUT_DEFECTS,
+    ids=[
+        "witness-sqrt-cost",
+        "threshold-arcsin",
+        "metric-spot-chebyshev-moves",
+        "region-backward-corner",
+        "growth-sweep-density-exponent",
+        "branching-projection",
+    ],
+)
+def test_shortcut_record_catches_its_defect(
+    tmp_path, monkeypatch, record, name, old, new
+):
+    source = textwrap.dedent(inspect.getsource(getattr(shortcut, name)))
+    assert source.count(old) == 1
+    namespace = {}
+    exec(compile(source.replace(old, new), name, "exec"), vars(shortcut), namespace)
+    monkeypatch.setattr(shortcut, name, namespace[name])
+    _engine.cache_clear()  # fields found before the defect was planted
+    try:
+        code = main(["--out", str(tmp_path), "shortcut"])
+    finally:
+        _engine.cache_clear()  # and the ones found under it
+    report = (tmp_path / "shortcut_report.json").read_text(encoding="utf-8")
+    passed = {c["name"]: c["passed"] for c in json.loads(report)["checks"]}
+    assert passed[record] is False
+    assert code == EXIT_CHECK
