@@ -335,9 +335,12 @@ def _run_shortcut(cfg: RunConfig, doc: ReportDocument, csv_dir):
         a, b = base.snap((2.5, 1.0)), base.snap((5.5, 1.0))
         d_cheap = d_eta_reduced(base, a, b)
         straight = float(reduced_distance(plain, a, b))
+        closed = float(reduced_distance(base, a, b))
         margin = straight - d_cheap
-        want = (straight - float(reduced_distance(base, a, b))) * (1 - slack)
-        spot_ok = spot_ok and margin >= want
+        want = (straight - closed) * (1 - slack)
+        # the grid saves what the closed form saves, up to the slack, and
+        # never more
+        spot_ok = spot_ok and margin >= want and d_cheap >= closed - 1e-12
     doc.add(
         "metric-spot",
         "shortcut-metric",
@@ -380,10 +383,12 @@ def _run_shortcut(cfg: RunConfig, doc: ReportDocument, csv_dir):
         )
         estimates[eta] = eta_entropy_estimate(model, cfg.sc_rho_lo, cfg.sc_rho_hi)
     slopes = {eta: est.slope for eta, est in estimates.items()}
-    # a cheaper shortcut never slows growth: etas ascend, slopes descend
+    # a cheaper shortcut never slows growth: etas ascend, slopes descend,
+    # and over the whole sweep they do fall
     mono_ok = all(
         slopes[lo] >= slopes[hi] - 1e-9 for lo, hi in zip(etas, etas[1:])
     )
+    falls = len(etas) < 2 or slopes[etas[0]] > slopes[etas[-1]] + 1e-9
     target = 2.0 * math.sqrt(2.0)
     band_ok = 1.0 not in slopes or abs(slopes[1.0] - target) <= 0.08
     doc.add(
@@ -391,7 +396,7 @@ def _run_shortcut(cfg: RunConfig, doc: ReportDocument, csv_dir):
         "shortcut-growth",
         {"etas": etas, "rho": [cfg.sc_rho_lo, cfg.sc_rho_hi]},
         {"slopes": {str(e): s for e, s in slopes.items()}, "monotone": mono_ok},
-        mono_ok and band_ok,
+        mono_ok and falls and band_ok,
     )
     if csv_dir:
         write_csv(

@@ -132,19 +132,15 @@ class RunConfig:
             raise ConfigError("[ghnet] circle must be at least 16")
         if self.gh_torus < 4:
             raise ConfigError("[ghnet] torus must be at least 4")
-        # a sample space's build holds its N x N float64 distance
-        # matrices at once, the circle's one (N = circle) and the torus's
-        # dx and dy (N = torus^2), plus a block of 64 rows: the node
-        # arrays' 512 MiB budget admits circle 8192 and torus 76
-        for key, points, matrices in (
-            ("circle", self.gh_circle, 1),
-            ("torus", self.gh_torus**2, 2),
-        ):
-            if 8 * matrices * points**2 > 2**29:
+        # a sample space's build holds its N x N float64 distance matrix
+        # (N = circle, or torus^2) plus two blocks of 64 rows: the node
+        # arrays' 512 MiB budget admits circle 8192 and torus 90
+        for key, points in (("circle", self.gh_circle), ("torus", self.gh_torus**2)):
+            if 8 * points**2 > 2**29:
                 raise ConfigError(
-                    f"[ghnet] {key}: the distance matrices of {points} points "
-                    f"take {8 * matrices * points**2 / 2**20:.1f} MiB, over "
-                    "the 512 MiB budget"
+                    f"[ghnet] {key}: the distance matrix of {points} points "
+                    f"takes {8 * points**2 / 2**20:.1f} MiB, over the 512 MiB "
+                    "budget"
                 )
         return self
 

@@ -43,7 +43,7 @@ __all__ = [
 _EXACT_CAP = 9
 # candidate routes per point in measure_compare's first restricted LP
 _ROUTES = 16
-# rows per scratch chunk of the sample spaces' in-place folds
+# rows per block of the sample spaces' folded gaps
 _FOLD_ROWS = 64
 # row and column blocks of the triangle check and the symmetry pass
 _CHECK_ROWS = 16
@@ -612,7 +612,7 @@ def circle_space(n: int) -> FiniteMetricSpace:
     if n < 1:
         raise ValueError("need n >= 1 points")
     ang = 2.0 * math.pi * np.arange(n) / n
-    return FiniteMetricSpace._trusted(_folded_gaps(ang, 2.0 * math.pi))
+    return FiniteMetricSpace._trusted(_folded_gaps(2.0 * math.pi, ang))
 
 
 def torus_grid_space(a: int, b: int) -> FiniteMetricSpace:
@@ -621,21 +621,33 @@ def torus_grid_space(a: int, b: int) -> FiniteMetricSpace:
     if a < 1 or b < 1:
         raise ValueError("need a, b >= 1")
     # node i * b + j sits at (i / a, j / b)
-    dx = _folded_gaps(np.repeat(np.arange(a) / a, b), 1.0)
-    dy = _folded_gaps(np.tile(np.arange(b) / b, a), 1.0)
-    return FiniteMetricSpace._trusted(np.hypot(dx, dy, out=dx))
+    x = np.repeat(np.arange(a) / a, b)
+    y = np.tile(np.arange(b) / b, a)
+    return FiniteMetricSpace._trusted(_folded_gaps(1.0, x, y))
 
 
-def _folded_gaps(x: np.ndarray, period: float) -> np.ndarray:
-    """The matrix min(g, period - g) with g = |x_i - x_j|, built in
-    place: besides the result, only one chunk of _FOLD_ROWS rows is
-    allocated."""
-    g = np.subtract.outer(x, x)
+def _folded_gaps(
+    period: float, x: np.ndarray, y: np.ndarray | None = None
+) -> np.ndarray:
+    """The matrix of folded gaps min(g, period - g), g = |x_i - x_j|, or
+    with a second axis y the hypot of the x and y gaps.  Built one block
+    of _FOLD_ROWS rows at a time: besides the result, at most two blocks
+    of that many rows are allocated at once."""
+    d = np.empty((len(x), len(x)))
+    for r in range(0, len(x), _FOLD_ROWS):
+        rows = _fold(x[r : r + _FOLD_ROWS], x, period, out=d[r : r + _FOLD_ROWS])
+        if y is not None:
+            # the y block is a temporary, freed before the next is made
+            np.hypot(rows, _fold(y[r : r + _FOLD_ROWS], y, period), out=rows)
+    return d
+
+
+def _fold(rows: np.ndarray, x: np.ndarray, period: float, out=None) -> np.ndarray:
+    """The block min(g, period - g), g = |rows_i - x_j|, written into out
+    when given."""
+    g = np.subtract.outer(rows, x, out=out)
     np.abs(g, out=g)
-    for r in range(0, len(g), _FOLD_ROWS):
-        rows = g[r : r + _FOLD_ROWS]
-        np.minimum(rows, period - rows, out=rows)
-    return g
+    return np.minimum(g, period - g, out=g)
 
 
 def random_tree_space(n: int, seed: int = 0) -> FiniteMetricSpace:

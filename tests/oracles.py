@@ -7,8 +7,9 @@ frame, and the per-point sphere map checks the natural map's closed
 form.
 The radial-box grid and the Monte Carlo rays check the product growth
 recursion.  Grid coordinates and turning angles read shortcut grid
-paths.  The all-pairs Chebyshev test checks the triangle check, and the
-chord-metric circle and restricted spaces are metric-space test inputs.
+paths.  The all-pairs Chebyshev test checks the triangle check, the
+two-matrix torus build checks the blocked one, and the chord-metric
+circle and restricted spaces are metric-space test inputs.
 """
 
 from __future__ import annotations
@@ -340,6 +341,17 @@ def chebyshev_rejects(d: np.ndarray) -> bool:
     gap = pdist(d, "chebyshev")
     gap -= squareform(d, checks=False)
     return bool(gap.max() > 1e-9)
+
+
+def torus_two_matrix(a: int, b: int) -> np.ndarray:
+    """The a x b flat-torus grid's distance matrix built whole, one
+    N x N matrix of folded gaps per axis, then their hypot."""
+    px, py = np.meshgrid(np.arange(a) / a, np.arange(b) / b, indexing="ij")
+    gaps = []
+    for x in (px.ravel(), py.ravel()):
+        g = np.abs(np.subtract.outer(x, x))
+        gaps.append(np.minimum(g, 1.0 - g))
+    return np.hypot(*gaps)
 
 
 def chord_circle(n: int) -> FiniteMetricSpace:

@@ -323,9 +323,9 @@ BOUND_ROWS = [
     ("shortcut", "shortcut", "extent", "6", "5.95", ""),
     ("barycenter", "run", "spread", "18", "18.000000000000004", ""),
     ("natural-map", "run", "spread", "18", "18.000000000000004", ""),
-    # 512 MiB of distance matrices: only the validator runs at the bound
+    # a 512 MiB distance matrix: only the validator runs at the bound
     ("entropy", "ghnet", "circle", "8192", "8193", ""),
-    ("entropy", "ghnet", "torus", "76", "77", ""),
+    ("entropy", "ghnet", "torus", "90", "91", ""),
 ]
 
 

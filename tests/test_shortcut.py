@@ -884,10 +884,7 @@ def test_branching_inconclusive_far_from_segment():
 
 # One plausible defect per row, planted as a one-line edit of a library
 # function's source: the default `shortcut` run must record the named
-# check as FAIL and exit 1.  No row is given for the cheap grid edges
-# priced at eta d instead of sqrt(eta) d: that makes the grid cheaper,
-# and metric-spot's cheap spot only asks the grid to save at least what
-# the closed form saves, so the run still passes.
+# check as FAIL and exit 1.
 SHORTCUT_DEFECTS = [
     # the witness exists from the squared cost on
     ("witness", "shorter_path_witness", "if ca >= eta:", "if ca >= math.sqrt(eta):"),
@@ -900,6 +897,9 @@ SHORTCUT_DEFECTS = [
         "spacing * math.hypot(dx, dy)",
         "spacing * max(abs(dx), abs(dy))",
     ),
+    # cheap grid edges priced at eta d instead of sqrt(eta) d: the grid
+    # saves more than the closed form
+    ("metric-spot", "_GridEngine", "math.sqrt(model.eta) * (", "model.eta * ("),
     # a corner path that runs backwards along the segment still counts
     (
         "region",
@@ -914,6 +914,8 @@ SHORTCUT_DEFECTS = [
         "(model.n - 1) * np.log",
         "model.n * np.log",
     ),
+    # the closed form ignores the segment: every eta grows at the plain rate
+    ("growth-sweep", "reduced_distance", "if model.eta >= 1.0:", "if True:"),
     # the pair projected onto the segment's line instead of reflected
     ("branching", "branching_geodesic_demo", "x - 2.0 * float", "x - float"),
 ]
@@ -926,8 +928,10 @@ SHORTCUT_DEFECTS = [
         "witness-sqrt-cost",
         "threshold-arcsin",
         "metric-spot-chebyshev-moves",
+        "metric-spot-eta-cheap-edges",
         "region-backward-corner",
         "growth-sweep-density-exponent",
+        "growth-sweep-closed-form-without-segment",
         "branching-projection",
     ],
 )
