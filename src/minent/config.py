@@ -2,6 +2,7 @@
 
 Each field declares its INI section and key; the key map, the value
 parsers (by annotation) and the report echo follow from the fields.
+What the fields determine, each factor's entropy, is derived.
 Every numeric field is validated against the preconditions of the
 operation it feeds, with the section and key named in the error.
 """
@@ -27,7 +28,6 @@ def _key(section: str, key: str, default):
 @dataclass
 class RunConfig:
     dims: tuple[int, ...] = _key("profile", "dims", (3, 3))
-    entropies: tuple[float, ...] = _key("profile", "entropies", (2.0, 2.0))
     quad_count: int = _key("quadrature", "count", 1000)
     seed: int = _key("run", "seed", 0)
     n_atoms: int = _key("run", "n_atoms", 4)
@@ -39,7 +39,6 @@ class RunConfig:
     rho_lo: float = _key("growth", "rho_lo", 8.0)
     rho_hi: float = _key("growth", "rho_hi", 16.0)
     grid_step: float = _key("growth", "grid_step", 0.05)
-    slope_band: float = _key("growth", "slope_band", 0.08)
     etas: tuple[float, ...] = _key("shortcut", "etas", (1.0, 0.99, 0.8, 0.5))
     sc_spacing: float = _key("shortcut", "spacing", 0.05)
     sc_extent: float = _key("shortcut", "extent", 18.0)
@@ -52,18 +51,19 @@ class RunConfig:
     out_dir: str | None = _key("output", "dir", None)
     write_csv: bool = _key("output", "csv", False)
 
+    @property
+    def entropies(self) -> tuple[float, ...]:
+        """Each factor's volume entropy: H^n at curvature -1 has h = n - 1."""
+        return tuple(float(d - 1) for d in self.dims)
+
     def validate(self):
         for f in fields(self):
             values = getattr(self, f.name)
             values = (values,) if f.type == "float" else values
             if "float" in f.type and not all(map(math.isfinite, values)):
                 raise ConfigError("[{}] {} must be finite".format(*f.metadata["ini"]))
-        if len(self.dims) != len(self.entropies) or not self.dims:
-            raise ConfigError("[profile] dims and entropies must match")
-        if any(d < 3 for d in self.dims):
-            raise ConfigError("[profile] dims: factors need dimension >= 3")
-        if any(h <= 0 for h in self.entropies):
-            raise ConfigError("[profile] entropies must be positive")
+        if not self.dims or any(d < 3 for d in self.dims):
+            raise ConfigError("[profile] dims: need factors, each of dimension >= 3")
         if self.quad_count.bit_length() <= max(self.dims):
             # the boundary rule of order 2 on S^(m-1), exact through
             # degree 3, has 2^m nodes

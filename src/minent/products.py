@@ -84,7 +84,10 @@ class ScalingProfile:
         weighted = float(np.sum(dims * scaled**2))
         return {
             "entropy_identity_error": abs(float(np.sum(scaled**2)) - self.h_min**2),
-            "volume_normalization_error": abs(float(np.prod(alpha**dims)) - 1.0),
+            # from sum n_i log alpha_i: alpha_i^n_i alone can overflow
+            "volume_normalization_error": abs(
+                float(np.exp(np.sum(dims * np.log(alpha)))) - 1.0
+            ),
             "dimension_weighted_sum": weighted,
             "dimension_weighted_ratio": weighted / (self.n * self.h_min**2),
         }
@@ -119,9 +122,10 @@ def min_entropy_profile(dims, entropies) -> ScalingProfile:
         gm_factor=h_min**2 / (4.0 * n),
     )
     report = profile.consistency_report()
-    if report["entropy_identity_error"] > 1e-9 * max(1.0, h_min**2):
+    # a NaN error fails these too
+    if not report["entropy_identity_error"] <= 1e-9 * max(1.0, h_min**2):
         raise AssertionError("scaled entropies do not recombine to h_min")
-    if report["volume_normalization_error"] > 1e-9:
+    if not report["volume_normalization_error"] <= 1e-9:
         raise AssertionError("profile does not preserve the normalized volume")
     return profile
 

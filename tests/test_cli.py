@@ -68,7 +68,6 @@ def test_ini_sections_map_to_fields(tmp_path):
         """
 [profile]
 dims = 3 4
-entropies = 2.0, 3.0
 
 [quadrature]
 count = 400
@@ -102,14 +101,13 @@ csv = yes
 
 
 def test_ini_sets_every_key(tmp_path):
-    """Each of the 25 keys, set to a valid non-default value, lands in
+    """Each of the 23 keys, set to a valid non-default value, lands in
     exactly its field."""
     path = write_ini(
         tmp_path,
         f"""
 [profile]
 dims = 3 4
-entropies = 2.0, 3.0
 [quadrature]
 count = 400
 [run]
@@ -125,7 +123,6 @@ max_iter = 50
 rho_lo = 6
 rho_hi = 12
 grid_step = 0.04
-slope_band = 0.1
 [shortcut]
 etas = 1.0 0.9
 spacing = 0.04
@@ -144,7 +141,6 @@ csv = yes
     )
     want = dict(
         dims=(3, 4),
-        entropies=(2.0, 3.0),
         quad_count=400,
         seed=5,
         n_atoms=3,
@@ -156,7 +152,6 @@ csv = yes
         rho_lo=6.0,
         rho_hi=12.0,
         grid_step=0.04,
-        slope_band=0.1,
         etas=(1.0, 0.9),
         sc_spacing=0.04,
         sc_extent=12.0,
@@ -179,7 +174,7 @@ csv = yes
 def test_every_field_declares_one_ini_key():
     keys = [f.metadata["ini"] for f in dataclasses.fields(RunConfig)]
     assert all(len(k) == 2 for k in keys)
-    assert len(set(keys)) == len(keys) == 25
+    assert len(set(keys)) == len(keys) == 23
     assert {f.type for f in dataclasses.fields(RunConfig)} <= set(config._PARSERS)
 
 
@@ -267,8 +262,8 @@ def test_ini_malformed_file_is_config_error(tmp_path, capsys, text):
 @pytest.mark.parametrize(
     "field,value,section",
     [
-        ("dims", (3,), "[profile]"),
-        ("entropies", (2.0, -1.0), "[profile]"),
+        ("dims", (), "[profile]"),
+        ("etas", (1.0, 1.5), "[shortcut]"),
         ("quad_count", 7, "[quadrature]"),
         ("dims", (3, 10), "[quadrature] count"),  # 1000 < 2^10
         ("seed", -1, "[run]"),
@@ -285,13 +280,13 @@ def test_ini_malformed_file_is_config_error(tmp_path, capsys, text):
         ("region_c", 0.0, "[shortcut]"),
         ("gh_eps", -0.1, "[ghnet]"),
         ("gh_circle", 4, "[ghnet]"),
-        ("entropies", (math.nan, 2.0), "[profile]"),
+        ("grid_step", math.nan, "[growth]"),
         ("spread", math.nan, "[run]"),
         ("n_atoms", 0, "[run]"),
         ("draws", 0, "[run]"),
         ("bcg_count", 0, "[run]"),
         ("rho_hi", math.inf, "[growth]"),
-        ("slope_band", math.nan, "[growth]"),
+        ("rho_lo", math.nan, "[growth]"),
         ("region_c", math.nan, "[shortcut]"),
         ("gh_eps", math.nan, "[ghnet]"),
         ("dims", (2, 3), "[profile]"),
@@ -314,7 +309,7 @@ BOUND_ROWS = [
     ("growth", "growth", "grid_step", "0.1", "0.10000000000000002", ""),
     ("barycenter", "quadrature", "count", "8", "7", ""),
     ("barycenter", "quadrature", "count", "32", "31",
-     "[profile]\ndims = 3 5\nentropies = 2 4\n"),
+     "[profile]\ndims = 3 5\n"),
     # 61952 B of nodes per atom at 968 nodes per factor: only the validator
     # runs at the 512 MiB bound
     ("entropy", "run", "n_atoms", "8665", "8666", ""),
@@ -355,12 +350,23 @@ def test_validator_bounds_match_the_library(
     assert f"[{section}] {key}" in capsys.readouterr().err
 
 
-def test_quadrature_scheme_is_an_unknown_key(tmp_path, capsys):
-    # one deterministic rule serves every factor dimension
-    path = write_ini(tmp_path, "[quadrature]\nscheme = monte-carlo\n")
+@pytest.mark.parametrize(
+    "section,key,value",
+    [
+        # one deterministic rule serves every factor dimension
+        ("quadrature", "scheme", "monte-carlo"),
+        # each factor's entropy follows from its dimension
+        ("profile", "entropies", "2.0 2.0"),
+        # both growth bands are the fixed SLOPE_BAND
+        ("growth", "slope_band", "0.1"),
+    ],
+    ids=["quadrature-scheme", "profile-entropies", "growth-slope_band"],
+)
+def test_removed_key_is_an_unknown_key(tmp_path, capsys, section, key, value):
+    path = write_ini(tmp_path, f"[{section}]\n{key} = {value}\n")
     assert main(["--config", path, "--out", str(tmp_path), "barycenter"]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "[quadrature] scheme: unknown key" in err and "Traceback" not in err
+    assert f"[{section}] {key}: unknown key" in err and "Traceback" not in err
 
 
 def test_shortcut_grid_bound_admits_side_1001():
@@ -377,13 +383,16 @@ def test_config_dict_omits_output_routing():
     assert d["etas"] == [1.0, 0.99, 0.8, 0.5]
 
 
+def readme_text():
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8"
+    )
+
+
 def readme_config_rows():
     """(section, key, config field, default) for each row of the
     README's config table, backticks stripped."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
-        encoding="utf-8"
-    )
-    table = readme.split("| Section | Key | Config field | Default | Bound |\n")[1]
+    table = readme_text().split("| Section | Key | Config field | Default | Bound |\n")[1]
     rows = []
     for line in table.splitlines()[1:]:
         if not line.startswith("|"):
@@ -404,6 +413,39 @@ def test_readme_config_table_matches_the_fields():
         assert name == (f.name if f.name in echoed else "—"), (section, key)
         value = None if default == "unset" else config._PARSERS[f.type](default)
         assert value == f.default, (section, key)
+
+
+def test_readme_example_ini_loads(tmp_path):
+    """The README's example config file is one the loader accepts."""
+    example = readme_text().split("Config files use INI sections")[1]
+    text = example.split("```ini\n")[1].split("```")[0]
+    cfg = load_config(write_ini(tmp_path, text))
+    assert cfg.dims == (3, 3)
+    assert cfg.etas == (1.0, 0.99, 0.9)
+    assert cfg.write_csv is True
+
+
+def test_every_runner_reads_the_derived_entropies(tmp_path, monkeypatch):
+    """The profile, the growth target and both barycenter campaigns read
+    each factor's entropy from RunConfig.entropies: planted as n rather
+    than n - 1 there, the growth target and the Jacobian bound miss."""
+    monkeypatch.setattr(
+        RunConfig, "entropies", property(lambda self: tuple(float(d) for d in self.dims))
+    )
+    h_min = 3.0 * math.sqrt(2.0)
+    assert main(["--out", str(tmp_path), "entropy"]) == EXIT_OK
+    table = read_report(tmp_path, "entropy")["checks"][0]
+    assert table["inputs"]["entropies"] == [3.0, 3.0]
+    assert table["outputs"]["h_min"] == pytest.approx(h_min, rel=1e-15)
+    assert main(["--out", str(tmp_path), "growth"]) == EXIT_CHECK
+    (growth,) = read_report(tmp_path, "growth")["checks"]
+    assert growth["outputs"]["target"] == pytest.approx(h_min, rel=1e-15)
+    assert main(["--out", str(tmp_path), "barycenter"]) == EXIT_CHECK
+    checks = {c["name"]: c for c in read_report(tmp_path, "barycenter")["checks"]}
+    assert checks["jacobian"]["passed"] is False
+    assert main(["--out", str(tmp_path), "natural-map"]) == EXIT_OK
+    energy = read_report(tmp_path, "natural-map")["checks"][0]
+    assert energy["inputs"]["c"] == pytest.approx(1.1 * h_min, rel=1e-15)
 
 
 # -- report documents ------------------------------------------------------
@@ -527,12 +569,15 @@ def test_entropy_subcommand(tmp_path, capsys):
 
 
 def test_entropy_mixed_profile(tmp_path):
-    cfgp = write_ini(tmp_path, "[profile]\ndims = 3 4\nentropies = 2 3\n")
+    cfgp = write_ini(tmp_path, "[profile]\ndims = 3 4\n")
     out = tmp_path / "out"
     code = main(["--config", cfgp, "--out", str(out), "entropy"])
     assert code == EXIT_OK
     doc = read_report(out, "entropy")
     assert doc["config"]["dims"] == [3, 4]
+    # each factor's entropy is n - 1, derived and not echoed
+    assert "entropies" not in doc["config"]
+    assert doc["checks"][0]["inputs"]["entropies"] == [2.0, 3.0]
 
 
 def test_json_flag_prints_document(capsys):
@@ -751,7 +796,7 @@ def test_unwritable_output_is_config_error(tmp_path, capsys, blocked):
 
 
 def test_config_error_exit_code(tmp_path, capsys):
-    bad = write_ini(tmp_path, "[profile]\ndims = 3\nentropies = 2 2\n")
+    bad = write_ini(tmp_path, "[profile]\ndims = 2\n")
     assert main(["--config", bad, "entropy"]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert main(["--config", str(tmp_path / "ghost.ini"), "entropy"]) == EXIT_CONFIG
@@ -907,9 +952,11 @@ def test_growth_csv_and_band_failure(tmp_path, capsys):
     float(rho), float(lv)
     capsys.readouterr()
 
-    tight = write_ini(tmp_path, "[growth]\nslope_band = 0.001\n")
+    # a window this near the origin misses the band: measured slope
+    # 3.17337 against 2 sqrt 2
+    near = write_ini(tmp_path, "[growth]\nrho_lo = 2\nrho_hi = 4\n")
     out2 = tmp_path / "out2"
-    code = main(["--config", tight, "--out", str(out2), "growth"])
+    code = main(["--config", near, "--out", str(out2), "growth"])
     assert code == EXIT_CHECK
     doc = read_report(out2, "growth")
     assert doc["passed"] is False
@@ -919,7 +966,7 @@ def test_growth_csv_and_band_failure(tmp_path, capsys):
 def test_growth_below_first_shell_is_config_error(tmp_path, capsys):
     ini = write_ini(
         tmp_path,
-        "[profile]\ndims = 3\nentropies = 2.0\n"
+        "[profile]\ndims = 3\n"
         "[growth]\nrho_lo = 0.01\nrho_hi = 2.0\n",
     )
     assert main(["--config", ini, "growth"]) == EXIT_CONFIG
@@ -937,11 +984,7 @@ def test_growth_rho_max_override(tmp_path):
 def test_growth_many_factors_pass_the_band(tmp_path, capsys, k):
     # with ((k - 1)/2) log rho removed the slope meets the entropy inside
     # the unchanged 0.08 band: measured gaps +0.0048, +0.0115 and +0.0361
-    ini = write_ini(
-        tmp_path,
-        f"[profile]\ndims = {' '.join(['3'] * k)}\n"
-        f"entropies = {' '.join(['2'] * k)}\n",
-    )
+    ini = write_ini(tmp_path, f"[profile]\ndims = {' '.join(['3'] * k)}\n")
     out = tmp_path / "out"
     assert main(["--config", ini, "--out", str(out), "growth"]) == EXIT_OK
     rec = {c["name"]: c for c in read_report(out, "growth")["checks"]}["growth-slope"]

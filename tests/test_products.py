@@ -2,7 +2,10 @@
 numeric volume-growth entropy with its closed-form, grid and Monte Carlo
 oracles."""
 
+import inspect
+import json
 import math
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -10,9 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minent import products
+from minent.cli import EXIT_CHECK, main
 from minent.hyperbolic import random_point
 from minent.products import (
     ProductPoint,
+    ScalingProfile,
     _fit_slope,
     entropy_growth_numeric,
     min_entropy_profile,
@@ -63,6 +69,24 @@ def test_profile_identities_tiny():
         rep = min_entropy_profile(dims, ents).consistency_report()
         assert rep["entropy_identity_error"] < 1e-12
         assert rep["volume_normalization_error"] < 1e-12
+
+
+def test_profile_identities_far_apart_entropies():
+    # alpha_1^3 overflows a float here; sum n_i log alpha_i does not
+    rep = min_entropy_profile((3, 3), (1e300, 2.0)).consistency_report()
+    assert rep["volume_normalization_error"] < 1e-12
+
+
+@pytest.mark.parametrize(
+    "key", ["entropy_identity_error", "volume_normalization_error"]
+)
+def test_nan_identity_error_fails_the_profile(monkeypatch, key):
+    report = ScalingProfile.consistency_report
+    monkeypatch.setattr(
+        ScalingProfile, "consistency_report", lambda self: {**report(self), key: math.nan}
+    )
+    with pytest.raises(AssertionError):
+        min_entropy_profile((3, 3), (2.0, 2.0))
 
 
 def test_low_dimension_rejected_unless_forced():
@@ -225,3 +249,44 @@ def test_growth_input_validation():
         for radius_hi in (2.0, 0.1, 0.2):
             with pytest.raises(ValueError, match="first occupied cell"):
                 entropy_growth_numeric(dims, 0.01, radius_hi)
+
+
+# -- planted defects -------------------------------------------------------
+
+# One planted edit per row, each of which the default growth-slope record
+# must FAIL (exit 1), with the slope measured under it.  Edits in
+# min_entropy_profile's closed forms that break an identity stop the
+# entropy subcommand at its own assertion (exit 3) instead.
+GROWTH_DEFECTS = [
+    # the density sinh^n instead of sinh^(n - 1) in each factor: 4.24342
+    ("entropy_growth_numeric", "(d - 1) * log_sinh", "d * log_sinh"),
+    # the rank prefactor added to log V instead of removed: 2.91523
+    ("_fit_slope", "logv - prefactor", "logv + prefactor"),
+    # each shell read at the ball's radius, not at sqrt(R^2 - r^2): -0.04270
+    ("_log_shell_sum", "s2 = R * R - r * r", "s2 = R * R"),
+    # the table read at twice its spacing: 2.25721
+    ("_log_shell_sum", "/ step", "/ (2 * step)"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,old,new",
+    GROWTH_DEFECTS,
+    ids=[
+        "density-exponent",
+        "prefactor-sign",
+        "shell-radius",
+        "table-spacing",
+    ],
+)
+def test_growth_record_catches_its_defect(tmp_path, monkeypatch, name, old, new):
+    source = textwrap.dedent(inspect.getsource(getattr(products, name)))
+    assert source.count(old) == 1
+    namespace = {}
+    exec(compile(source.replace(old, new), name, "exec"), vars(products), namespace)
+    monkeypatch.setattr(products, name, namespace[name])
+    code = main(["--out", str(tmp_path), "growth"])
+    report = (tmp_path / "growth_report.json").read_text(encoding="utf-8")
+    (record,) = json.loads(report)["checks"]
+    assert record["name"] == "growth-slope" and record["passed"] is False
+    assert code == EXIT_CHECK
