@@ -482,7 +482,7 @@ def _run_ghnet(cfg: RunConfig, doc: ReportDocument, csv_dir):
 
     s = 1.0
     eq = FiniteMetricSpace(s * (np.ones((3, 3)) - np.eye(3)), np.full(3, 1 / 3))
-    pt = FiniteMetricSpace(eq.dist, np.array([1.0, 0.0, 0.0]))
+    pt = eq.with_weights(np.array([1.0, 0.0, 0.0]))
     disc = measure_compare(eq, pt)
     doc.add(
         "measure-equilateral",

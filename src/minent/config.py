@@ -103,6 +103,8 @@ class RunConfig:
             raise ConfigError("[growth] need 0 < rho_lo < rho_hi")
         if not (0 < self.grid_step <= 0.1):
             raise ConfigError("[growth] grid_step must lie in (0, 0.1]")
+        if not self.etas:
+            raise ConfigError("[shortcut] etas: need at least one eta")
         if any(not 0 < e <= 1 for e in self.etas):
             raise ConfigError("[shortcut] etas must lie in (0, 1]")
         if not (0 < self.sc_spacing <= 0.05):

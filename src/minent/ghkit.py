@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 from scipy.spatial.distance import cdist
@@ -109,12 +108,13 @@ class FiniteMetricSpace:
                         f"({p}, {q}): excess {gap.max()}"
                     )
         object.__setattr__(self, "dist", d)
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float)
-            # written so that NaN weights fail it too
-            if w.shape != (n,) or not (w.min() >= 0 and abs(w.sum() - 1.0) <= 1e-9):
-                raise ValueError("weights must be a probability vector")
-            object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _probability(self.weights, n))
+
+    def with_weights(self, weights) -> FiniteMetricSpace:
+        """This space's matrix with new weights.  The weights are checked
+        as the constructor checks them; the matrix, checked already, is
+        shared as it is."""
+        return self._trusted(self.dist, _probability(weights, self.size))
 
     @classmethod
     def _trusted(cls, dist: np.ndarray, weights: np.ndarray | None = None):
@@ -137,6 +137,18 @@ class FiniteMetricSpace:
         if self.weights is not None:
             return self.weights
         return np.full(self.size, 1.0 / self.size)
+
+
+def _probability(weights, n: int) -> np.ndarray | None:
+    """The weights as a float array, checked to be a probability vector
+    on n points; None stays None (uniform)."""
+    if weights is None:
+        return None
+    w = np.asarray(weights, dtype=float)
+    # written so that NaN weights fail it too
+    if w.shape != (n,) or not (w.min() >= 0 and abs(w.sum() - 1.0) <= 1e-9):
+        raise ValueError("weights must be a probability vector")
+    return w
 
 
 def _symmetrize(d: np.ndarray) -> float:
@@ -497,6 +509,15 @@ def gh_bounds(X: FiniteMetricSpace, Y: FiniteMetricSpace) -> GhBounds:
 
 
 # -- weighted comparison ---------------------------------------------------
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported at the first call: the LP stack
+    adds about 10 MB and 70 ms to an import, and only measure_compare
+    solves LPs."""
+    from scipy.optimize import linprog
+
+    return linprog(*args, **kwargs)
 
 
 def measure_compare(

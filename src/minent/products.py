@@ -27,6 +27,8 @@ after removing the rank prefactor ((k - 1)/2) log(rho).
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +43,10 @@ __all__ = [
     "GrowthEstimate",
     "entropy_growth_numeric",
 ]
+
+# natural logs of the smallest normal and the largest float
+_LOG_TINY = math.log(sys.float_info.min)
+_LOG_HUGE = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -103,8 +109,8 @@ def min_entropy_profile(dims, entropies) -> ScalingProfile:
     ents = tuple(float(h) for h in entropies)
     if len(dims) != len(ents) or not dims:
         raise ValueError("dims and entropies must be matched, nonempty sequences")
-    if any(h <= 0 for h in ents):
-        raise ValueError("factor entropies must be positive")
+    if not all(0 < h < math.inf for h in ents):
+        raise ValueError("factor entropies must be positive and finite")
     if min(dims) < 3:
         raise ValueError("factor dimensions below 3 are outside the supported regime")
     d = np.array(dims, dtype=float)
@@ -112,6 +118,15 @@ def min_entropy_profile(dims, entropies) -> ScalingProfile:
     n = d.sum()
     # Work in logs: the exponents n_j / n make the products scale-safe.
     log_c = float(np.sum((d / n) * (0.5 * np.log(d) - np.log(h))))
+    # h_min^2 is squared as a Python float, which raises on overflow, and
+    # divides the consistency report's weighted sum (at most n h_min^2):
+    # keep n^2 h_min^2 finite and h_min^2 a normal float
+    log_square = math.log(n) - 2.0 * log_c
+    if not _LOG_TINY <= log_square <= _LOG_HUGE - 2.0 * math.log(n):
+        raise ValueError(
+            f"factor entropies {ents}: h_min^2 = exp({log_square:.6g}) "
+            "leaves the float range"
+        )
     alpha = h / np.sqrt(d) * np.exp(log_c)
     h_min = float(np.sqrt(n) * np.exp(-log_c))
     profile = ScalingProfile(

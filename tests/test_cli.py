@@ -295,6 +295,7 @@ def test_ini_malformed_file_is_config_error(tmp_path, capsys, text):
         ("spread", 19.0, "[run]"),
         ("gh_circle", 15, "[ghnet] circle"),
         ("gh_torus", 3, "[ghnet] torus"),
+        ("etas", (), "[shortcut] etas"),
     ],
 )
 def test_validation_names_the_section(field, value, section):
@@ -793,6 +794,14 @@ def test_unwritable_output_is_config_error(tmp_path, capsys, blocked):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"config error: [output] dir {out}: ")
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_empty_etas_is_a_config_error_naming_the_key(tmp_path, capsys):
+    # a run on no etas would fail inside the sweep, on min() of nothing
+    empty = write_ini(tmp_path, "[shortcut]\netas =\n")
+    assert main(["--config", empty, "shortcut"]) == EXIT_CONFIG
+    err_text = capsys.readouterr().err
+    assert err_text.startswith("config error: [shortcut] etas")
 
 
 def test_config_error_exit_code(tmp_path, capsys):
@@ -1302,3 +1311,32 @@ def test_short_subcommands_import_no_scipy(tmp_path):
         )
         assert out.returncode == 0, out.stderr[-2000:]
         assert out.stdout.splitlines()[-1] == f"{EXIT_OK} []", sub
+
+
+def test_lp_stack_loads_at_the_first_measure_compare():
+    # scipy.optimize adds about 10 MB and 70 ms to an import; of ghkit
+    # only measure_compare solves LPs, so ghnet's nets and GH bounds
+    # run without it, and it loads after their sample spaces are freed
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from minent import ghkit as g\n"
+        "for X in (g.circle_space(800), g.torus_grid_space(24, 24)):\n"
+        "    net = g.greedy_net(X, 0.075)\n"
+        "    delta = 0.8 * min(0.075, 0.09 / (6 * X.diameter))\n"
+        "    G = g.build_net_graph(net, net, X, 0.3, delta, len(net))\n"
+        "    assert g.approximation_check(G, net, X, 0.3).passed\n"
+        "g.gh_bounds(g.circle_space(4), g.circle_space(5))\n"
+        "g.gh_bounds(g.circle_space(12), g.circle_space(20))\n"
+        "print('scipy.optimize' in sys.modules)\n"
+        "eq = g.FiniteMetricSpace(np.ones((3, 3)) - np.eye(3))\n"
+        "pt = g.FiniteMetricSpace(eq.dist, np.array([1.0, 0.0, 0.0]))\n"
+        "g.measure_compare(eq, pt)\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=subprocess_env(), timeout=120,
+    )
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.split() == ["False", "True"]

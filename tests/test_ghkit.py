@@ -403,6 +403,38 @@ def test_space_rejects_bad_weights():
         FiniteMetricSpace(d, np.array([1.0, np.nan]))
 
 
+def test_with_weights_matches_the_constructor_without_a_check(monkeypatch):
+    d = random_tree_space(40, seed=3).dist
+    w = np.random.default_rng(5).dirichlet(np.ones(40))
+    X = FiniteMetricSpace(d)
+    want = FiniteMetricSpace(d, w)
+
+    def no_check(*args):
+        raise AssertionError("the checked matrix was checked again")
+
+    monkeypatch.setattr(ghkit, "cdist", no_check)
+    Y = X.with_weights(w)
+    assert Y.dist is X.dist and X.weights is None
+    assert Y.dist.tobytes() == want.dist.tobytes()
+    assert Y.weights.tobytes() == want.weights.tobytes()
+    assert Y.with_weights(None).weights is None
+    assert measure_compare(want, Y) == 0.0
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[0.5, 0.6], [-0.2, 1.2], [1.0], [np.nan, np.nan], [1.0, np.nan]],
+)
+def test_with_weights_rejects_what_the_constructor_rejects(weights):
+    d = two_point_space(1.0).dist
+    with pytest.raises(ValueError) as built:
+        FiniteMetricSpace(d, np.array(weights))
+    with pytest.raises(ValueError) as reweighted:
+        FiniteMetricSpace(d).with_weights(np.array(weights))
+    assert str(reweighted.value) == str(built.value)
+    assert "probability" in str(built.value)
+
+
 def test_space_restrict_onto_zero_weight_rejected():
     X = FiniteMetricSpace(circle_space(3).dist, np.array([1.0, 0.0, 0.0]))
     # renormalizing would divide by 0 and leave NaN weights, and

@@ -78,6 +78,24 @@ def test_profile_identities_far_apart_entropies():
 
 
 @pytest.mark.parametrize(
+    "ents",
+    [(1e200, 1e200), (1e-200, 1e-200), (1.7e308, 2.0), (math.inf, 2.0), (math.nan, 2.0)],
+)
+def test_entropies_out_of_float_range_are_a_value_error(ents):
+    # h_min^2 of (1e200, 1e200) overflows a Python float, which raises a
+    # bare OverflowError; that of (1e-200, 1e-200) rounds to 0 and the
+    # report divides by it
+    with pytest.raises(ValueError, match="entropies"):
+        min_entropy_profile((3, 3), ents)
+
+
+def test_entropies_near_the_float_range_keep_their_identities():
+    for ents in ((1e153, 1e153), (1e-150, 1e-150)):
+        rep = min_entropy_profile((3, 3), ents).consistency_report()
+        assert rep["volume_normalization_error"] < 1e-12
+
+
+@pytest.mark.parametrize(
     "key", ["entropy_identity_error", "volume_normalization_error"]
 )
 def test_nan_identity_error_fails_the_profile(monkeypatch, key):
