@@ -17,24 +17,19 @@ the quadratic forms
 with trace(H) = 1 (the integrand is a unit covector squared) and, for
 real hyperbolic factors, the per-factor reduction K_i = Id - H_i.
 
-Quadrature realization.  Each atom's visual measure is represented by
-transporting one fixed boundary node set through the hyperbolic
-translation taking the base point to the atom.  This is the same
-integral as weighting fixed nodes by the visual density (the density
-is the boundary Jacobian of that translation); the transported form
-keeps the exact symmetries: node weights are positive, antipodally
-symmetric and sum to 1, so the quadrature mass is 1 by construction and
-enters no formula, single-atom gradients vanish at the atom to machine
-precision, and the whole computation is equivariant under factor
-isometries.  The test
-suite keeps the density-weighted route as the oracle of this one.
-
-Evaluation.  The transported nodes of factor i are stored as one
-(J, Q_i, m_i + 1) array over atoms and nodes.  One pass at a point gives
-the value, the gradient and both forms: per factor, the horofunction
-values and frame differentials at all J Q_i nodes, their first moments
-per atom, and the weighted second moment S_i as one product over all
-(atom, node) rows.  The Newton solver evaluates each point it visits
+Zonal reduction.  Seen from x, atom p_j's visual measure is symmetric
+about the geodesic through x and p_j.  With d = d(x, p_j), e_j the unit
+tangent at x pointing away from p_j, and t a boundary point's cosine
+with that geodesic seen from p_j, its cosine seen from x is
+c(t) = (t - tanh d) / (1 - t tanh d), and dB is minus the unit vector
+toward it.  So with the rule's nodes t_q and weights w_q each atom adds
+the first moment -(sum_q w_q c_q) e_j, the second moment
+A e_j e_j^T + (1 - A) / (m - 1) (Id - e_j e_j^T) with A = sum_q w_q c_q^2
+(Id / m at d = 0), and the value sum_q w_q log(cosh d - t_q sinh d),
+B anchored at p_j.  Each second moment has trace 1 for every rule, so
+trace(H) = 1 is an identity of the route, as the complement reduction
+is.  The tests keep transported tensor nodes and the density-weighted
+route as oracles.  The Newton solver evaluates each point it visits
 once and steps with the K of the last accepted point; the
 :class:`BarycenterSolution` carries the forms at its point.
 """
@@ -52,7 +47,6 @@ from .hyperbolic import (
     minkowski_form,
     random_point,
     tangent_frame,
-    transvection_to,
 )
 from .products import ProductPoint, ScalingProfile
 
@@ -137,12 +131,11 @@ class BarycenterSolution:
 
 
 class BarycenterProblem:
-    """One configuration with its transported quadrature nodes.
+    """One configuration with one zonal boundary rule per factor.
 
-    Prepares, per factor, the node sets representing the atoms' visual
-    measures, stacked as one (J, Q_i, m_i + 1) array, and evaluates the
-    functional, gradient and forms at arbitrary points.  All
-    evaluations share the preparation.
+    Keeps, per factor, the atoms' coordinates as one (J, m_i + 1) array,
+    and evaluates the functional, gradient and forms at arbitrary
+    points from each atom's closed 1-D moments.
     """
 
     def __init__(
@@ -162,18 +155,40 @@ class BarycenterProblem:
         self.profile = profile
         self.quads = tuple(quads)
         self.w = np.array(config.weights)
-        # Transported nodes per factor: (J, Q_i, m_i + 1), atom j's node
-        # set in row j, each node rescaled to first coordinate 1.
-        self.nodes = []
-        for i, q in enumerate(self.quads):
-            M = np.stack([transvection_to(atom.factors[i]) for atom in config.atoms])
-            moved = q.nodes @ M.transpose(0, 2, 1)
-            moved /= moved[..., :1]
-            self.nodes.append(moved)
+        self.coords = [
+            np.stack([atom.factors[i].coords for atom in config.atoms])
+            for i in range(profile.k)
+        ]
+
+    def _moments(self, i: int, xf: HyperboloidPoint, F: np.ndarray):
+        """Factor i at xf, with F the frame there: the weighted value,
+        the (J, m) first moments of dB per atom and the weighted second
+        moment S_i."""
+        m, q = xf.m, self.quads[i]
+        # cosh d - 1 from -q(x, p_j), whose rounding is relative for far
+        # atoms, and below 1 from the chord w = x - p_j, |w|^2 / 2, which
+        # is exactly 0 where x = p_j
+        w = xf.coords - self.coords[i]
+        ch = np.maximum(-minkowski_form(xf.coords, self.coords[i]) - 1.0, 0.0)
+        ch = np.where(ch < 1.0, np.maximum(minkowski_form(w, w), 0.0) / 2.0, ch)
+        ed = (1.0 + ch + np.sqrt(ch * (ch + 2.0)))[:, None]  # e^d
+        # q(w, F) = -q(p_j, F) = sinh(d) e_j; e_j = 0 where d = 0
+        e = w @ (F * np.r_[-1.0, np.ones(m)]).T
+        norm = np.linalg.norm(e, axis=1, keepdims=True)
+        np.divide(e, norm, out=e, where=norm > 0)
+        t = q.nodes[:, 0]
+        lo, hi = (1.0 + t) / ed, (1.0 - t) * ed  # (J, L)
+        tot = lo + hi  # 2 (cosh d - t sinh d)
+        c = (lo - hi) / tot  # (t - tanh d) / (1 - t tanh d)
+        C, A = c @ q.weights, (c * c) @ q.weights
+        B = (1.0 - A) / (m - 1)
+        S = (self.w @ B) * np.eye(m) + (e.T * (self.w * (A - B))) @ e
+        value = float(self.w @ (np.log(tot / 2.0) @ q.weights))
+        return value, -C[:, None] * e, S
 
     def value_and_grad(self, x: ProductPoint):
         """Value, gradient, gradient norm and forms at x, in one pass
-        over the nodes.  The gradient is per-factor components in the
+        over the atoms.  The gradient is per-factor components in the
         orthonormal frame of the scaled metric (concatenate for the full
         vector); it and the :class:`FormPair` are expressed in the
         tangent frames at x."""
@@ -181,21 +196,11 @@ class BarycenterProblem:
         k, rk = prof.k, np.sqrt(prof.k)
         frames = [tangent_frame(xf) for xf in x.factors]
         value, means, factor_h = 0.0, [], []
-        per_factor = zip(prof.alpha, x.factors, frames, self.nodes, self.quads)
-        for a, xf, F, nodes, q in per_factor:
-            sign = np.r_[-1.0, np.ones(xf.m)]  # q(u, v) = u @ (sign * v)
-            s = -(nodes @ (sign * xf.coords))  # (J, Q): horofunction exp(B)
-            b = nodes @ (F * sign).T  # (J, Q, m): frame differentials of B
-            b /= -s[..., None]
-            value += a / rk * float(self.w @ (np.log(s) @ q.weights))
-            means.append(q.weights @ b)  # (J, m) first moments per atom
-            # S_i = sum_j w_j sum_q wts_q b b^T: one product over all
-            # (atom, node) rows once each row carries sqrt(w_j wts_q)
-            b *= np.sqrt(q.weights)[:, None]
-            b *= np.sqrt(self.w)[:, None, None]
-            rows = b.reshape(-1, xf.m)
-            factor_h.append(rows.T @ rows)
-            del s, b, rows  # one factor's (J, Q) arrays alive at a time
+        for i, (a, xf, F) in enumerate(zip(prof.alpha, x.factors, frames)):
+            v, mu, S_i = self._moments(i, xf, F)
+            value += a / rk * v
+            means.append(mu)
+            factor_h.append(S_i)
         grad = [self.w @ mu / rk for mu in means]
         gnorm = float(np.sqrt(sum(float(g @ g) for g in grad)))
         mu = np.hstack(means)  # (J, n)
@@ -223,8 +228,7 @@ class BarycenterProblem:
     def initial_point(self) -> ProductPoint:
         """Weighted ambient average per factor, renormalized to the sheet."""
         out = []
-        for i in range(self.profile.k):
-            coords = np.stack([atom.factors[i].coords for atom in self.config.atoms])
+        for coords in self.coords:
             acc = self.w @ coords
             out.append(HyperboloidPoint(acc / np.sqrt(-minkowski_form(acc, acc))))
         return ProductPoint(tuple(out))

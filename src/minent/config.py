@@ -13,8 +13,6 @@ import configparser
 import math
 from dataclasses import dataclass, field, fields
 
-from .hyperbolic import tensor_order
-
 
 class ConfigError(ValueError):
     pass
@@ -64,13 +62,10 @@ class RunConfig:
                 raise ConfigError("[{}] {} must be finite".format(*f.metadata["ini"]))
         if not self.dims or any(d < 3 for d in self.dims):
             raise ConfigError("[profile] dims: need factors, each of dimension >= 3")
-        if self.quad_count.bit_length() <= max(self.dims):
-            # the boundary rule of order 2 on S^(m-1), exact through
-            # degree 3, has 2^m nodes
-            raise ConfigError(
-                "[quadrature] count must be at least 2^m for each factor "
-                f"dimension m, here 2^{max(self.dims)}"
-            )
+        if self.quad_count < 8:
+            # the zonal boundary rule of order L = floor(sqrt(count / 2))
+            # is exact through degree 3 from L = 2
+            raise ConfigError("[quadrature] count must be at least 8")
         if self.seed < 0:
             raise ConfigError("[run] seed must be nonnegative")
         if not (0 < self.spread <= 18):
@@ -81,19 +76,25 @@ class RunConfig:
         for key in ("n_atoms", "draws", "bcg_count"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"[run] {key} must be at least 1")
-        node_bytes = 8 * self.n_atoms * sum(
-            2 * tensor_order(m, self.quad_count) ** (m - 1) * (m + 1) for m in self.dims
+        # bytes, from tracemalloc peaks: a product point as Python objects
+        # takes under 256 B per factor plus 256 B; per atom the barycenter
+        # adds 4 (m_i + 1) floats per factor and 6 (J, L) arrays of one
+        # factor, and natural-map two reference points, each with an
+        # m_i x m_i product of chord and frame; the Gauss rule holds
+        # 2 L^2 floats, the frames and n x n forms under 128 n^2 B
+        point = 256 * (len(self.dims) + 1)
+        coords = 8 * 4 * sum(m + 1 for m in self.dims)
+        order = math.isqrt(self.quad_count // 2)
+        per_atom = max(
+            point + coords + 8 * 6 * order,
+            2 * (point + coords + 8 * max(self.dims) ** 2),
         )
-        if node_bytes > 2**29:
-            # the barycenter keeps, per atom, 8 B for each of the m_i + 1
-            # coordinates of the 2 L_i^(m_i - 1) nodes of factor i; an
-            # evaluation adds one factor's (J, Q_i, m_i + 2) temporaries, at
-            # most 5/4 of that factor's share, so 512 MiB of nodes peaks
-            # under 1.3 GB (measured: 2.2x the nodes for one factor, 1.6x
-            # for two, over the interpreter's 37 MB)
+        held = self.n_atoms * per_atom + 16 * order**2 + 128 * sum(self.dims) ** 2
+        if held > 2**29:
             raise ConfigError(
-                f"[run] n_atoms x [quadrature] count: the node arrays take "
-                f"{node_bytes / 2**20:.0f} MiB, over the 512 MiB budget"
+                "[profile] dims, [run] n_atoms and [quadrature] count: the "
+                f"barycenter and natural-map hold {held / 2**20:.2f} MiB, over "
+                "the 512 MiB budget"
             )
         if not (0 < self.tol <= 1e-2) or self.tol < 1e-10:
             raise ConfigError("[solver] tol must lie in [1e-10, 1e-2]")
@@ -103,6 +104,14 @@ class RunConfig:
             raise ConfigError("[growth] need 0 < rho_lo < rho_hi")
         if not (0 < self.grid_step <= 0.1):
             raise ConfigError("[growth] grid_step must lie in (0, 0.1]")
+        cells = self.rho_hi / self.grid_step  # N = ceil(cells) per factor
+        if len(self.dims) * math.ceil(min(cells, 1e5)) ** 2 > 4e8:
+            # about 25 ns per unit of k N^2 for k factors, measured on a
+            # 2-CPU VM at N = 1280 to 5120: 4e8 units take about 10 s
+            raise ConfigError(
+                f"[growth] rho_hi / grid_step = {cells:.6g} cells per factor: "
+                "k N^2 is over the 4e8 budget (about 10 s)"
+            )
         if not self.etas:
             raise ConfigError("[shortcut] etas: need at least one eta")
         if any(not 0 < e <= 1 for e in self.etas):

@@ -5,10 +5,11 @@ hyperboloid in Minkowski space R^{m,1}, where
 
     q(x, y) = -x_0 y_0 + x_1 y_1 + ... + x_m y_m.
 
-Boundary directions are future-pointing null rays.  A boundary node is
-stored normalized against the base point o = (1, 0, ..., 0) so that
-q(o, xi) = -1, which pins the representative (first coordinate 1) and
-anchors every horofunction at the base point: B(o, xi) = 0.  A
+Boundary directions are future-pointing null rays xi; normalized by
+q(o, xi) = -1 against the base point o = (1, 0, ..., 0), they anchor
+every horofunction at o: B(o, xi) = 0.  The boundary rule integrates
+against the round measure through one axis, as a 1-D Gauss rule in the
+cosine with that axis (:func:`boundary_quadrature`).  A
 tangent vector at x is passed as its ambient (m+1)-array v, with
 q(x, v) = 0, and |v| = sqrt(q(v, v)).
 
@@ -43,7 +44,6 @@ __all__ = [
     "exp_map",
     "tangent_frame",
     "boundary_quadrature",
-    "tensor_order",
     "transvection_to",
     "random_point",
 ]
@@ -165,21 +165,25 @@ def tangent_frame(x: HyperboloidPoint) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BoundaryQuadrature:
-    """Nodes and weights approximating the round probability measure
-    on the boundary sphere of H^m.
+    """The round probability measure on the boundary sphere S^{m-1} of
+    H^m, reduced to one axis.  An integrand that depends only on the
+    cosine t with a fixed unit vector integrates against the marginal of
+    t, whose density is proportional to (1 - t^2)^((m-3)/2).
 
-    nodes   (count, m+1) ideal-point representatives (first column 1).
-    weights positive, summing to 1 exactly under math.fsum (the last
-            weight absorbs the rounding residue).
+    nodes   (L, 2): each node t with sqrt(1 - t^2), its point on the
+            half circle of a meridian.
+    weights positive, summing to 1 exactly under math.fsum.
+    m       the dimension of H^m.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
+    m: int
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
         w = np.asarray(self.weights, dtype=float)
-        if nodes.ndim != 2 or nodes.shape[0] != w.size:
+        if nodes.shape != (w.size, 2):
             raise ValueError("nodes and weights are inconsistent")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
@@ -189,25 +193,11 @@ class BoundaryQuadrature:
         object.__setattr__(self, "weights", _readonly(w))
 
     @property
-    def m(self) -> int:
-        return self.nodes.shape[1] - 1
-
-    @property
     def count(self) -> int:
-        return self.weights.size
-
-
-def tensor_order(m: int, count: int) -> int:
-    """The order L of the boundary rule on S^{m-1} that fits ``count``
-    nodes: the largest L with 2 L^(m-1) <= count, by integer bisection
-    (1 when count < 2^m, where no rule of order 2 fits)."""
-    lo, hi = 1, 2
-    while 2 * hi ** (m - 1) <= count:
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if 2 * mid ** (m - 1) <= count else (lo, mid)
-    return lo
+        """2 L^2 for L nodes: the least `[quadrature] count` that gives
+        this order, and the size of the tensor rule of the same order on
+        S^2."""
+        return 2 * self.weights.size**2
 
 
 def _gauss_rule(L: int, a: float) -> tuple[np.ndarray, np.ndarray]:
@@ -224,48 +214,32 @@ def _gauss_rule(L: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     return (t - t[::-1]) / 2, (w + w[::-1]) / 2
 
 
-def _sphere_rule(m: int, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (2 L^(m-1), m) and weights of the tensor rule of order L on
-    S^{m-1}: t = x_1 at the Gauss nodes of the weight (1 - t^2)^((m-3)/2),
-    the marginal of x_1 under the round measure, times the rule on
-    S^{m-2} scaled by sqrt(1 - t^2); on S^1, 2L equispaced points.
-    Each node's antipode is a node of the same weight, bit for bit."""
-    if m == 2:
-        ang = np.pi * np.arange(L) / L
-        half = np.column_stack([np.cos(ang), np.sin(ang)])
-        return np.vstack([half, -half]), np.full(2 * L, 0.5 / L)
-    t, wt = _gauss_rule(L, (m - 3) / 2)
-    sub, wsub = _sphere_rule(m - 1, L)
-    r = np.sqrt(1.0 - t * t)
-    nodes = np.column_stack([np.repeat(t, len(sub)), np.kron(r[:, None], sub)])
-    return nodes, np.kron(wt, wsub)
-
-
 def boundary_quadrature(
     m: int, count: int, scheme: str = "deterministic-sphere"
 ) -> BoundaryQuadrature:
-    """Deterministic quadrature for the round probability measure on
-    S^{m-1}, m >= 2: the tensor rule of :func:`_sphere_rule` with the
-    largest order L >= 2 whose 2 L^(m-1) nodes fit ``count``.
-
-    The rule integrates every polynomial of degree up to 2L - 1 exactly
-    (so degree 3 from L = 2, degree 5 from L = 3); its weights are
-    positive, antipodally symmetric, and sum to 1 under math.fsum.
-    ``count`` below 2^m, where even L = 2 does not fit, is rejected.
+    """Zonal quadrature for the round probability measure on S^{m-1},
+    m >= 3: the Gauss rule for the weight (1 - t^2)^((m-3)/2) at order
+    L = floor(sqrt(count / 2)) in every dimension, the order a tensor
+    rule of ``count`` nodes reaches on S^2.  It integrates polynomials
+    in t up to degree 2L - 1 exactly; its weights are positive,
+    symmetric under t -> -t but for the largest, which absorbs the
+    rounding residue of the mass.  ``count`` below 8 (L < 2) is
+    rejected.
     """
     # the only accepted scheme, still passed by name by the benchmark's
     # --trace reference pass (perfbench/workloads.py)
     if scheme != "deterministic-sphere":
         raise ValueError(f"unknown scheme {scheme!r}")
-    if m < 2:
-        raise ValueError("boundary quadrature needs m >= 2")
-    L = tensor_order(m, count)
-    if L < 2:
-        raise ValueError(f"count >= 2^m = {2 ** m} required on S^{m - 1}")
-    sphere, w = _sphere_rule(m, L)
-    w /= math.fsum(w.tolist())  # keeps antipodal weights equal
-    w[-1] = 1.0 - math.fsum(w[:-1].tolist())
-    return BoundaryQuadrature(np.column_stack([np.ones(w.size), sphere]), w)
+    if m < 3:
+        raise ValueError("boundary quadrature needs m >= 3")
+    if count < 8:
+        raise ValueError("count >= 8 required, the size of order 2")
+    L = math.isqrt(count // 2)
+    t, w = _gauss_rule(L, (m - 3) / 2)
+    w /= math.fsum(w.tolist())  # keeps symmetric weights equal
+    mid = L // 2  # the largest weight absorbs the rounding residue
+    w[mid] = 1.0 - math.fsum(np.delete(w, mid).tolist())
+    return BoundaryQuadrature(np.column_stack([t, np.sqrt(1.0 - t * t)]), w, m)
 
 
 def transvection_to(p: HyperboloidPoint) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Reference routes that tests compare the library against, and helpers
-that build test inputs; no report reaches them.  The density-weighted
-route (ideal points, Busemann data, visual density) checks the
-barycenter's transported nodes, seeded uniform sampling checks the
-deterministic boundary rule, parallel transport checks the tangent
-frame, and the per-point sphere map checks the natural map's closed
+that build test inputs; no report reaches them.  The tensor rule on
+S^(m-1), transported to each atom, and the density-weighted route
+(ideal points, Busemann data, visual density) check the barycenter's
+zonal moments, seeded uniform sampling checks the tensor rule, parallel
+transport checks the tangent frame, and the per-point sphere map checks the natural map's closed
 form.
 The radial-box grid and the Monte Carlo rays check the product growth
 recursion.  Grid coordinates and turning angles read shortcut grid
@@ -20,14 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from minent.barycenter import _sphere_components
+from minent.barycenter import BarycenterProblem, _sphere_components
 from minent.ghkit import FiniteMetricSpace, circle_space
 from minent.hyperbolic import (
-    BoundaryQuadrature,
     HyperboloidPoint,
+    _gauss_rule,
     _readonly,
     minkowski_form,
     tangent_frame,
+    transvection_to,
 )
 from minent.products import (
     ProductPoint,
@@ -96,7 +97,7 @@ class IdealPoint:
         return self.coords.size - 1
 
 
-def ideal_points(quad: BoundaryQuadrature) -> list[IdealPoint]:
+def ideal_points(quad: "SphereRule") -> list[IdealPoint]:
     return [IdealPoint(row) for row in quad.nodes]
 
 
@@ -155,14 +156,127 @@ def visual_density(x: HyperboloidPoint, xi: IdealPoint, h: float) -> float:
     return float(s ** (-h))
 
 
-def monte_carlo_quadrature(m: int, count: int, seed: int) -> BoundaryQuadrature:
+# -- the tensor rule on S^(m-1), transported to each atom ----------------
+
+
+@dataclass(frozen=True)
+class SphereRule:
+    """Nodes and weights approximating the round probability measure
+    on the boundary sphere of H^m.
+
+    nodes   (count, m+1) ideal-point representatives (first column 1).
+    weights positive, summing to 1 exactly under math.fsum (the last
+            weight absorbs the rounding residue).
+    """
+
+    nodes: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        nodes = np.asarray(self.nodes, dtype=float)
+        w = np.asarray(self.weights, dtype=float)
+        if nodes.ndim != 2 or nodes.shape[0] != w.size:
+            raise ValueError("nodes and weights are inconsistent")
+        if np.any(w < 0):
+            raise ValueError("weights must be nonnegative")
+        if math.fsum(w.tolist()) != 1.0:
+            raise ValueError("weights must sum to 1 exactly")
+        object.__setattr__(self, "nodes", _readonly(nodes))
+        object.__setattr__(self, "weights", _readonly(w))
+
+    @property
+    def m(self) -> int:
+        return self.nodes.shape[1] - 1
+
+    @property
+    def count(self) -> int:
+        return self.weights.size
+
+
+def tensor_order(m: int, count: int) -> int:
+    """The order L of the tensor rule on S^{m-1} that fits ``count``
+    nodes: the largest L with 2 L^(m-1) <= count, by integer bisection
+    (1 when count < 2^m, where no rule of order 2 fits)."""
+    lo, hi = 1, 2
+    while 2 * hi ** (m - 1) <= count:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if 2 * mid ** (m - 1) <= count else (lo, mid)
+    return lo
+
+
+def sphere_rule(m: int, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (2 L^(m-1), m) and weights of the tensor rule of order L on
+    S^{m-1}: t = x_1 at the Gauss nodes of the weight (1 - t^2)^((m-3)/2),
+    the marginal of x_1 under the round measure, times the rule on
+    S^{m-2} scaled by sqrt(1 - t^2); on S^1, 2L equispaced points.
+    Each node's antipode is a node of the same weight, bit for bit."""
+    if m == 2:
+        ang = np.pi * np.arange(L) / L
+        half = np.column_stack([np.cos(ang), np.sin(ang)])
+        return np.vstack([half, -half]), np.full(2 * L, 0.5 / L)
+    t, wt = _gauss_rule(L, (m - 3) / 2)
+    sub, wsub = sphere_rule(m - 1, L)
+    r = np.sqrt(1.0 - t * t)
+    nodes = np.column_stack([np.repeat(t, len(sub)), np.kron(r[:, None], sub)])
+    return nodes, np.kron(wt, wsub)
+
+
+def tensor_quadrature(m: int, count: int) -> SphereRule:
+    """The tensor rule of :func:`sphere_rule` on S^{m-1}, m >= 2, with the
+    largest order L >= 2 whose 2 L^(m-1) nodes fit ``count``.
+
+    The rule integrates every polynomial of degree up to 2L - 1 exactly
+    (so degree 3 from L = 2, degree 5 from L = 3); its weights are
+    positive, antipodally symmetric, and sum to 1 under math.fsum.
+    ``count`` below 2^m, where even L = 2 does not fit, is rejected.
+    """
+    if m < 2:
+        raise ValueError("boundary quadrature needs m >= 2")
+    L = tensor_order(m, count)
+    if L < 2:
+        raise ValueError(f"count >= 2^m = {2 ** m} required on S^{m - 1}")
+    sphere, w = sphere_rule(m, L)
+    w /= math.fsum(w.tolist())  # keeps antipodal weights equal
+    w[-1] = 1.0 - math.fsum(w[:-1].tolist())
+    return SphereRule(np.column_stack([np.ones(w.size), sphere]), w)
+
+
+def monte_carlo_quadrature(m: int, count: int, seed: int) -> SphereRule:
     """``count`` seeded uniform nodes on S^{m-1} with equal weights: the
-    sampling route the deterministic boundary rule is checked against."""
+    sampling route the tensor rule is checked against."""
     g = np.random.default_rng(seed).standard_normal((count, m))
     w = np.full(count, 1.0 / count)
     w[-1] = 1.0 - math.fsum(w[:-1].tolist())
     sphere = g / np.linalg.norm(g, axis=1, keepdims=True)
-    return BoundaryQuadrature(np.column_stack([np.ones(count), sphere]), w)
+    return SphereRule(np.column_stack([np.ones(count), sphere]), w)
+
+
+class TensorProblem(BarycenterProblem):
+    """The barycenter with each atom's visual measure as a node set on
+    the whole sphere, transported from o to the atom by
+    :func:`transvection_to` and integrated node by node.  The moved
+    nodes are not rescaled, so -q(p_j, xi) = 1 and every horofunction
+    is anchored at its atom, as in the zonal route."""
+
+    def __init__(self, config, rules):
+        super().__init__(config, rules)
+        # (J, Q_i, m_i + 1) per factor, atom j's node set in row j
+        self.nodes = [
+            rule.nodes @ np.stack(
+                [transvection_to(a.factors[i]) for a in config.atoms]
+            ).transpose(0, 2, 1)
+            for i, rule in enumerate(self.quads)
+        ]
+
+    def _moments(self, i, xf, F):
+        wts, nodes = self.quads[i].weights, self.nodes[i]
+        sign = np.r_[-1.0, np.ones(xf.m)]  # q(u, v) = u @ (sign * v)
+        s = -(nodes @ (sign * xf.coords))  # (J, Q): exp(B)
+        b = (nodes @ (F * sign).T) / -s[..., None]  # (J, Q, m): dB in the frame
+        S = np.einsum("j,q,jqa,jqb->ab", self.w, wts, b, b)
+        return float(self.w @ (np.log(s) @ wts)), wts @ b, S
 
 
 # -- hyperbolic space: isometries and transport ----------------------------

@@ -265,7 +265,9 @@ def test_ini_malformed_file_is_config_error(tmp_path, capsys, text):
         ("dims", (), "[profile]"),
         ("etas", (1.0, 1.5), "[shortcut]"),
         ("quad_count", 7, "[quadrature]"),
-        ("dims", (3, 10), "[quadrature] count"),  # 1000 < 2^10
+        # the frames and n x n forms of a 2003-dimensional product take
+        # 128 n^2 B, 490 MiB, next to the atoms' share
+        ("dims", (3, 2000), "[quadrature] count"),
         ("seed", -1, "[run]"),
         ("tol", 1e-12, "[solver]"),
         ("tol", 0.5, "[solver]"),
@@ -309,12 +311,14 @@ BOUND_ROWS = [
     # sub, section, key, at the bound, past it, other sections
     ("growth", "growth", "grid_step", "0.1", "0.10000000000000002", ""),
     ("barycenter", "quadrature", "count", "8", "7", ""),
-    ("barycenter", "quadrature", "count", "32", "31",
-     "[profile]\ndims = 3 5\n"),
-    # 61952 B of nodes per atom at 968 nodes per factor: only the validator
-    # runs at the 512 MiB bound
-    ("entropy", "run", "n_atoms", "8665", "8666", ""),
-    ("entropy", "quadrature", "count", "1000", "1058", "[run]\nn_atoms = 8665\n"),
+    # 2192 B per atom at the default dims and count (L = 22), what a
+    # natural-map reference pair holds: only the validator runs at the
+    # 512 MiB bound, and count 1058 takes L = 23
+    ("entropy", "run", "n_atoms", "244917", "244918", ""),
+    ("entropy", "quadrature", "count", "1000", "1058", "[run]\nn_atoms = 244917\n"),
+    # 2 x 14142^2 units of the growth recursion, about 10 s: only the
+    # validator runs at the bound
+    ("entropy", "growth", "rho_hi", "707.1", "707.1000000000001", ""),
     ("shortcut", "shortcut", "spacing", "0.04", "0.03", ""),
     ("shortcut", "shortcut", "extent", "6", "5.95", ""),
     ("barycenter", "run", "spread", "18", "18.000000000000004", ""),
@@ -333,12 +337,12 @@ BOUND_ROWS = [
 def test_validator_bounds_match_the_library(
     tmp_path, capsys, sub, section, key, at_bound, past_bound, others
 ):
-    """The largest grid_step, the smallest node count (2^m for the
-    largest factor dimension m), the largest node arrays, a shortcut
-    spacing that divides the base segment's offset 1.0, the extent 6
-    where that segment ends and the largest spread, as the validator
-    admits them, run; past them is a config error naming the section and
-    key, not a library error."""
+    """The largest grid_step, the smallest count (8, order 2 in every
+    dimension), the largest barycenter, the largest growth recursion, a
+    shortcut spacing that divides the base segment's offset 1.0, the
+    extent 6 where that segment ends and the largest spread, as the
+    validator admits them, run; past them is a config error naming the
+    section and key, not a library error."""
     # the shortcut window fits the smallest extent; without eta = 1 the
     # sweep's band, which a window this near the origin misses, is off
     context = {"shortcut": "etas = 0.99 0.5\nrho_lo = 3\nrho_hi = 5\n"}.get(sub, "")
@@ -349,6 +353,24 @@ def test_validator_bounds_match_the_library(
     bad = write_ini(tmp_path, text.format(past_bound), "bad.ini")
     assert main(["--config", bad, "--out", str(tmp_path), sub]) == EXIT_CONFIG
     assert f"[{section}] {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["8", "1000"])
+def test_barycenter_solves_a_16_dimensional_factor(tmp_path, capsys, count):
+    """The zonal rule has order 2 from count 8 in every dimension, so
+    (3, 16) solves at count 8 and at the default, where the tensor rule
+    needed count 65536."""
+    path = write_ini(tmp_path, f"[profile]\ndims = 3 16\n[quadrature]\ncount = {count}\n")
+    assert main(["--config", path, "--out", str(tmp_path), "barycenter"]) == EXIT_OK
+    capsys.readouterr()
+
+
+def test_natural_map_runs_past_the_former_node_cap(tmp_path, capsys):
+    # natural-map builds no boundary rule; 9000 atoms were over the
+    # 512 MiB of tensor nodes that the barycenter held at the default count
+    path = write_ini(tmp_path, "[run]\nn_atoms = 9000\ndraws = 2\n")
+    assert main(["--config", path, "--out", str(tmp_path), "natural-map"]) == EXIT_OK
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(
@@ -1311,6 +1333,23 @@ def test_short_subcommands_import_no_scipy(tmp_path):
         )
         assert out.returncode == 0, out.stderr[-2000:]
         assert out.stdout.splitlines()[-1] == f"{EXIT_OK} []", sub
+
+
+def test_cli_import_leaves_hyperbolic_out():
+    # the validator needs nothing of the boundary rule, so importing the
+    # command line loads no geometry module until a subcommand runs
+    code = (
+        "import sys\n"
+        "import minent.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('minent')))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=subprocess_env(), timeout=120,
+    )
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert "minent.hyperbolic" not in out.stdout
+    assert "'minent.cli', 'minent.config'" in out.stdout
 
 
 def test_lp_stack_loads_at_the_first_measure_compare():

@@ -1,6 +1,6 @@
 """Hyperboloid-model primitives: distances, geodesics, horofunctions,
-boundary quadrature, and the isometry machinery everything else leans
-on."""
+the zonal boundary rule and the tensor rule that checks it, and the
+isometry machinery everything else leans on."""
 
 import math
 import warnings
@@ -19,7 +19,6 @@ from minent.hyperbolic import (
     minkowski_form,
     random_point,
     tangent_frame,
-    tensor_order,
     transvection_to,
 )
 from oracles import (
@@ -32,6 +31,8 @@ from oracles import (
     monte_carlo_quadrature,
     parallel_transport,
     random_boost,
+    tensor_order,
+    tensor_quadrature,
     visual_density,
 )
 
@@ -319,7 +320,7 @@ def test_visual_density_at_base_is_one():
 
 
 def test_visual_density_normalizes_at_entropy():
-    quad = boundary_quadrature(3, 4000)
+    quad = tensor_quadrature(3, 4000)
     x = pt(1.0, [1, 1, 0])
     vals = np.array(
         [visual_density(x, xi, 2.0) for xi in ideal_points(quad)]
@@ -327,8 +328,8 @@ def test_visual_density_normalizes_at_entropy():
     assert abs(float(quad.weights @ vals) - 1.0) < 1e-3
 
 
-def test_visual_density_off_entropy_mass_departs(quads33):
-    quad = quads33[0]
+def test_visual_density_off_entropy_mass_departs():
+    quad = tensor_quadrature(3, 1000)
     x = pt(1.0, [1, 0, 0])
     vals = np.array(
         [visual_density(x, xi, 1.0) for xi in ideal_points(quad)]
@@ -340,7 +341,7 @@ def test_visual_density_normalization_converges():
     x = pt(1.2, [0, 1, 0])
 
     def mass(count):
-        q = boundary_quadrature(3, count)
+        q = tensor_quadrature(3, count)
         v = np.array([visual_density(x, xi, 2.0) for xi in ideal_points(q)])
         return abs(float(q.weights @ v) - 1.0)
 
@@ -350,12 +351,12 @@ def test_visual_density_normalization_converges():
 
 
 def test_quadrature_weights_sum_exactly():
-    q = boundary_quadrature(3, 500)
+    q = tensor_quadrature(3, 500)
     assert float(q.weights.sum()) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_quadrature_first_moment_vanishes():
-    q = boundary_quadrature(3, 500)
+    q = tensor_quadrature(3, 500)
     sphere = q.nodes[:, 1:]
     moment = q.weights @ sphere
     assert np.abs(moment).max() < 1e-3
@@ -364,13 +365,13 @@ def test_quadrature_first_moment_vanishes():
 def test_quadrature_first_moment_exact_by_symmetry():
     # the node set is antipodally symmetric, so the first moment is a
     # rounding-level zero, far below the generic 1e-3 budget
-    q = boundary_quadrature(3, 1000)
+    q = tensor_quadrature(3, 1000)
     moment = q.weights @ q.nodes[:, 1:]
     assert np.abs(moment).max() < 1e-15
 
 
 def test_quadrature_second_moment():
-    q = boundary_quadrature(3, 1000)
+    q = tensor_quadrature(3, 1000)
     sphere = q.nodes[:, 1:]
     second = np.einsum("l,la,lb->ab", q.weights, sphere, sphere)
     assert np.abs(second - np.eye(3) / 3).max() < 5e-3
@@ -405,11 +406,11 @@ def test_quadrature_moments_exact_by_degree(m):
     degree 4; from L = 3 degree 4 is exact too.  Even moments carry the
     rounding of a BLAS sum (up to 3e-15 measured); odd ones vanish by
     antipodal symmetry."""
-    low = moment_errors(boundary_quadrature(m, 2**m))
+    low = moment_errors(tensor_quadrature(m, 2**m))
     assert max(low[0], low[2]) < 1e-14
     assert max(low[1], low[3]) <= 1e-15
     assert low[4] > 1e-2
-    high = moment_errors(boundary_quadrature(m, 2 * 3 ** (m - 1)))
+    high = moment_errors(tensor_quadrature(m, 2 * 3 ** (m - 1)))
     assert max(high[0], high[2], high[4]) < 1e-14
     assert max(high[1], high[3]) <= 1e-15
 
@@ -418,7 +419,7 @@ def test_quadrature_circle_and_monte_carlo():
     """On S^1 the rule is 2L equispaced points of equal weight (L = 180
     at count 360); the seeded Monte Carlo nodes that the barycenter tests
     compare the rule against have a first moment within their noise."""
-    q2 = boundary_quadrature(2, 360)
+    q2 = tensor_quadrature(2, 360)
     angles = np.sort(np.mod(np.arctan2(q2.nodes[:, 2], q2.nodes[:, 1]), 2 * np.pi))
     assert np.abs(angles - 2 * np.pi * np.arange(360) / 360).max() < 1e-13
     assert np.abs(q2.weights - 1 / 360).max() < 1e-17
@@ -430,15 +431,15 @@ def test_quadrature_circle_and_monte_carlo():
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 7])
 def test_quadrature_uses_the_largest_order_that_fits(m):
     for count in (2**m, 2**m + 1, 1000, 19999, 20000):
-        q = boundary_quadrature(m, count)
+        q = tensor_quadrature(m, count)
         L = round((q.count / 2) ** (1 / (m - 1)))
         assert q.count == 2 * L ** (m - 1) == 2 * tensor_order(m, count) ** (m - 1)
         assert q.count <= count < 2 * (L + 1) ** (m - 1)
-    assert boundary_quadrature(3, 1000).count == 968  # L = 22
+    assert tensor_quadrature(3, 1000).count == 968  # L = 22
 
 
 def test_quadrature_is_antipodal_with_positive_weights():
-    q = boundary_quadrature(5, 1000)
+    q = tensor_quadrature(5, 1000)
     nodes = q.nodes[:, 1:]
     order = np.lexsort(nodes.T)
     flipped = np.lexsort((-nodes).T)
@@ -451,24 +452,60 @@ def test_quadrature_is_antipodal_with_positive_weights():
 
 def test_quadrature_checks_the_mass_with_an_exact_sum():
     # ten weights 0.1 sum to 1 exactly (their float sum is 1 - 1.1e-16)
-    q = BoundaryQuadrature(np.tile([1.0, 1.0, 0.0], (10, 1)), np.full(10, 0.1))
-    assert q.count == 10
+    q = BoundaryQuadrature(np.tile([0.0, 1.0], (10, 1)), np.full(10, 0.1), 3)
+    assert q.count == 2 * 10**2
     with pytest.raises(ValueError, match="sum to 1"):
-        BoundaryQuadrature(np.tile([1.0, 1.0, 0.0], (2, 1)), [0.5, 0.5 + 2**-53 * 2])
+        BoundaryQuadrature(np.tile([0.0, 1.0], (2, 1)), [0.5, 0.5 + 2**-53 * 2], 3)
 
 
 def test_quadrature_errors():
     with pytest.raises(ValueError):
-        boundary_quadrature(1, 100)
+        tensor_quadrature(1, 100)
     with pytest.raises(ValueError, match="2\\^m = 8"):
-        boundary_quadrature(3, 7)
+        tensor_quadrature(3, 7)
     with pytest.raises(ValueError, match="2\\^m = 32"):
-        boundary_quadrature(5, 31)
-    assert boundary_quadrature(5, 32).count == 32
+        tensor_quadrature(5, 31)
+    assert tensor_quadrature(5, 32).count == 32
+    # the zonal rule: order 2 from count 8 in every dimension m >= 3
+    with pytest.raises(ValueError, match="m >= 3"):
+        boundary_quadrature(2, 100)
+    with pytest.raises(ValueError, match="count >= 8"):
+        boundary_quadrature(16, 7)
+    assert boundary_quadrature(16, 8).weights.size == 2
     # one deterministic rule: the scheme name is the only one accepted
     assert boundary_quadrature(3, 20000, "deterministic-sphere").count == 20000
     with pytest.raises(ValueError, match="unknown scheme"):
         boundary_quadrature(5, 100, "monte-carlo")
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 8, 16])
+def test_zonal_rule_order_and_moments(m):
+    """L = floor(sqrt(count / 2)) in every dimension: 22 at the default
+    1000 and 100 at 20000, and ``count`` reads back 2 L^2.  The nodes are
+    (t, sqrt(1 - t^2)); the moments of t under the marginal
+    (1 - t^2)^((m-3)/2) are 0 for odd degree, 1/m for degree 2 and
+    3 / (m (m + 2)) for degree 4, exact from L = 3."""
+    for count, L in ((8, 2), (17, 2), (18, 3), (1000, 22), (20000, 100)):
+        q = boundary_quadrature(m, count)
+        assert q.m == m and q.nodes.shape == (L, 2) and q.count == 2 * L * L
+        t, w = q.nodes[:, 0], q.weights
+        assert np.array_equal(q.nodes[:, 1], np.sqrt(1.0 - t * t))
+        assert np.array_equal(t, -t[::-1]) and w.min() > 0
+        assert math.fsum(w.tolist()) == 1.0
+        assert abs(w @ t) < 3e-16 and abs(w @ t**3) < 3e-16
+        assert w @ t**2 == pytest.approx(1 / m, abs=1e-15)
+        if L >= 3:
+            assert w @ t**4 == pytest.approx(3 / (m * (m + 2)), abs=1e-15)
+
+
+def test_zonal_rule_is_the_tensor_rule_marginal():
+    """On S^2 the tensor rule of order L puts its first coordinate on the
+    same Gauss nodes, 2 L times each; summed over them its weights are
+    the zonal rule's."""
+    z, q = boundary_quadrature(3, 968), tensor_quadrature(3, 968)
+    t, idx = np.unique(q.nodes[:, 1], return_inverse=True)
+    assert np.abs(t - z.nodes[:, 0]).max() < 1e-15
+    assert np.abs(np.bincount(idx, weights=q.weights) - z.weights).max() < 1e-16
 
 
 def test_transvection_moves_base_to_target():
